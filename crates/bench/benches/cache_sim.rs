@@ -1,38 +1,36 @@
-//! Throughput of the cache-simulation engine, four ways per stream:
+//! Throughput of the cache-simulation engine against its oracle, per
+//! stream and geometry:
 //!
 //! * `legacy_scalar` — the seed `Vec<Vec<u64>>` + `HashSet` simulator
-//!   ([`LegacyCache`]), one call per access: the baseline the flat
-//!   engine is measured against;
-//! * `flat_scalar` — the flat tag/stamp engine ([`Cache`]), still one
-//!   call per access;
-//! * `flat_batched` — the flat engine fed 4 K-entry packed buffers via
-//!   `access_batch`, the shape the interpreter produces;
-//! * `sharded` — the set-sharded engine ([`ShardedCache`]) on the same
-//!   buffers: MRU-ordered move-to-front way groups, an adaptive SIMD
+//!   ([`LegacyCache`]), one call per access: the baseline the engine is
+//!   measured against;
+//! * `sharded` — the set-sharded engine ([`ShardedCache`]) fed 4 K-entry
+//!   packed buffers via `access_batch`, the shape the interpreter
+//!   produces: MRU-ordered move-to-front way groups, an adaptive SIMD
 //!   run-collapse front end, and (with more than one shard) per-shard
 //!   sub-traces fanned out on the worker pool.
 //!
-//! `flat_batched` and `sharded` are timed **interleaved** (A, B, A, B …
-//! taking each side's minimum) because their ratio is the headline
-//! number and consecutive one-sided runs pick up scheduler drift on
-//! small hosts.
+//! The two are timed **interleaved** (A, B, A, B … taking each side's
+//! minimum) because their ratio is the headline number and consecutive
+//! one-sided runs pick up scheduler drift on small hosts.
 //!
 //! Plus an end-to-end corpus comparison: Table 4 over the full suite,
 //! sequential (`CMT_JOBS=1`, one shard) vs parallel (restored
 //! `CMT_JOBS`, [`default_shard_count`] shards), asserting byte-identical
 //! output — so the determinism leg also covers shard-count variation.
 //! All cases run an **equivalence check first** — identical `CacheStats`
-//! across all engines and shard counts — and the process exits non-zero
-//! on mismatch, so CI can gate on correctness without gating on timing.
+//! from the oracle and the engine at one and four shards — and the
+//! process exits non-zero on mismatch, so CI can gate on correctness
+//! without gating on timing.
 //!
 //! Environment:
 //!
 //! * `CMT_BENCH_QUICK=1` — smaller streams and fewer iterations (CI);
 //! * `CMT_BENCH_JSON=PATH` — where to write the JSON baseline
 //!   (default `BENCH_cache_sim.json` in the working directory);
-//! * `CMT_BENCH_GATE=PATH` — compare this run's geomean speedups
-//!   against a committed baseline JSON and exit non-zero when either
-//!   falls below `CMT_BENCH_GATE_FRAC` (default 0.7) of it.
+//! * `CMT_BENCH_GATE=PATH` — compare this run's geomean speedup over
+//!   the oracle against a committed baseline JSON and exit non-zero when
+//!   it falls below `CMT_BENCH_GATE_FRAC` (default 0.7) of it.
 //!
 //! Reproduce the committed baseline with:
 //!
@@ -40,8 +38,8 @@
 //! cargo bench -p cmt-bench --bench cache_sim
 //! ```
 
-use cmt_bench::timing::{bench, human_ns};
-use cmt_cache::{default_shard_count, pack_access, Cache, CacheConfig, LegacyCache, ShardedCache};
+use cmt_bench::timing::human_ns;
+use cmt_cache::{default_shard_count, pack_access, CacheConfig, LegacyCache, ShardedCache};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -51,8 +49,8 @@ fn quick() -> bool {
 }
 
 /// Byte span `[0, span)` a stream's addresses fall in — the "arena" the
-/// flat engine registers for dense cold-line tracking, mirroring what
-/// `ObservedCache::register_region` does for real program arenas.
+/// engine reserves for dense cold-line tracking, mirroring what the
+/// bench runner does for real program arenas.
 fn stream_span(kind: &str) -> u64 {
     match kind {
         "sequential" => 1 << 22,
@@ -81,17 +79,13 @@ fn stream(kind: &str, accesses: u64) -> Vec<u64> {
     out
 }
 
-/// Feeds `trace` to every engine; returns (legacy, flat-scalar,
-/// flat-batched, sharded×1, sharded×4) stats for the equivalence gate.
-/// The batched engines get the stream span registered (the scalar one
-/// deliberately does not), so the gate also proves region registration
-/// never changes the counts — and the two shard counts prove the
-/// partition pass doesn't either.
-fn run_all_engines(cfg: CacheConfig, kind: &str, trace: &[u64]) -> [cmt_cache::CacheStats; 5] {
+/// Feeds `trace` to the oracle and to the engine at one and four
+/// shards; returns their stats for the equivalence gate. The engines
+/// get the stream span reserved (the oracle has no such notion), so the
+/// gate also proves reservation never changes the counts — and the two
+/// shard counts prove the partition pass doesn't either.
+fn run_all_engines(cfg: CacheConfig, kind: &str, trace: &[u64]) -> [cmt_cache::CacheStats; 3] {
     let mut legacy = LegacyCache::new(cfg);
-    let mut scalar = Cache::new(cfg);
-    let mut batched = Cache::new(cfg);
-    batched.reserve_region(0, stream_span(kind));
     let mut sharded1 = ShardedCache::with_shards(cfg, 1);
     let mut sharded4 = ShardedCache::with_shards(cfg, 4);
     for c in [&mut sharded1, &mut sharded4] {
@@ -100,20 +94,12 @@ fn run_all_engines(cfg: CacheConfig, kind: &str, trace: &[u64]) -> [cmt_cache::C
     for &p in trace {
         let (a, w) = cmt_cache::unpack_access(p);
         legacy.access(a, w);
-        scalar.access(a, w);
     }
     for chunk in trace.chunks(4096) {
-        batched.access_batch(chunk);
         sharded1.access_batch(chunk);
         sharded4.access_batch(chunk);
     }
-    [
-        legacy.stats(),
-        scalar.stats(),
-        batched.stats(),
-        sharded1.stats(),
-        sharded4.stats(),
-    ]
+    [legacy.stats(), sharded1.stats(), sharded4.stats()]
 }
 
 /// Times two closures interleaved (A, B, A, B, …), returning each
@@ -136,8 +122,6 @@ fn bench_interleaved(iters: u32, mut a: impl FnMut(), mut b: impl FnMut()) -> (f
 struct Case {
     name: String,
     legacy_ns: f64,
-    flat_ns: f64,
-    batched_ns: f64,
     sharded_ns: f64,
 }
 
@@ -159,11 +143,10 @@ fn main() {
             CacheConfig::i860(),
             CacheConfig::decstation(),
         ] {
-            let [l, s, b, s1, s4] = run_all_engines(cfg, kind, &trace);
-            if l != s || l != b || l != s1 || l != s4 {
+            let [l, s1, s4] = run_all_engines(cfg, kind, &trace);
+            if l != s1 || l != s4 {
                 eprintln!(
-                    "EQUIVALENCE MISMATCH {kind}/{cfg}: legacy={l:?} flat={s:?} batched={b:?} \
-                     sharded1={s1:?} sharded4={s4:?}"
+                    "EQUIVALENCE MISMATCH {kind}/{cfg}: legacy={l:?} sharded1={s1:?} sharded4={s4:?}"
                 );
                 mismatches += 1;
             }
@@ -173,12 +156,9 @@ fn main() {
         eprintln!("{mismatches} engine equivalence mismatches — failing");
         std::process::exit(1);
     }
-    println!(
-        "engine equivalence: OK (legacy == flat == batched == sharded x{{1,4}} on all \
-         streams/geometries)"
-    );
+    println!("engine equivalence: OK (legacy == sharded x{{1,4}} on all streams/geometries)");
 
-    // ---- Hot-loop timing: four engines per stream/config. -----------
+    // ---- Hot-loop timing: oracle vs engine per stream/config. --------
     let shard_count = default_shard_count(&CacheConfig::rs6000());
     let mut cases = Vec::new();
     for (label, cfg) in [
@@ -189,32 +169,15 @@ fn main() {
         for kind in ["sequential", "strided_4k", "lcg_random"] {
             let trace = stream(kind, accesses);
             let name = format!("{kind}/{label}");
-            let legacy = bench(&format!("{name}/legacy_scalar"), iters, || {
-                let mut c = LegacyCache::new(cfg);
-                for &p in &trace {
-                    let (a, w) = cmt_cache::unpack_access(p);
-                    c.access(a, w);
-                }
-                black_box(c.stats());
-            });
             let span = stream_span(kind);
-            let flat = bench(&format!("{name}/flat_scalar"), iters, || {
-                let mut c = Cache::new(cfg);
-                c.reserve_region(0, span);
-                for &p in &trace {
-                    let (a, w) = cmt_cache::unpack_access(p);
-                    c.access(a, w);
-                }
-                black_box(c.stats());
-            });
             let shards = default_shard_count(&cfg);
-            let (batched_ns, sharded_ns) = bench_interleaved(
+            let (legacy_ns, sharded_ns) = bench_interleaved(
                 iters.max(8),
                 || {
-                    let mut c = Cache::new(cfg);
-                    c.reserve_region(0, span);
-                    for chunk in trace.chunks(4096) {
-                        c.access_batch(chunk);
+                    let mut c = LegacyCache::new(cfg);
+                    for &p in &trace {
+                        let (a, w) = cmt_cache::unpack_access(p);
+                        c.access(a, w);
                     }
                     black_box(c.stats());
                 },
@@ -229,34 +192,25 @@ fn main() {
             );
             let per = |ns: f64| ns / accesses as f64;
             println!(
-                "  -> {} legacy, {} flat, {} batched, {} sharded per access \
-                 ({:.2}x sharded vs batched)",
-                human_ns(per(legacy.min_ns)),
-                human_ns(per(flat.min_ns)),
-                human_ns(per(batched_ns)),
+                "{name}: {} legacy, {} sharded per access ({:.2}x)",
+                human_ns(per(legacy_ns)),
                 human_ns(per(sharded_ns)),
-                batched_ns / sharded_ns
+                legacy_ns / sharded_ns
             );
             cases.push(Case {
                 name,
-                legacy_ns: per(legacy.min_ns),
-                flat_ns: per(flat.min_ns),
-                batched_ns: per(batched_ns),
+                legacy_ns: per(legacy_ns),
                 sharded_ns: per(sharded_ns),
             });
         }
     }
-    let geomean = |f: &dyn Fn(&Case) -> f64| -> f64 {
-        let logs: f64 = cases.iter().map(|c| f(c).ln()).sum();
-        (logs / cases.len() as f64).exp()
-    };
-    let geomean_speedup = geomean(&|c| c.legacy_ns / c.batched_ns);
-    let sharded_geomean = geomean(&|c| c.batched_ns / c.sharded_ns);
-    let sharded_vs_legacy = geomean(&|c| c.legacy_ns / c.sharded_ns);
-    println!("hot-loop geomean speedup (batched flat vs legacy scalar): {geomean_speedup:.2}x");
+    let logs: f64 = cases
+        .iter()
+        .map(|c| (c.legacy_ns / c.sharded_ns).ln())
+        .sum();
+    let sharded_vs_legacy = (logs / cases.len() as f64).exp();
     println!(
-        "hot-loop geomean speedup (sharded x{shard_count} vs batched flat): \
-         {sharded_geomean:.2}x ({sharded_vs_legacy:.2}x vs legacy scalar)"
+        "hot-loop geomean speedup (sharded x{shard_count} vs legacy scalar): {sharded_vs_legacy:.2}x"
     );
 
     // ---- End-to-end corpus: sequential vs parallel Table 4. ---------
@@ -301,25 +255,16 @@ fn main() {
         let comma = if k + 1 < cases.len() { "," } else { "" };
         let _ = writeln!(
             j,
-            "    \"{}\": {{\"legacy_scalar\": {:.3}, \"flat_scalar\": {:.3}, \
-             \"flat_batched\": {:.3}, \"sharded\": {:.3}, \
-             \"speedup_batched_vs_legacy\": {:.2}, \"speedup_sharded_vs_batched\": {:.2}}}{comma}",
+            "    \"{}\": {{\"legacy_scalar\": {:.3}, \"sharded\": {:.3}, \
+             \"speedup_sharded_vs_legacy\": {:.2}}}{comma}",
             c.name,
             c.legacy_ns,
-            c.flat_ns,
-            c.batched_ns,
             c.sharded_ns,
-            c.legacy_ns / c.batched_ns,
-            c.batched_ns / c.sharded_ns
+            c.legacy_ns / c.sharded_ns
         );
     }
     let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"hot_loop_geomean_speedup\": {geomean_speedup:.2},");
     let _ = writeln!(j, "  \"shard_count\": {shard_count},");
-    let _ = writeln!(
-        j,
-        "  \"sharded_vs_flat_batched_geomean\": {sharded_geomean:.2},"
-    );
     let _ = writeln!(
         j,
         "  \"sharded_vs_legacy_geomean\": {sharded_vs_legacy:.2},"
@@ -338,9 +283,9 @@ fn main() {
     }
 
     // ---- Regression gate vs a committed baseline. -------------------
-    // Gates on *ratios* (geomean speedups), not absolute nanoseconds, so
-    // quick-mode CI runs compare meaningfully against a full-mode
-    // committed baseline on different hardware.
+    // Gates on a *ratio* (the geomean speedup), not absolute
+    // nanoseconds, so quick-mode CI runs compare meaningfully against a
+    // full-mode committed baseline on different hardware.
     if let Ok(gate_path) = std::env::var("CMT_BENCH_GATE") {
         let frac: f64 = std::env::var("CMT_BENCH_GATE_FRAC")
             .ok()
@@ -348,32 +293,23 @@ fn main() {
             .unwrap_or(0.7);
         let baseline = std::fs::read_to_string(&gate_path)
             .unwrap_or_else(|e| panic!("CMT_BENCH_GATE: cannot read {gate_path}: {e}"));
-        let mut failures = 0;
-        for (key, measured) in [
-            ("hot_loop_geomean_speedup", geomean_speedup),
-            ("sharded_vs_flat_batched_geomean", sharded_geomean),
-        ] {
-            let Some(committed) = json_number(&baseline, key) else {
-                println!("gate: baseline has no \"{key}\" — skipping that check");
-                continue;
-            };
-            let floor = committed * frac;
-            if measured < floor {
-                eprintln!(
-                    "PERF REGRESSION {key}: measured {measured:.2}x < {floor:.2}x \
-                     (= {frac} x committed {committed:.2}x)"
-                );
-                failures += 1;
-            } else {
-                println!(
-                    "gate: {key} {measured:.2}x >= {floor:.2}x ({frac} x committed \
-                     {committed:.2}x) — OK"
-                );
-            }
-        }
-        if failures > 0 {
+        let key = "sharded_vs_legacy_geomean";
+        let Some(committed) = json_number(&baseline, key) else {
+            eprintln!("gate: baseline {gate_path} has no \"{key}\"");
+            std::process::exit(1);
+        };
+        let floor = committed * frac;
+        if sharded_vs_legacy < floor {
+            eprintln!(
+                "PERF REGRESSION {key}: measured {sharded_vs_legacy:.2}x < {floor:.2}x \
+                 (= {frac} x committed {committed:.2}x)"
+            );
             std::process::exit(1);
         }
+        println!(
+            "gate: {key} {sharded_vs_legacy:.2}x >= {floor:.2}x ({frac} x committed \
+             {committed:.2}x) — OK"
+        );
     }
 }
 

@@ -4,7 +4,7 @@ use cmt_locality::pass::Pipeline;
 use cmt_obs::{CollectSink, TraceSession, Tracing};
 use std::process::ExitCode;
 
-/// Pinned shard count for the artifact-producing sharded run, so the
+/// Pinned shard count for the artifact-producing simulation, so the
 /// committed baseline `shard.*` counters don't depend on the host's
 /// core count.
 const SHARDS: usize = 4;
@@ -23,10 +23,11 @@ fn main() -> ExitCode {
     println!("fastest by cycle model: {} (paper: JKI)", best.name);
 
     // Observability artifacts: remarks from optimizing the IJK kernel,
-    // per-pass timings, and an attributed simulation of the result.
-    // With CMT_TRACE set, the same run also records a Chrome Trace
-    // (pass and nest spans on the main track, the simulation with its
-    // miss-rate counter series on its own track).
+    // per-pass timings, and an attributed, set-sharded simulation of the
+    // result (`shard.*` counters next to the per-array ones). With
+    // CMT_TRACE set, the same run also records a Chrome Trace (pass and
+    // nest spans on the main track, the simulation with its per-shard
+    // slices and miss-rate counter series on its own track).
     let mut p = cmt_suite::kernels::matmul("IJK");
     let sim_n = n.min(128);
     let pipeline = Pipeline::paper_default(4);
@@ -40,24 +41,9 @@ fn main() -> ExitCode {
             println!("[pass] {}: {}", r.name, r.summary);
         }
         let mut track = session.track("sim");
-        let sim = cmt_bench::simulate_program_observed_traced(&p, sim_n, 10_000, &mut track);
+        let mut sim = cmt_bench::simulate_observed(&p, sim_n, SHARDS, 10_000, Some(&mut track));
         session.absorb(track);
         sim.export_metrics(&mut sink.metrics, "fig2.matmul_opt");
-        // Same run on the set-sharded engine: per-shard slices become
-        // `sim.shard` spans and `shard.*` counters. The shard count is
-        // pinned (not CMT_SHARDS/CMT_JOBS) so the committed baseline
-        // metrics stay host-independent.
-        let mut shard_track = session.track("sim.sharded");
-        let sharded = cmt_bench::simulate_program_sharded_traced(
-            &p,
-            sim_n,
-            SHARDS,
-            &mut sink.metrics,
-            "fig2.matmul_opt",
-            Some(&mut shard_track),
-        );
-        session.absorb(shard_track);
-        assert_eq!(sharded.cache2, sim.sim.cache2, "engines must agree");
         session.validate().expect("trace invariants");
         match cmt_bench::write_trace_json("fig2_matmul", &session.to_chrome_json()) {
             Ok(path) => println!("[obs] trace:    {}", path.display()),
@@ -72,17 +58,8 @@ fn main() -> ExitCode {
         for r in &reports {
             println!("[pass] {}: {}", r.name, r.summary);
         }
-        let sim = cmt_bench::simulate_program_observed(&p, sim_n, 10_000);
+        let mut sim = cmt_bench::simulate_observed(&p, sim_n, SHARDS, 10_000, None);
         sim.export_metrics(&mut sink.metrics, "fig2.matmul_opt");
-        let sharded = cmt_bench::simulate_program_sharded_traced(
-            &p,
-            sim_n,
-            SHARDS,
-            &mut sink.metrics,
-            "fig2.matmul_opt",
-            None,
-        );
-        assert_eq!(sharded.cache2, sim.sim.cache2, "engines must agree");
     }
     if let Err(e) = cmt_bench::emit("fig2_matmul", &sink.remarks, &sink.metrics) {
         eprintln!("fig2_matmul: {e}");

@@ -32,7 +32,7 @@ fn main() -> ExitCode {
             println!("[pass] {}: {}", r.name, r.summary);
         }
         let mut track = session.track("sim");
-        let sim = cmt_bench::simulate_program_observed_traced(&p, sim_n, 10_000, &mut track);
+        let mut sim = cmt_bench::simulate_observed(&p, sim_n, 1, 10_000, Some(&mut track));
         session.absorb(track);
         sim.export_metrics(&mut sink.metrics, "fig7.cholesky_opt");
         session.validate().expect("trace invariants");
@@ -49,7 +49,7 @@ fn main() -> ExitCode {
         for r in &reports {
             println!("[pass] {}: {}", r.name, r.summary);
         }
-        let sim = cmt_bench::simulate_program_observed(&p, sim_n, 10_000);
+        let mut sim = cmt_bench::simulate_observed(&p, sim_n, 1, 10_000, None);
         sim.export_metrics(&mut sink.metrics, "fig7.cholesky_opt");
     }
     if let Err(e) = cmt_bench::emit("fig7_cholesky", &sink.remarks, &sink.metrics) {

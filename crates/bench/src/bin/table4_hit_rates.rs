@@ -29,7 +29,7 @@ fn main() -> ExitCode {
             let mut p = m.optimized.clone();
             let _ = compound_observed(&mut p, &model, &Default::default(), &mut traced);
             let mut local = traced.inner;
-            let sim = cmt_bench::simulate_program_observed_traced(&p, 64, 10_000, track);
+            let mut sim = cmt_bench::simulate_observed(&p, 64, 1, 10_000, Some(track));
             sim.export_metrics(&mut local.metrics, &format!("table4.{}", m.spec.name));
             local
         }),
@@ -37,7 +37,7 @@ fn main() -> ExitCode {
             let mut local = CollectSink::new();
             let mut p = m.optimized.clone();
             let _ = compound_observed(&mut p, &model, &Default::default(), &mut local);
-            let sim = cmt_bench::simulate_program_observed(&p, 64, 10_000);
+            let mut sim = cmt_bench::simulate_observed(&p, 64, 1, 10_000, None);
             sim.export_metrics(&mut local.metrics, &format!("table4.{}", m.spec.name));
             local
         }),

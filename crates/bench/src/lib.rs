@@ -40,8 +40,7 @@ pub use explain::{
 pub use profiling::{profile_sweep, sweep_corpus, AgreementReport, SweepConfig, SweepResult};
 pub use report::render_report;
 pub use runner::{
-    cmt_jobs, emit_observed_compound, par_map, par_map_traced, simulate_program,
-    simulate_program_observed, simulate_program_observed_traced, simulate_program_sharded_traced,
+    cmt_jobs, emit_observed_compound, par_map, par_map_traced, simulate_observed, simulate_program,
     simulate_versions, try_par_map, try_par_map_traced, ObservedSim, ProgramSim, VersionPair,
     WorkerPanic,
 };

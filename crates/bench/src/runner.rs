@@ -1,8 +1,8 @@
 //! Execution + cache-simulation plumbing shared by the table generators,
 //! plus the deterministic parallel corpus runner ([`par_map`]).
 
-use cmt_cache::{Cache, CacheConfig, CacheStats, ObservedCache, ShardedCache};
-use cmt_interp::{Machine, MeteredSink, TraceSink, TracedSink};
+use cmt_cache::{CacheConfig, CacheStats, ShardedCache};
+use cmt_interp::{CacheSink, Machine, MeteredSink, TraceSink, TracedSink};
 use cmt_ir::ids::ArrayId;
 use cmt_ir::program::Program;
 use cmt_locality::{compound::compound, model::CostModel};
@@ -121,9 +121,9 @@ pub struct ObservedSim {
     /// Whole-trace stats, same shape as [`simulate_program`] returns.
     pub sim: ProgramSim,
     /// RS/6000-style cache with attribution.
-    pub cache1: ObservedCache,
+    pub cache1: ShardedCache,
     /// i860-style cache with attribution.
-    pub cache2: ObservedCache,
+    pub cache2: ShardedCache,
     /// Loads the interpreter issued.
     pub loads: u64,
     /// Stores the interpreter issued.
@@ -132,9 +132,9 @@ pub struct ObservedSim {
 
 impl ObservedSim {
     /// Exports everything under `prefix`: `{prefix}.cache1.*`,
-    /// `{prefix}.cache2.*` (see [`ObservedCache::export_metrics`]) and
+    /// `{prefix}.cache2.*` (see [`ShardedCache::export_metrics`]) and
     /// `{prefix}.interp.{loads,stores,accesses}`.
-    pub fn export_metrics(&self, registry: &mut MetricsRegistry, prefix: &str) {
+    pub fn export_metrics(&mut self, registry: &mut MetricsRegistry, prefix: &str) {
         self.cache1
             .export_metrics(registry, &format!("{prefix}.cache1"));
         self.cache2
@@ -148,212 +148,116 @@ impl ObservedSim {
     }
 }
 
-/// Feeds both observed caches.
-struct BothObserved<'a> {
-    caches: &'a mut [ObservedCache; 2],
-}
-
-impl TraceSink for BothObserved<'_> {
-    fn access(&mut self, addr: u64, is_write: bool) {
-        self.caches[0].access(addr, is_write);
-        self.caches[1].access(addr, is_write);
-    }
-}
-
-/// [`simulate_program`] on the set-sharded engine, with observability:
-/// deterministic `{prefix}.cache{1,2}.shard.*` counters (shard count,
-/// flushes, partitioned accesses, per-shard accesses/misses — see
-/// [`ShardedCache::export_metrics`]) land in `registry`, and, when a
-/// `track` is given, every per-shard simulation slice is replayed as a
-/// `sim.shard` complete-span so Perfetto shows how the partitioned
-/// flushes spread work across shards.
+/// [`simulate_program`] with observability: every array's address range
+/// is registered for per-array attribution, and miss rates are
+/// snapshotted every `interval` accesses (`0` disables snapshots).
 ///
 /// `shards` pins the shard count explicitly: artifact-producing callers
-/// must not inherit it from `CMT_SHARDS`/`CMT_JOBS`, or committed
-/// baselines would depend on the host. Statistics are identical to
-/// [`simulate_program`] for every shard count, and identical whether or
-/// not tracing is enabled (the flush log only adds timing).
+/// must not inherit it from `CMT_SHARDS`/`CMT_JOBS`, or the exported
+/// `shard.*` counters would depend on the host. Statistics, attribution
+/// and snapshots are identical for every shard count, equal what
+/// [`simulate_program`] reports for the same inputs, and do not depend
+/// on whether `track` is given.
+///
+/// With a `track`, the run is also self-profiled onto it: the whole run
+/// becomes one `simulate` complete-span (args: program name, accesses,
+/// both caches' miss counts), each interpreter flush a `sim.batch` span,
+/// each per-shard slice of a partitioned flush a `sim.shard` span, and
+/// the interval snapshots are replayed as `cache1.miss_rate` /
+/// `cache2.miss_rate` counter tracks interpolated along the span — so
+/// Perfetto shows the miss-rate phase structure against wall-clock time.
 ///
 /// # Panics
 ///
 /// Panics if execution fails (suite programs are in-bounds by
 /// construction).
-pub fn simulate_program_sharded_traced(
+pub fn simulate_observed(
     program: &Program,
     n: i64,
     shards: usize,
-    registry: &mut MetricsRegistry,
-    prefix: &str,
+    interval: u64,
     mut track: Option<&mut TraceTrack>,
-) -> ProgramSim {
+) -> ObservedSim {
     let mut m = Machine::new(program, &[n]).expect("allocation");
     let mut caches = [
-        ShardedCache::with_shards(CacheConfig::rs6000(), shards),
-        ShardedCache::with_shards(CacheConfig::i860(), shards),
+        ShardedCache::with_shards(CacheConfig::rs6000(), shards).with_interval(interval),
+        ShardedCache::with_shards(CacheConfig::i860(), shards).with_interval(interval),
     ];
-    for (k, _) in program.arrays().iter().enumerate() {
+    for (k, info) in program.arrays().iter().enumerate() {
         let id = ArrayId(k as u32);
         let start = m.storage(id).address_of(0);
         let bytes = m.array_data(id).len() as u64 * 8;
         for c in &mut caches {
-            c.reserve_region(start, bytes);
+            c.register_region(info.name(), start, bytes);
         }
     }
-    if track.is_some() {
+    let t0 = track.as_deref_mut().map(|t| {
         for c in &mut caches {
             c.enable_flush_log();
         }
-    }
-    let t0 = track.as_deref_mut().map(|t| t.start());
-    let mut sink = OffsetInto {
+        t.start()
+    });
+    let mut sink = MeteredSink::new(OffsetInto {
         offset: 0,
         caches: &mut caches,
         buf: Vec::new(),
-    };
-    m.run(program, &mut sink).expect("execution");
+    });
+    match track.as_deref_mut() {
+        Some(t) => m.run(program, &mut TracedSink::new(CacheSink(&mut sink), t)),
+        None => m.run(program, &mut sink),
+    }
+    .expect("execution");
+    let (loads, stores) = (sink.loads, sink.stores);
     let [mut c1, mut c2] = caches;
+    c1.flush_window();
+    c2.flush_window();
     let sim = ProgramSim {
         cache1: c1.stats(),
         cache2: c2.stats(),
     };
-    c1.export_metrics(registry, &format!("{prefix}.cache1"));
-    c2.export_metrics(registry, &format!("{prefix}.cache2"));
     if let (Some(track), Some(t0)) = (track, t0) {
-        // Shards run concurrently inside a flush; the replay lays their
-        // slices end to end from the run's start, which preserves each
-        // slice's duration and per-cache ordering without pretending to
-        // know the pool's real interleaving.
+        let t1 = track.now_us();
+        let span = (t1 - t0) as f64;
         for (which, cache) in [("cache1", &mut c1), ("cache2", &mut c2)] {
+            for (frac, rate) in cache.miss_rate_series() {
+                let ts = t0 + (frac * span) as u64;
+                track.counter_at(ts, &format!("{which}.miss_rate"), rate);
+            }
+            // Shards run concurrently inside a flush; the replay lays
+            // their slices end to end from the run's start, which
+            // preserves each slice's duration and per-cache ordering
+            // without pretending to know the pool's real interleaving.
             let mut ts = t0;
-            for span in cache.take_flush_log() {
-                let dur = span.nanos / 1_000;
+            for s in cache.take_flush_log() {
+                let dur = s.nanos / 1_000;
                 track.complete_at(
                     ts,
                     dur,
                     "sim.shard",
                     &[
                         ("cache", TraceArg::Str(which)),
-                        ("shard", TraceArg::U64(u64::from(span.shard))),
-                        ("accesses", TraceArg::U64(span.accesses)),
+                        ("shard", TraceArg::U64(u64::from(s.shard))),
+                        ("accesses", TraceArg::U64(s.accesses)),
                     ],
                 );
                 ts += dur.max(1);
             }
         }
+        track.complete_at(
+            t0,
+            t1 - t0,
+            "simulate",
+            &[
+                ("program", TraceArg::Str(program.name())),
+                ("accesses", TraceArg::U64(loads + stores)),
+                ("cache1_misses", TraceArg::U64(sim.cache1.misses)),
+                ("cache2_misses", TraceArg::U64(sim.cache2.misses)),
+            ],
+        );
         track.normalize();
     }
-    sim
-}
-
-/// [`simulate_program`] with observability: every array's address range
-/// is registered for per-array attribution, and miss rates are
-/// snapshotted every `interval` accesses (`0` disables snapshots).
-///
-/// The wrapped caches see the identical trace, so `result.sim` equals
-/// what [`simulate_program`] reports for the same inputs.
-///
-/// # Panics
-///
-/// Panics if execution fails (suite programs are in-bounds by
-/// construction).
-pub fn simulate_program_observed(program: &Program, n: i64, interval: u64) -> ObservedSim {
-    let mut caches = [
-        ObservedCache::new(Cache::new(CacheConfig::rs6000()), interval),
-        ObservedCache::new(Cache::new(CacheConfig::i860()), interval),
-    ];
-    let mut m = Machine::new(program, &[n]).expect("allocation");
-    for (k, info) in program.arrays().iter().enumerate() {
-        let id = ArrayId(k as u32);
-        let start = m.storage(id).address_of(0);
-        let bytes = m.array_data(id).len() as u64 * 8;
-        for c in &mut caches {
-            c.register_region(info.name(), start, bytes);
-        }
-    }
-    let mut sink = MeteredSink::new(BothObserved {
-        caches: &mut caches,
-    });
-    m.run(program, &mut sink).expect("execution");
-    let (loads, stores) = (sink.loads, sink.stores);
-    let [mut c1, mut c2] = caches;
-    c1.flush_window();
-    c2.flush_window();
     ObservedSim {
-        sim: ProgramSim {
-            cache1: c1.stats(),
-            cache2: c2.stats(),
-        },
-        cache1: c1,
-        cache2: c2,
-        loads,
-        stores,
-    }
-}
-
-/// [`simulate_program_observed`] plus self-profiling onto `track`: the
-/// whole run becomes one `simulate` complete-span (args: program name,
-/// accesses, both caches' miss counts), each interpreter flush becomes a
-/// `sim.batch` span, and the interval snapshots are replayed as
-/// `cache1.miss_rate` / `cache2.miss_rate` counter tracks interpolated
-/// along the span — so Perfetto shows the miss-rate phase structure
-/// against wall-clock time. The simulation results are identical to the
-/// untraced call.
-pub fn simulate_program_observed_traced(
-    program: &Program,
-    n: i64,
-    interval: u64,
-    track: &mut TraceTrack,
-) -> ObservedSim {
-    let mut caches = [
-        ObservedCache::new(Cache::new(CacheConfig::rs6000()), interval),
-        ObservedCache::new(Cache::new(CacheConfig::i860()), interval),
-    ];
-    let mut m = Machine::new(program, &[n]).expect("allocation");
-    for (k, info) in program.arrays().iter().enumerate() {
-        let id = ArrayId(k as u32);
-        let start = m.storage(id).address_of(0);
-        let bytes = m.array_data(id).len() as u64 * 8;
-        for c in &mut caches {
-            c.register_region(info.name(), start, bytes);
-        }
-    }
-    let t0 = track.start();
-    let mut sink = TracedSink::new(
-        MeteredSink::new(BothObserved {
-            caches: &mut caches,
-        }),
-        track,
-    );
-    m.run(program, &mut sink).expect("execution");
-    let (loads, stores) = (sink.inner.loads, sink.inner.stores);
-    let t1 = track.now_us();
-    let [mut c1, mut c2] = caches;
-    c1.flush_window();
-    c2.flush_window();
-    let span = (t1 - t0) as f64;
-    for (prefix, cache) in [("cache1", &c1), ("cache2", &c2)] {
-        for (frac, rate) in cache.miss_rate_series() {
-            let ts = t0 + (frac * span) as u64;
-            track.counter_at(ts, &format!("{prefix}.miss_rate"), rate);
-        }
-    }
-    track.complete_at(
-        t0,
-        t1 - t0,
-        "simulate",
-        &[
-            ("program", TraceArg::Str(program.name())),
-            ("accesses", TraceArg::U64(loads + stores)),
-            ("cache1_misses", TraceArg::U64(c1.stats().misses)),
-            ("cache2_misses", TraceArg::U64(c2.stats().misses)),
-        ],
-    );
-    track.normalize();
-    ObservedSim {
-        sim: ProgramSim {
-            cache1: c1.stats(),
-            cache2: c2.stats(),
-        },
+        sim,
         cache1: c1,
         cache2: c2,
         loads,
@@ -504,13 +408,13 @@ mod tests {
     fn observed_sim_matches_plain_sim() {
         let p = cmt_suite::kernels::matmul("IJK");
         let plain = simulate_program(&p, 24);
-        let obs = simulate_program_observed(&p, 24, 1000);
+        let mut obs = simulate_observed(&p, 24, 1, 1000, None);
         assert_eq!(plain.cache1, obs.sim.cache1);
         assert_eq!(plain.cache2, obs.sim.cache2);
         // All accesses land in registered arrays, and attribution
         // partitions the trace.
         assert_eq!(obs.cache1.unattributed().accesses, 0);
-        let sum: u64 = obs.cache1.per_array().map(|(_, s)| s.accesses).sum();
+        let sum: u64 = obs.cache1.per_array().iter().map(|(_, s)| s.accesses).sum();
         assert_eq!(sum, obs.sim.cache1.accesses);
         assert_eq!(obs.loads + obs.stores, obs.sim.cache1.accesses);
         assert!(!obs.cache1.snapshots().is_empty());
@@ -523,38 +427,50 @@ mod tests {
     }
 
     #[test]
-    fn sharded_traced_sim_matches_plain_and_exports_shard_metrics() {
+    fn traced_sharded_sim_matches_untraced_and_exports_shard_metrics() {
         let p = cmt_suite::kernels::matmul("IJK");
         let plain = simulate_program(&p, 24);
+        let export = |obs: &mut ObservedSim| {
+            let mut reg = MetricsRegistry::new();
+            obs.export_metrics(&mut reg, "sim.mm");
+            reg
+        };
 
-        // Untraced: stats agree with the plain engine, counters land.
-        let mut reg = MetricsRegistry::new();
-        let quiet = simulate_program_sharded_traced(&p, 24, 4, &mut reg, "sim.mm", None);
-        assert_eq!(plain.cache1, quiet.cache1);
-        assert_eq!(plain.cache2, quiet.cache2);
+        // Untraced: stats agree with the plain path, counters land.
+        let mut quiet = simulate_observed(&p, 24, 4, 1000, None);
+        assert_eq!(plain.cache1, quiet.sim.cache1);
+        assert_eq!(plain.cache2, quiet.sim.cache2);
+        let reg = export(&mut quiet);
         assert_eq!(reg.counter_value("sim.mm.cache1.shard.count"), 4);
         assert_eq!(reg.counter_value("sim.mm.cache2.shard.count"), 4);
         let per_shard: u64 = (0..4)
             .map(|k| reg.counter_value(&format!("sim.mm.cache2.shard.{k}.accesses")))
             .sum();
         assert_eq!(per_shard, plain.cache2.accesses);
+        // Snapshots and attribution do not depend on the shard count.
+        let mut one = simulate_observed(&p, 24, 1, 1000, None);
+        assert_eq!(one.cache2.snapshots(), quiet.cache2.snapshots());
+        assert_eq!(one.cache2.per_array(), quiet.cache2.per_array());
 
-        // Traced: identical stats and counters, plus sim.shard spans.
+        // Traced: identical stats and counters, plus trace spans.
         let mut session = cmt_obs::TraceSession::new();
-        let mut track = session.track("sim.sharded");
-        let mut reg2 = MetricsRegistry::new();
-        let traced =
-            simulate_program_sharded_traced(&p, 24, 4, &mut reg2, "sim.mm", Some(&mut track));
+        let mut track = session.track("sim");
+        let mut traced = simulate_observed(&p, 24, 4, 1000, Some(&mut track));
         session.absorb(track);
-        assert_eq!(quiet.cache2, traced.cache2, "tracing must not change stats");
+        assert_eq!(
+            quiet.sim.cache2, traced.sim.cache2,
+            "tracing must not change stats"
+        );
         assert_eq!(
             reg.to_json(),
-            reg2.to_json(),
+            export(&mut traced).to_json(),
             "counters must not depend on tracing"
         );
         session.validate().expect("trace invariants");
         let json = session.to_chrome_json();
-        assert!(json.contains("sim.shard"), "expected sim.shard spans");
+        for name in ["simulate", "sim.batch", "sim.shard", "cache1.miss_rate"] {
+            assert!(json.contains(name), "expected {name} in the trace");
+        }
     }
 
     #[test]

@@ -1,19 +1,19 @@
-//! End-to-end equivalence of the batched flat engine against the
+//! End-to-end equivalence of the set-sharded engine against the
 //! seed-shaped scalar path, over the full cmt-suite corpus.
 //!
 //! Three properties are pinned here, beyond the per-crate unit tests:
 //!
 //! * whole-trace `CacheStats` from [`LegacyCache`] (the seed's
 //!   `Vec<Vec<_>>` + `HashSet` simulator, one scalar call per access)
-//!   and from the flat engine fed 4 K packed batches are **exactly
-//!   equal** for every suite model and paper cache geometry;
+//!   and from the engine fed 4 K packed batches are **exactly equal**
+//!   for every suite model, paper cache geometry and shard count;
 //! * the observability layer (per-array attribution, interval
-//!   snapshots) reports identical results whether the trace arrives
-//!   scalar or batched;
+//!   snapshots) of the batched engine matches a scalar reference built
+//!   on the legacy oracle;
 //! * rendered table output is byte-identical for any `CMT_JOBS`.
 
 use cmt_bench::par_map;
-use cmt_cache::{Cache, CacheConfig, LegacyCache, ObservedCache, ShardedCache};
+use cmt_cache::{CacheConfig, CacheStats, IntervalSnapshot, LegacyCache, ShardedCache};
 use cmt_interp::{Machine, RecordingSink};
 use cmt_ir::ids::ArrayId;
 use cmt_ir::program::Program;
@@ -48,7 +48,7 @@ fn corpus_stats_identical_legacy_vs_batched() {
             for &(a, w) in &rec.trace {
                 legacy.access(a, w);
             }
-            let mut batched = Cache::new(cfg);
+            let mut batched = ShardedCache::new(cfg);
             rec.replay_batched(&mut batched);
             if legacy.stats() != batched.stats() {
                 out.push(format!(
@@ -68,7 +68,7 @@ fn corpus_stats_identical_legacy_vs_batched() {
 }
 
 #[test]
-fn verify_corpus_stats_identical_sharded_vs_legacy_and_unsharded() {
+fn verify_corpus_stats_identical_sharded_vs_legacy() {
     let _env = ENV_LOCK.lock().unwrap();
     // The full committed verify corpus in release (the scale CI runs
     // at); a prefix in debug so plain `cargo test -q` stays quick.
@@ -88,17 +88,15 @@ fn verify_corpus_stats_identical_sharded_vs_legacy_and_unsharded() {
             for &(a, w) in &rec.trace {
                 legacy.access(a, w);
             }
-            let mut flat = Cache::new(cfg);
-            rec.replay_batched(&mut flat);
             // Rotate the shard count per (seed, geometry) so 1, 2 and
             // 8 shards all get corpus-wide coverage.
             let shards = [1usize, 2, 8][(seed as usize).wrapping_add(g) % 3];
             let mut sharded = ShardedCache::with_shards(cfg, shards);
             rec.replay_batched(&mut sharded);
-            let (l, f, s) = (legacy.stats(), flat.stats(), sharded.stats());
-            if l != f || f != s {
+            let (l, s) = (legacy.stats(), sharded.stats());
+            if l != s {
                 out.push(format!(
-                    "seed {seed}/{cfg}: legacy={l:?} flat={f:?} sharded({shards})={s:?}"
+                    "seed {seed}/{cfg}: legacy={l:?} sharded({shards})={s:?}"
                 ));
             }
         }
@@ -108,6 +106,65 @@ fn verify_corpus_stats_identical_sharded_vs_legacy_and_unsharded() {
     .flatten()
     .collect();
     assert!(failures.is_empty(), "stats diverged:\n{failures:#?}");
+}
+
+/// What the observed engine reports, from a scalar reference on the
+/// legacy oracle: the hit comes from `access`, the cold flag from the
+/// `cold_misses` delta, the array from a binary search over `regions`
+/// (`(name, start, len)` sorted by start), and a snapshot closes every
+/// `interval` accesses plus once for the tail.
+struct Reference {
+    stats: CacheStats,
+    per_array: Vec<(String, CacheStats)>,
+    unattributed: CacheStats,
+    snapshots: Vec<IntervalSnapshot>,
+}
+
+fn legacy_reference(
+    cfg: CacheConfig,
+    regions: &[(String, u64, u64)],
+    trace: &[(u64, bool)],
+    interval: u64,
+) -> Reference {
+    let mut legacy = LegacyCache::new(cfg);
+    let mut per_array: Vec<(String, CacheStats)> = regions
+        .iter()
+        .map(|(name, _, _)| (name.clone(), CacheStats::default()))
+        .collect();
+    let mut unattributed = CacheStats::default();
+    let mut snapshots = Vec::new();
+    let mut window = CacheStats::default();
+    for (k, &(addr, w)) in trace.iter().enumerate() {
+        let cold_before = legacy.stats().cold_misses;
+        let hit = legacy.access(addr, w);
+        let one = CacheStats {
+            accesses: 1,
+            hits: u64::from(hit),
+            misses: u64::from(!hit),
+            cold_misses: legacy.stats().cold_misses - cold_before,
+        };
+        let pos = regions.partition_point(|&(_, start, _)| start <= addr);
+        match pos.checked_sub(1) {
+            Some(r) if addr - regions[r].1 < regions[r].2 => per_array[r].1 += one,
+            _ => unattributed += one,
+        }
+        window += one;
+        if window.accesses == interval || (k + 1 == trace.len() && window.accesses > 0) {
+            snapshots.push(IntervalSnapshot {
+                upto: k as u64 + 1,
+                accesses: window.accesses,
+                misses: window.misses,
+                cold_misses: window.cold_misses,
+            });
+            window = CacheStats::default();
+        }
+    }
+    Reference {
+        stats: legacy.stats(),
+        per_array,
+        unattributed,
+        snapshots,
+    }
 }
 
 #[test]
@@ -120,58 +177,51 @@ fn observed_attribution_identical_scalar_vs_batched() {
         .take(4)
     {
         let p = &m.optimized;
-        // Batched path: the real pipeline (interpreter buffers 4 K
-        // packed accesses per sink call).
-        let obs = cmt_bench::simulate_program_observed(p, n, interval);
-
-        // Scalar reference: same trace, one access() call per element,
-        // into an identically configured ObservedCache.
-        let mut layout = Machine::new(p, &[n]).expect("allocation");
-        let rec = record(p, n);
-        for (which, cfg, batched) in [
-            ("cache1", CacheConfig::rs6000(), &obs.cache1),
-            ("cache2", CacheConfig::i860(), &obs.cache2),
-        ] {
-            let mut reference = ObservedCache::new(Cache::new(cfg), interval);
-            for (k, info) in p.arrays().iter().enumerate() {
+        let layout = Machine::new(p, &[n]).expect("allocation");
+        let mut regions: Vec<(String, u64, u64)> = p
+            .arrays()
+            .iter()
+            .enumerate()
+            .map(|(k, info)| {
                 let id = ArrayId(k as u32);
                 let start = layout.storage(id).address_of(0);
                 let bytes = layout.array_data(id).len() as u64 * 8;
-                reference.register_region(info.name(), start, bytes);
+                (info.name().to_string(), start, bytes)
+            })
+            .collect();
+        regions.sort_by_key(|r| r.1);
+        let rec = record(p, n);
+        for shards in [1usize, 4] {
+            // Batched path: the real pipeline (interpreter buffers 4 K
+            // packed accesses per sink call).
+            let mut obs = cmt_bench::simulate_observed(p, n, shards, interval, None);
+            for (which, cfg, batched) in [
+                ("cache1", CacheConfig::rs6000(), &mut obs.cache1),
+                ("cache2", CacheConfig::i860(), &mut obs.cache2),
+            ] {
+                let reference = legacy_reference(cfg, &regions, &rec.trace, interval);
+                let name = format!("{}/{which}/{shards} shards", m.spec.name);
+                assert_eq!(
+                    reference.stats,
+                    batched.stats(),
+                    "{name}: whole-trace stats"
+                );
+                assert_eq!(
+                    reference.per_array,
+                    batched.per_array(),
+                    "{name}: per-array attribution"
+                );
+                assert_eq!(
+                    reference.unattributed,
+                    batched.unattributed(),
+                    "{name}: unattributed stats"
+                );
+                assert_eq!(
+                    reference.snapshots,
+                    batched.snapshots(),
+                    "{name}: interval snapshots"
+                );
             }
-            for &(a, w) in &rec.trace {
-                reference.access(a, w);
-            }
-            reference.flush_window();
-
-            let name = &m.spec.name;
-            assert_eq!(
-                reference.stats(),
-                batched.stats(),
-                "{name}/{which}: whole-trace stats"
-            );
-            let ref_arrays: Vec<_> = reference
-                .per_array()
-                .map(|(n, s)| (n.to_string(), *s))
-                .collect();
-            let bat_arrays: Vec<_> = batched
-                .per_array()
-                .map(|(n, s)| (n.to_string(), *s))
-                .collect();
-            assert_eq!(
-                ref_arrays, bat_arrays,
-                "{name}/{which}: per-array attribution"
-            );
-            assert_eq!(
-                reference.unattributed(),
-                batched.unattributed(),
-                "{name}/{which}: unattributed stats"
-            );
-            assert_eq!(
-                reference.snapshots(),
-                batched.snapshots(),
-                "{name}/{which}: interval snapshots"
-            );
         }
     }
 }
@@ -182,7 +232,7 @@ fn reset_stats_keeps_cold_history_clear_forgets() {
     // 8192 all map to set 0, so two of them evict the first.
     let evicters = [4096u64, 8192];
 
-    let mut c = Cache::new(CacheConfig::i860());
+    let mut c = ShardedCache::with_shards(CacheConfig::i860(), 2);
     c.access(0, false); // cold miss
     c.reset_stats();
     c.access(0, false); // contents survive reset_stats: a hit
@@ -199,7 +249,7 @@ fn reset_stats_keeps_cold_history_clear_forgets() {
          is a capacity miss, not a cold one"
     );
 
-    let mut d = Cache::new(CacheConfig::i860());
+    let mut d = ShardedCache::with_shards(CacheConfig::i860(), 2);
     d.access(0, false);
     d.clear();
     d.access(0, false); // clear forgets everything: cold again

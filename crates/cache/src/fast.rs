@@ -1,7 +1,7 @@
-//! Throughput primitives for the flat simulation engine.
+//! Throughput primitives for the simulation engine.
 //!
-//! Two pieces live here, shared by [`crate::sim::Cache`] and the batched
-//! trace path in `cmt-interp`:
+//! Two pieces live here, shared by [`crate::shard::ShardedCache`] and the
+//! batched trace path in `cmt-interp`:
 //!
 //! * a **packed access encoding** — one `u64` per access with the write
 //!   flag in the top bit, so a 4 K-entry trace buffer is 32 KB and the

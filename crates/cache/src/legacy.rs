@@ -1,5 +1,5 @@
 //! The original per-set `Vec` simulator, kept as the equivalence oracle
-//! for the flat engine in [`crate::sim`].
+//! for the production engine in [`crate::shard`].
 //!
 //! This is the seed implementation the repo's tables were first
 //! generated with: per-set tag vectors and a global `HashSet` for
@@ -27,8 +27,9 @@ struct Way {
 
 /// The reference set-associative, write-allocate, true-LRU cache.
 ///
-/// Same observable behavior as [`crate::Cache`]; kept deliberately
-/// simple and allocation-heavy so the two implementations share no code.
+/// Same observable behavior as [`crate::ShardedCache`]; kept
+/// deliberately simple and allocation-heavy so the two implementations
+/// share no code.
 #[derive(Clone, Debug)]
 pub struct LegacyCache {
     config: CacheConfig,
@@ -99,13 +100,13 @@ impl LegacyCache {
     }
 
     /// Resets statistics but keeps contents and cold-line history — same
-    /// contract as [`crate::Cache::reset_stats`].
+    /// contract as [`crate::ShardedCache::reset_stats`].
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
     }
 
     /// Empties the cache and clears statistics and history — same
-    /// contract as [`crate::Cache::clear`].
+    /// contract as [`crate::ShardedCache::clear`].
     pub fn clear(&mut self) {
         for s in &mut self.sets {
             s.clear();
@@ -120,7 +121,7 @@ impl LegacyCache {
     }
 
     /// `true` when no lines are resident and no touch history remains —
-    /// same contract as [`crate::Cache::is_cold_start`].
+    /// same contract as [`crate::ShardedCache::is_cold_start`].
     pub fn is_cold_start(&self) -> bool {
         self.tick == 0
             && self.stats == CacheStats::default()
@@ -137,7 +138,7 @@ impl LegacyCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Cache;
+    use crate::shard::ShardedCache;
 
     fn tiny() -> LegacyCache {
         LegacyCache::new(CacheConfig::new(64, 2, 16))
@@ -156,10 +157,9 @@ mod tests {
         assert_eq!(c.stats().misses, 4);
     }
 
-    /// Satellite regression: replacing the `Vec::remove` hit path with
-    /// timestamps must leave every counter unchanged against the flat
-    /// engine, across all three paper geometries and an adversarial
-    /// mixed stream.
+    /// Replacing the `Vec::remove` hit path with timestamps must leave
+    /// every counter unchanged against the production engine, across
+    /// all three paper geometries and an adversarial mixed stream.
     #[test]
     fn lru_fix_preserves_counts() {
         for cfg in [
@@ -168,7 +168,7 @@ mod tests {
             CacheConfig::decstation(),
         ] {
             let mut legacy = LegacyCache::new(cfg);
-            let mut flat = Cache::new(cfg);
+            let mut engine = ShardedCache::with_shards(cfg, 1);
             let mut x = 0x0123456789ABCDEFu64;
             for k in 0..100_000u64 {
                 // Mix of sequential sweeps, strides, and random probes.
@@ -184,35 +184,35 @@ mod tests {
                 let w = k % 3 == 0;
                 assert_eq!(
                     legacy.access(addr, w),
-                    flat.access(addr, w),
+                    engine.access(addr, w),
                     "divergence at access {k} ({cfg})"
                 );
             }
-            assert_eq!(legacy.stats(), flat.stats(), "{cfg}");
-            assert_eq!(legacy.resident_lines(), flat.resident_lines(), "{cfg}");
+            assert_eq!(legacy.stats(), engine.stats(), "{cfg}");
+            assert_eq!(legacy.resident_lines(), engine.resident_lines(), "{cfg}");
         }
     }
 
     #[test]
-    fn reset_and_clear_match_flat_engine() {
+    fn reset_and_clear_match_engine() {
         let mut legacy = tiny();
-        let mut flat = Cache::new(CacheConfig::new(64, 2, 16));
+        let mut engine = ShardedCache::with_shards(CacheConfig::new(64, 2, 16), 2);
         for c in 0..2 {
             for a in [0u64, 16, 32, 0, 48] {
-                assert_eq!(legacy.access(a, false), flat.access(a, false));
+                assert_eq!(legacy.access(a, false), engine.access(a, false));
             }
             if c == 0 {
                 legacy.reset_stats();
-                flat.reset_stats();
+                engine.reset_stats();
                 // Cold history survives reset: re-touching line 0 is warm.
-                assert_eq!(legacy.access(0, false), flat.access(0, false));
-                assert_eq!(legacy.stats(), flat.stats());
+                assert_eq!(legacy.access(0, false), engine.access(0, false));
+                assert_eq!(legacy.stats(), engine.stats());
                 assert_eq!(legacy.stats().cold_misses, 0);
                 legacy.clear();
-                flat.clear();
+                engine.clear();
             }
         }
-        assert_eq!(legacy.stats(), flat.stats());
-        assert_eq!(legacy.stats().cold_misses, flat.stats().cold_misses);
+        assert_eq!(legacy.stats(), engine.stats());
+        assert_eq!(legacy.stats().cold_misses, engine.stats().cold_misses);
     }
 }

@@ -13,8 +13,8 @@
 //!    worker pool (`cmt_obs::pool`) when it is worth it, and the merged
 //!    [`CacheStats`] are **bit-identical** to unsharded simulation for
 //!    any `CMT_JOBS` × shard count.
-//! 2. **A branchless MRU-ordered core.** Instead of the flat engine's
-//!    tag + LRU-stamp pair per way, each set's ways live in one
+//! 2. **A branchless MRU-ordered core.** Instead of a tag + LRU-stamp
+//!    pair per way, each set's ways live in one
 //!    contiguous group ordered most-recently-used first. Move-to-front
 //!    *is* true LRU (empty ways initialize to the tail, so "evict the
 //!    last lane" is "first empty way, else least recently used"), which
@@ -27,9 +27,16 @@
 //!    SIMD path (4 lines per compare), verified bit-identical to the
 //!    scalar path by the equivalence tests.
 //!
-//! The flat engine ([`crate::sim::Cache`]) remains the reference the
-//! equivalence tests hold this core to, alongside the seed
-//! [`crate::legacy::LegacyCache`].
+//! The engine also carries its own observability: named byte regions
+//! ([`ShardedCache::register_region`]) get per-array attribution, and
+//! an `interval` ([`ShardedCache::with_interval`]) snapshots the miss
+//! rate every `interval` accesses of the global stream, so phase
+//! changes (the cold ramp versus the steady state) show up in the
+//! exported metrics. Both are counted per access inside each shard and
+//! merged in shard order, so they too are identical for any shard count.
+//!
+//! The seed [`crate::legacy::LegacyCache`] is the independent oracle
+//! the equivalence tests hold this engine to.
 
 use crate::config::CacheConfig;
 use crate::fast::{ColdMap, WRITE_BIT};
@@ -39,13 +46,40 @@ use cmt_obs::MetricsRegistry;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Tag value marking an empty way (same sentinel as the flat engine).
+/// Tag value marking an empty way. Unreachable as a real tag: lines are
+/// `addr >> line_shift` with `line_shift ≥ 3`, so they top out at 2^61.
 const EMPTY: u64 = u64::MAX;
+
+/// One aggregated window of the access stream.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct IntervalSnapshot {
+    /// Total accesses seen when the window closed.
+    pub upto: u64,
+    /// Accesses inside this window.
+    pub accesses: u64,
+    /// Misses inside this window.
+    pub misses: u64,
+    /// First-touch misses inside this window. Window 0's count is the
+    /// empty-cache transient the selective profiler's cold-start bias
+    /// correction subtracts out (see `cmt-profile`).
+    pub cold_misses: u64,
+}
+
+impl IntervalSnapshot {
+    /// Miss rate of the window in `[0, 1]`; `0.0` for an empty window.
+    pub fn miss_rate(&self) -> f64 {
+        if self.accesses == 0 {
+            0.0
+        } else {
+            self.misses as f64 / self.accesses as f64
+        }
+    }
+}
 
 /// One timed per-shard simulation slice from a partitioned flush, for
 /// replay as a `sim.shard` trace span (see
 /// [`ShardedCache::enable_flush_log`]).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ShardSpan {
     /// Which shard ran.
     pub shard: u32,
@@ -107,12 +141,18 @@ struct Shard {
     per_array: Vec<CacheStats>,
     unattributed: CacheStats,
     last_slot: usize,
+    /// Take the per-access [`Shard::run_attributed`] path: set once a
+    /// region is registered or interval snapshots are on.
+    observed: bool,
+    /// This shard's share of the open snapshot window, counted per
+    /// access on the attributed path.
+    window: CacheStats,
     /// Line of the previous access this shard consumed — carried across
     /// sub-traces so the run-collapse front end also folds duplicates
     /// that straddle a chunk boundary. A repeat of the carried line is
     /// a guaranteed hit with no state change, so carrying it never
-    /// changes statistics (the equivalence tests hold this to the flat
-    /// engine). Reset only by [`ShardedCache::clear`].
+    /// changes statistics (the equivalence tests hold this to the
+    /// legacy oracle). Reset only by [`ShardedCache::clear`].
     carry: u64,
     /// Reused scratch the front end compacts line numbers into.
     line_buf: Vec<u64>,
@@ -156,7 +196,7 @@ impl Shard {
     /// Statistics are bit-identical on both paths; the choice is a
     /// pure function of the chunk contents, never of wall-clock.
     fn run(&mut self, trace: &[u64]) {
-        if !self.regions.is_empty() {
+        if self.observed {
             self.run_attributed(trace);
             return;
         }
@@ -256,9 +296,8 @@ impl Shard {
     /// Direct-mapped loop: one compare and a conditional store per
     /// line. No same-line shortcut — the collapse path already folded
     /// adjacent repeats and on the packed path a repeat is an ordinary
-    /// tag hit, so a shortcut would be a second, redundant compare
-    /// (the strided_4k/decstation inversion the flat engine's batch
-    /// path suffered from).
+    /// tag hit, so a shortcut would be a second, redundant compare that
+    /// slows strided streams with no adjacent repeats.
     fn run_dm<const PACKED: bool>(&mut self, items: &[u64]) {
         debug_assert_eq!(self.assoc, 1);
         let shift = self.line_shift;
@@ -372,15 +411,23 @@ impl Shard {
         }
     }
 
-    /// Per-access loop with per-array attribution (taken only when
-    /// regions are registered). Memoizes the previous region slot, like
-    /// [`crate::observe::ObservedCache`].
+    /// Per-access loop with per-array attribution and snapshot-window
+    /// counting (taken only when the shard is `observed`). Memoizes the
+    /// previous region slot: traces are bursty per array, so this
+    /// usually skips the binary search.
     fn run_attributed(&mut self, trace: &[u64]) {
         for &p in trace {
             let addr = p & !WRITE_BIT;
             let line = addr >> self.line_shift;
             self.stats.accesses += 1;
             let (hit, cold) = self.access_line(line);
+            let one = CacheStats {
+                accesses: 1,
+                hits: u64::from(hit),
+                misses: u64::from(!hit),
+                cold_misses: u64::from(cold),
+            };
+            self.window += one;
             let slot = if self.last_slot < self.regions.len()
                 && self.regions[self.last_slot].contains(addr)
             {
@@ -396,15 +443,7 @@ impl Shard {
                 }
                 None => &mut self.unattributed,
             };
-            s.accesses += 1;
-            if hit {
-                s.hits += 1;
-            } else {
-                s.misses += 1;
-                if cold {
-                    s.cold_misses += 1;
-                }
-            }
+            *s += one;
         }
     }
 }
@@ -699,10 +738,14 @@ unsafe fn collapse_runs_avx2(
     hits
 }
 
-/// The set-sharded simulation engine. Statistically bit-identical to
-/// [`crate::sim::Cache`] (and the seed [`crate::legacy::LegacyCache`])
+/// The set-associative, write-allocate, true-LRU cache simulator.
+/// Statistically bit-identical to the seed [`crate::legacy::LegacyCache`]
 /// on any trace, for any shard count and any `CMT_JOBS` — the
 /// equivalence tests and the CI smoke-perf gate enforce it.
+///
+/// Addresses are byte addresses; every access touches one line (the IR
+/// interpreter issues element-sized accesses that never straddle lines,
+/// since elements are 8-byte aligned and lines are ≥ 8 bytes).
 ///
 /// With one shard (the default on single-core hosts), batches stream
 /// straight into the branchless core with zero partition overhead. With
@@ -711,9 +754,9 @@ unsafe fn collapse_runs_avx2(
 /// `cmt_obs::pool` worker pool when `CMT_JOBS > 1`.
 ///
 /// Because intake is buffered, statistics are only complete after a
-/// [`ShardedCache::flush`]; [`ShardedCache::stats`] flushes implicitly
-/// (which is why it takes `&mut self`, unlike the flat engine).
-#[derive(Debug)]
+/// [`ShardedCache::flush`]; [`ShardedCache::stats`] and the other
+/// accessors flush implicitly, which is why they take `&mut self`.
+#[derive(Clone, Debug)]
 pub struct ShardedCache {
     config: CacheConfig,
     line_shift: u32,
@@ -733,6 +776,12 @@ pub struct ShardedCache {
     flush_log: Option<Vec<ShardSpan>>,
     flushes: u64,
     partitioned_accesses: u64,
+    /// Snapshot window length in accesses; `0` disables snapshots.
+    interval: u64,
+    /// Accesses simulated into the open window so far.
+    window_fill: u64,
+    /// Closed snapshot windows, oldest first.
+    snapshots: Vec<IntervalSnapshot>,
 }
 
 /// Default shard count: `CMT_SHARDS` when set to a positive integer,
@@ -792,6 +841,8 @@ impl ShardedCache {
                 per_array: Vec::new(),
                 unattributed: CacheStats::default(),
                 last_slot: usize::MAX,
+                observed: false,
+                window: CacheStats::default(),
                 carry: EMPTY,
                 line_buf: Vec::new(),
             })
@@ -809,7 +860,24 @@ impl ShardedCache {
             flush_log: None,
             flushes: 0,
             partitioned_accesses: 0,
+            interval: 0,
+            window_fill: 0,
+            snapshots: Vec::new(),
         }
+    }
+
+    /// Turns on interval snapshots: the miss rate is snapshotted every
+    /// `interval` accesses of the global stream (`0` leaves them off).
+    /// Windows are counted per access, so a snapshotting cache takes
+    /// the attributed path even with no region registered.
+    pub fn with_interval(mut self, interval: u64) -> Self {
+        self.interval = interval;
+        if interval > 0 {
+            for shard in &mut self.shards {
+                shard.observed = true;
+            }
+        }
+        self
     }
 
     /// The geometry.
@@ -822,9 +890,9 @@ impl ShardedCache {
         self.shards.len()
     }
 
-    /// Registers a contiguous byte range for dense cold-line tracking,
-    /// like [`crate::sim::Cache::reserve_region`]. Purely an
-    /// accelerator; statistics never depend on it.
+    /// Registers a contiguous byte range (an array arena) so cold-miss
+    /// classification for it uses a dense bitmap instead of the sparse
+    /// fallback. Purely an accelerator; statistics never depend on it.
     pub fn reserve_region(&mut self, start: u64, len: u64) {
         if len == 0 {
             return;
@@ -841,8 +909,9 @@ impl ShardedCache {
     }
 
     /// Registers a named byte range for per-array attribution (and
-    /// dense cold tracking). Attribution is counted inside each shard
-    /// and merged in region order by [`ShardedCache::per_array`] —
+    /// dense cold tracking). Regions must not overlap; they are kept
+    /// sorted by start address. Attribution is counted inside each
+    /// shard and merged in region order by [`ShardedCache::per_array`] —
     /// deterministically, for any shard count.
     pub fn register_region(&mut self, name: impl Into<String>, start: u64, len: u64) {
         self.flush();
@@ -855,22 +924,28 @@ impl ShardedCache {
             shard.regions.insert(pos, region.clone());
             shard.per_array.insert(pos, CacheStats::default());
             shard.last_slot = usize::MAX;
+            shard.observed = true;
         }
         self.reserve_region(start, len);
     }
 
-    /// Simulates one access (buffered; see [`ShardedCache::flush`]).
+    /// Shard owning the set a packed access maps to.
     #[inline]
-    pub fn access(&mut self, addr: u64, is_write: bool) {
+    fn shard_of(&self, p: u64) -> usize {
+        ((((p & !WRITE_BIT) >> self.line_shift) & self.set_mask) >> self.shard_shift) as usize
+    }
+
+    /// Simulates one access; returns `true` on a hit. Buffered accesses
+    /// are flushed first, so the answer reflects every earlier access;
+    /// the access itself goes straight to its shard. Writes and reads
+    /// behave identically under write-allocate.
+    pub fn access(&mut self, addr: u64, is_write: bool) -> bool {
+        self.flush();
         let p = addr | if is_write { WRITE_BIT } else { 0 };
-        if self.shards.len() == 1 {
-            self.shards[0].run(&[p]);
-        } else {
-            self.pending.push(p);
-            if self.pending.len() >= self.pending_limit {
-                self.flush();
-            }
-        }
+        let k = self.shard_of(p);
+        let hits = self.shards[k].stats.hits;
+        self.windowed(&[p], |c, one| c.shards[k].run(one));
+        self.shards[k].stats.hits > hits
     }
 
     /// Simulates a packed batch (see [`crate::fast::pack_access`]) in
@@ -878,7 +953,7 @@ impl ShardedCache {
     /// core; multi-shard caches buffer it for the next partition flush.
     pub fn access_batch(&mut self, batch: &[u64]) {
         if self.shards.len() == 1 {
-            self.shards[0].run(batch);
+            self.windowed(batch, |c, seg| c.shards[0].run(seg));
             return;
         }
         self.pending.extend_from_slice(batch);
@@ -889,84 +964,167 @@ impl ShardedCache {
 
     /// Partitions and drains every buffered access into the shards.
     /// Called implicitly by [`ShardedCache::stats`] and the other
-    /// accessors; idempotent when nothing is pending.
+    /// accessors; idempotent when nothing is pending. With snapshots
+    /// on, the buffer is cut at every global multiple of `interval`
+    /// and each piece partitioned in turn, so windows close exactly
+    /// where they would unbuffered — one flush still counts once.
     pub fn flush(&mut self) {
         if self.pending.is_empty() {
             return;
         }
         self.flushes += 1;
         self.partitioned_accesses += self.pending.len() as u64;
-        let ns = self.shards.len();
-        let shift = self.line_shift;
-        let mask = self.set_mask;
-        let sshift = self.shard_shift;
-        let shard_of = |p: u64| ((((p & !WRITE_BIT) >> shift) & mask) >> sshift) as usize;
+        let pending = std::mem::take(&mut self.pending);
+        let mut spans = self
+            .flush_log
+            .is_some()
+            .then(|| vec![ShardSpan::default(); self.shards.len()]);
+        self.windowed(&pending, |c, seg| {
+            c.partition_run(seg, spans.as_deref_mut())
+        });
+        if let (Some(log), Some(spans)) = (&mut self.flush_log, spans) {
+            log.extend(spans.into_iter().enumerate().map(|(k, s)| ShardSpan {
+                shard: k as u32,
+                ..s
+            }));
+        }
+        self.pending = pending;
+        self.pending.clear();
+    }
 
+    /// Feeds `trace` to `run` in pieces that end at global multiples of
+    /// `interval`, closing each window it fills. Without snapshots the
+    /// whole trace is one piece.
+    fn windowed(&mut self, trace: &[u64], mut run: impl FnMut(&mut Self, &[u64])) {
+        if self.interval == 0 {
+            run(self, trace);
+            return;
+        }
+        let mut rest = trace;
+        while !rest.is_empty() {
+            let room = (self.interval - self.window_fill).min(rest.len() as u64);
+            let (seg, tail) = rest.split_at(room as usize);
+            run(self, seg);
+            self.window_fill += room;
+            if self.window_fill == self.interval {
+                self.close_window();
+            }
+            rest = tail;
+        }
+    }
+
+    /// Stably partitions `trace` by shard and runs every shard on its
+    /// sub-trace, adding per-shard work and timing into `spans` when
+    /// the flush log is on.
+    fn partition_run(&mut self, trace: &[u64], spans: Option<&mut [ShardSpan]>) {
+        let ns = self.shards.len();
         // Stable counting-sort partition: per-shard counts, prefix sums,
         // one scatter pass. Stability preserves per-set access order,
         // which is the only order per-set LRU state depends on.
         let mut counts = vec![0usize; ns];
-        for &p in &self.pending {
-            counts[shard_of(p)] += 1;
+        for &p in trace {
+            counts[self.shard_of(p)] += 1;
         }
         let mut starts = vec![0usize; ns + 1];
         for s in 0..ns {
             starts[s + 1] = starts[s] + counts[s];
         }
-        self.scratch.clear();
-        self.scratch.resize(self.pending.len(), 0);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        scratch.resize(trace.len(), 0);
         let mut cursor = starts.clone();
-        for &p in &self.pending {
-            let s = shard_of(p);
-            self.scratch[cursor[s]] = p;
+        for &p in trace {
+            let s = self.shard_of(p);
+            scratch[cursor[s]] = p;
             cursor[s] += 1;
         }
 
-        let log_timing = self.flush_log.is_some();
-        let spans: Vec<Option<ShardSpan>> = if cmt_jobs() > 1 && ns > 1 {
+        let log_timing = spans.is_some();
+        let slices = starts.windows(2).map(|w| &scratch[w[0]..w[1]]);
+        let nanos: Vec<Option<u64>> = if cmt_jobs() > 1 && ns > 1 {
             // Shards are independent; hand each (shard, sub-trace) pair
             // to the worker pool. The Mutex only satisfies the pool's
             // `Fn(&T)` sharing — each shard is locked exactly once.
             let work: Vec<(Mutex<&mut Shard>, &[u64])> = self
                 .shards
                 .iter_mut()
-                .zip(starts.windows(2).map(|w| &self.scratch[w[0]..w[1]]))
+                .zip(slices)
                 .map(|(shard, slice)| (Mutex::new(shard), slice))
                 .collect();
             par_map(&work, |(shard, slice)| {
                 let t0 = log_timing.then(Instant::now);
-                let mut shard = shard.lock().expect("shard lock");
-                shard.run(slice);
-                t0.map(|t| ShardSpan {
-                    shard: 0, // filled in below from item order
-                    accesses: slice.len() as u64,
-                    nanos: t.elapsed().as_nanos() as u64,
-                })
+                shard.lock().expect("shard lock").run(slice);
+                t0.map(|t| t.elapsed().as_nanos() as u64)
             })
         } else {
             self.shards
                 .iter_mut()
-                .zip(starts.windows(2).map(|w| &self.scratch[w[0]..w[1]]))
+                .zip(slices)
                 .map(|(shard, slice)| {
                     let t0 = log_timing.then(Instant::now);
                     shard.run(slice);
-                    t0.map(|t| ShardSpan {
-                        shard: 0,
-                        accesses: slice.len() as u64,
-                        nanos: t.elapsed().as_nanos() as u64,
-                    })
+                    t0.map(|t| t.elapsed().as_nanos() as u64)
                 })
                 .collect()
         };
-        if let Some(log) = &mut self.flush_log {
-            log.extend(spans.into_iter().enumerate().filter_map(|(k, s)| {
-                s.map(|s| ShardSpan {
-                    shard: k as u32,
-                    ..s
-                })
-            }));
+        if let Some(spans) = spans {
+            for (k, span) in spans.iter_mut().enumerate() {
+                span.accesses += counts[k] as u64;
+                span.nanos += nanos[k].unwrap_or(0);
+            }
         }
-        self.pending.clear();
+        self.scratch = scratch;
+    }
+
+    /// Closes the open snapshot window: sums every shard's share of it
+    /// in shard order.
+    fn close_window(&mut self) {
+        let mut snap = IntervalSnapshot {
+            upto: self.shards.iter().map(|s| s.stats.accesses).sum(),
+            accesses: 0,
+            misses: 0,
+            cold_misses: 0,
+        };
+        for shard in &mut self.shards {
+            let w = std::mem::take(&mut shard.window);
+            snap.accesses += w.accesses;
+            snap.misses += w.misses;
+            snap.cold_misses += w.cold_misses;
+        }
+        self.snapshots.push(snap);
+        self.window_fill = 0;
+    }
+
+    /// Closes the current (partial) window, if non-empty. Call once at
+    /// end of trace so the tail shows up in [`ShardedCache::snapshots`].
+    pub fn flush_window(&mut self) {
+        self.flush();
+        if self.window_fill > 0 {
+            self.close_window();
+        }
+    }
+
+    /// Closed interval snapshots, oldest first (flushes buffered
+    /// accesses first).
+    pub fn snapshots(&mut self) -> &[IntervalSnapshot] {
+        self.flush();
+        &self.snapshots
+    }
+
+    /// The closed snapshots as a miss-rate series: `(position, rate)`
+    /// pairs where `position` is the window's end as a fraction of the
+    /// whole trace in `[0, 1]`. This is the shape trace counter tracks
+    /// want — callers map `position` onto the simulation span's
+    /// timeline. Empty when snapshots are off or nothing closed.
+    pub fn miss_rate_series(&mut self) -> Vec<(f64, f64)> {
+        let total = self.stats().accesses;
+        if total == 0 {
+            return Vec::new();
+        }
+        self.snapshots
+            .iter()
+            .map(|s| (s.upto as f64 / total as f64, s.miss_rate()))
+            .collect()
     }
 
     /// Merged whole-trace statistics (flushes buffered accesses first).
@@ -981,8 +1139,7 @@ impl ShardedCache {
         total
     }
 
-    /// Merged per-array statistics in region start-address order, like
-    /// [`crate::observe::ObservedCache::per_array`].
+    /// Merged per-array statistics in region start-address order.
     pub fn per_array(&mut self) -> Vec<(String, CacheStats)> {
         self.flush();
         self.region_names
@@ -1009,9 +1166,11 @@ impl ShardedCache {
     }
 
     /// Resets statistics (whole-trace and per-array) but keeps cache
-    /// contents and cold-line history, like
-    /// [`crate::sim::Cache::reset_stats`]. Flushes first so buffered
-    /// accesses land in the pre-reset counters.
+    /// contents **and cold-line history** (useful for excluding warm-up
+    /// phases): a line first touched before the reset never counts as a
+    /// cold miss afterwards. Contrast with [`ShardedCache::clear`].
+    /// Flushes first so buffered accesses land in the pre-reset
+    /// counters; snapshot windows are a stream position and carry on.
     pub fn reset_stats(&mut self) {
         self.flush();
         for shard in &mut self.shards {
@@ -1022,9 +1181,12 @@ impl ShardedCache {
         }
     }
 
-    /// Empties the cache, statistics, and cold history — the
-    /// counterpart of [`crate::sim::Cache::clear`]. Buffered accesses
-    /// are dropped, not simulated.
+    /// Empties the cache, statistics, cold history, snapshot windows and
+    /// flush counters: afterwards the cache exports exactly what a
+    /// freshly built one with the same regions and interval would, and
+    /// every line's next touch is a cold miss again (unlike
+    /// [`ShardedCache::reset_stats`]). Buffered accesses are dropped,
+    /// not simulated.
     pub fn clear(&mut self) {
         self.pending.clear();
         for shard in &mut self.shards {
@@ -1035,15 +1197,28 @@ impl ShardedCache {
             shard.per_array.fill(CacheStats::default());
             shard.unattributed = CacheStats::default();
             shard.last_slot = usize::MAX;
+            shard.window = CacheStats::default();
             shard.carry = EMPTY;
         }
+        self.flushes = 0;
+        self.partitioned_accesses = 0;
+        if let Some(log) = &mut self.flush_log {
+            log.clear();
+        }
+        self.window_fill = 0;
+        self.snapshots.clear();
     }
 
-    /// `true` when no shard holds lines, statistics, history, or
-    /// buffered accesses — the [`crate::sim::Cache::is_cold_start`]
-    /// contract.
+    /// `true` when the cache holds no lines, statistics, cold-line
+    /// history, snapshots or buffered accesses — the state a fresh
+    /// differential or verifier run must start from. A cache that has
+    /// only seen [`ShardedCache::reset_stats`] still carries touch
+    /// history and reports `false`.
     pub fn is_cold_start(&self) -> bool {
         self.pending.is_empty()
+            && self.flushes == 0
+            && self.window_fill == 0
+            && self.snapshots.is_empty()
             && self.shards.iter().all(|s| {
                 s.stats == CacheStats::default()
                     && s.cold.is_empty()
@@ -1079,14 +1254,36 @@ impl ShardedCache {
         }
     }
 
-    /// Exports deterministic `shard.*` counters under `prefix`:
-    /// `{prefix}.shard.count`, `{prefix}.shard.flushes`,
-    /// `{prefix}.shard.partitioned_accesses`, and per-shard
-    /// `{prefix}.shard.{k}.{accesses,misses}`. Everything is a pure
-    /// function of the trace and the shard count (never of `CMT_JOBS`
-    /// or wall-clock), so obs_diff can gate on these across runs.
+    /// Exports everything into `registry` under `prefix`:
+    ///
+    /// * counters `{prefix}.{accesses,hits,misses,cold_misses}`;
+    /// * counters `{prefix}.array.{NAME}.{accesses,misses,cold_misses}`;
+    /// * histogram `{prefix}.interval_miss_rate` — one sample per closed
+    ///   window;
+    /// * counters `{prefix}.shard.count`, `{prefix}.shard.flushes`,
+    ///   `{prefix}.shard.partitioned_accesses`, and per-shard
+    ///   `{prefix}.shard.{k}.{accesses,misses}`.
+    ///
+    /// Everything is a pure function of the trace, the interval and the
+    /// shard count (never of `CMT_JOBS` or wall-clock), so obs_diff can
+    /// gate on these across runs.
     pub fn export_metrics(&mut self, registry: &mut MetricsRegistry, prefix: &str) {
-        self.flush();
+        let s = self.stats();
+        registry.counter(&format!("{prefix}.accesses"), s.accesses);
+        registry.counter(&format!("{prefix}.hits"), s.hits);
+        registry.counter(&format!("{prefix}.misses"), s.misses);
+        registry.counter(&format!("{prefix}.cold_misses"), s.cold_misses);
+        for (name, st) in self.per_array() {
+            registry.counter(&format!("{prefix}.array.{name}.accesses"), st.accesses);
+            registry.counter(&format!("{prefix}.array.{name}.misses"), st.misses);
+            registry.counter(
+                &format!("{prefix}.array.{name}.cold_misses"),
+                st.cold_misses,
+            );
+        }
+        for snap in &self.snapshots {
+            registry.record(&format!("{prefix}.interval_miss_rate"), snap.miss_rate());
+        }
         registry.counter(&format!("{prefix}.shard.count"), self.shards.len() as u64);
         registry.counter(&format!("{prefix}.shard.flushes"), self.flushes);
         registry.counter(
@@ -1104,9 +1301,40 @@ impl ShardedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fast::pack_access;
-    use crate::observe::ObservedCache;
-    use crate::sim::Cache;
+    use crate::fast::{pack_access, unpack_access};
+    use crate::legacy::LegacyCache;
+
+    /// Scalar attribution reference on the legacy oracle: the hit comes
+    /// from `access`, the cold flag from the `cold_misses` delta, and the
+    /// array from a binary search over `(start, len)` regions sorted by
+    /// start. Returns (whole-trace, per-array, unattributed) stats.
+    fn legacy_attribution(
+        cfg: CacheConfig,
+        regions: &[(u64, u64)],
+        trace: &[u64],
+    ) -> (CacheStats, Vec<CacheStats>, CacheStats) {
+        let mut legacy = LegacyCache::new(cfg);
+        let mut per_array = vec![CacheStats::default(); regions.len()];
+        let mut unattributed = CacheStats::default();
+        for &p in trace {
+            let (addr, w) = unpack_access(p);
+            let cold_before = legacy.stats().cold_misses;
+            let hit = legacy.access(addr, w);
+            let cold = legacy.stats().cold_misses > cold_before;
+            let pos = regions.partition_point(|&(start, _)| start <= addr);
+            let s = match pos.checked_sub(1) {
+                Some(k) if addr - regions[k].0 < regions[k].1 => &mut per_array[k],
+                _ => &mut unattributed,
+            };
+            *s += CacheStats {
+                accesses: 1,
+                hits: u64::from(hit),
+                misses: u64::from(!hit),
+                cold_misses: u64::from(cold),
+            };
+        }
+        (legacy.stats(), per_array, unattributed)
+    }
 
     fn streams() -> Vec<(&'static str, Vec<u64>)> {
         let mut lcg = Vec::new();
@@ -1134,12 +1362,13 @@ mod tests {
     }
 
     #[test]
-    fn matches_flat_engine_for_every_shard_count() {
+    fn matches_legacy_oracle_for_every_shard_count() {
         for (kind, trace) in streams() {
             for cfg in geometries() {
-                let mut flat = Cache::new(cfg);
-                for chunk in trace.chunks(4096) {
-                    flat.access_batch(chunk);
+                let mut legacy = LegacyCache::new(cfg);
+                for &p in &trace {
+                    let (a, w) = unpack_access(p);
+                    legacy.access(a, w);
                 }
                 for shards in [1usize, 2, 8, 64] {
                     let mut sharded = ShardedCache::with_shards(cfg, shards);
@@ -1148,12 +1377,12 @@ mod tests {
                     }
                     assert_eq!(
                         sharded.stats(),
-                        flat.stats(),
+                        legacy.stats(),
                         "{kind}/{cfg} with {shards} shards"
                     );
                     assert_eq!(
                         sharded.resident_lines(),
-                        flat.resident_lines(),
+                        legacy.resident_lines(),
                         "{kind}/{cfg} resident set with {shards} shards"
                     );
                 }
@@ -1162,20 +1391,55 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_batched_feeding_agree() {
+    fn scalar_access_reports_hits_like_the_oracle() {
         let (_, trace) = &streams()[0];
         for cfg in [CacheConfig::rs6000(), CacheConfig::i860()] {
+            let mut legacy = LegacyCache::new(cfg);
             let mut scalar = ShardedCache::with_shards(cfg, 4);
             let mut batched = ShardedCache::with_shards(cfg, 4);
-            for &p in trace {
-                let (a, w) = crate::fast::unpack_access(p);
-                scalar.access(a, w);
+            for (k, &p) in trace.iter().enumerate() {
+                let (a, w) = unpack_access(p);
+                assert_eq!(scalar.access(a, w), legacy.access(a, w), "access {k}");
+                if k == trace.len() / 2 {
+                    // Buffered batch work is flushed before the next
+                    // scalar access answers.
+                    scalar.access_batch(&trace[..4096]);
+                    for &q in &trace[..4096] {
+                        let (a, w) = unpack_access(q);
+                        legacy.access(a, w);
+                    }
+                }
             }
-            for chunk in trace.chunks(1000) {
+            let mid = trace.len() / 2 + 1;
+            let replay = [&trace[..mid], &trace[..4096], &trace[mid..]].concat();
+            for chunk in replay.chunks(1000) {
                 batched.access_batch(chunk);
             }
-            assert_eq!(scalar.stats(), batched.stats());
+            assert_eq!(scalar.stats(), legacy.stats());
+            assert_eq!(batched.stats(), legacy.stats());
         }
+    }
+
+    #[test]
+    fn lru_order_spatial_hits_and_sparse_cold_history() {
+        // 2 sets × 2 ways × 16-byte lines. Set 0 holds even lines.
+        let mut c = ShardedCache::with_shards(CacheConfig::new(64, 2, 16), 1);
+        assert!(!c.access(0, false)); // line 0 → set 0
+        assert!(c.access(8, false), "same line");
+        assert!(!c.access(32, false)); // line 2 → set 0
+        assert!(c.access(0, false)); // line 0 is MRU again
+        assert!(!c.access(64, false)); // line 4 evicts line 2 (LRU)
+        assert!(c.access(0, false), "line 0 must survive");
+        assert!(!c.access(32, false), "line 2 was evicted");
+        let s = c.stats();
+        assert_eq!((s.misses, s.cold_misses), (4, 3), "the re-miss is warm");
+        // Far outside every region: sparse cold history, forgotten by
+        // clear like the dense kind.
+        c.access(1 << 40, true);
+        c.clear();
+        assert!(c.is_cold_start());
+        assert!(!c.access(1 << 40, false), "cold again after clear");
+        assert_eq!(c.stats().cold_misses, 1);
     }
 
     #[test]
@@ -1190,36 +1454,120 @@ mod tests {
     }
 
     #[test]
-    fn per_array_attribution_matches_observed_cache() {
-        for shards in [1usize, 4] {
-            let mut observed = ObservedCache::new(Cache::new(CacheConfig::i860()), 0);
-            let mut sharded = ShardedCache::with_shards(CacheConfig::i860(), shards);
-            for (name, start, len) in [("A", 0u64, 1 << 14), ("B", 1 << 14, 1 << 14)] {
-                observed.register_region(name, start, len);
-                sharded.register_region(name, start, len);
-            }
-            let mut x = 7u64;
-            for k in 0..30_000u64 {
+    fn per_array_attribution_matches_legacy_reference() {
+        let regions = [(0u64, 1u64 << 14), (1 << 14, 1 << 14)];
+        let mut x = 7u64;
+        let trace: Vec<u64> = (0..30_000u64)
+            .map(|k| {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
                 // Mostly inside A and B, occasionally outside both.
                 let addr = (x % (1 << 15)) & !7;
                 let addr = if k % 97 == 0 { addr + (1 << 20) } else { addr };
-                observed.access(addr, k % 4 == 0);
-                sharded.access(addr, k % 4 == 0);
+                pack_access(addr, k % 4 == 0)
+            })
+            .collect();
+        let (whole, arrays, outside) = legacy_attribution(CacheConfig::i860(), &regions, &trace);
+        for shards in [1usize, 4] {
+            let mut sharded = ShardedCache::with_shards(CacheConfig::i860(), shards);
+            for (name, (start, len)) in ["A", "B"].into_iter().zip(regions) {
+                sharded.register_region(name, start, len);
             }
-            assert_eq!(sharded.stats(), observed.stats(), "{shards} shards");
-            let merged = sharded.per_array();
-            let expected: Vec<(String, CacheStats)> = observed
-                .per_array()
-                .map(|(n, s)| (n.to_string(), *s))
-                .collect();
-            assert_eq!(merged, expected, "{shards} shards");
-            assert_eq!(sharded.unattributed(), observed.unattributed());
+            for &p in &trace {
+                let (a, w) = unpack_access(p);
+                sharded.access(a, w);
+            }
+            assert_eq!(sharded.stats(), whole, "{shards} shards");
+            let expected = vec![("A".to_string(), arrays[0]), ("B".to_string(), arrays[1])];
+            assert_eq!(sharded.per_array(), expected, "{shards} shards");
+            assert_eq!(sharded.unattributed(), outside, "{shards} shards");
         }
     }
 
     #[test]
-    fn reset_and_clear_semantics_match_flat_engine() {
+    fn interval_snapshots_cover_the_trace() {
+        let mut c = ShardedCache::with_shards(CacheConfig::new(64, 2, 16), 1).with_interval(4);
+        for a in 0..10u64 {
+            c.access(a * 16, false); // every access a new line: all misses
+        }
+        c.flush_window();
+        let snaps = c.snapshots();
+        assert_eq!(snaps.len(), 3); // 4 + 4 + 2
+        assert_eq!(snaps[0].accesses, 4);
+        assert_eq!(snaps[2].accesses, 2);
+        assert_eq!(snaps[2].upto, 10);
+        assert!(snaps.iter().all(|s| (s.miss_rate() - 1.0).abs() < 1e-12));
+        // Every miss here is a first touch, so the cold split is total.
+        assert!(snaps.iter().all(|s| s.cold_misses == s.misses));
+    }
+
+    #[test]
+    fn snapshots_close_at_global_boundaries_inside_one_flush() {
+        // Exactly one pending-limit batch: a 4-shard cache partitions it
+        // in a single flush that crosses six 5 000-access boundaries.
+        let (_, lcg) = &streams()[0];
+        let trace = &lcg[..1 << 15];
+        let run = |shards: usize, interval: u64| {
+            let mut c =
+                ShardedCache::with_shards(CacheConfig::i860(), shards).with_interval(interval);
+            c.register_region("A", 0, 1 << 21);
+            c.access_batch(trace);
+            c.flush_window();
+            let mut reg = MetricsRegistry::new();
+            c.export_metrics(&mut reg, "sim");
+            (c.snapshots().to_vec(), reg)
+        };
+        let (one, _) = run(1, 5_000);
+        let (four, reg) = run(4, 5_000);
+        assert_eq!(one.len(), 7);
+        assert_eq!(four, one, "snapshots must not depend on the shard count");
+        let (_, plain) = run(4, 0);
+        assert_eq!(reg.counter_value("sim.shard.flushes"), 1);
+        assert_eq!(
+            reg.counter_value("sim.shard.flushes"),
+            plain.counter_value("sim.shard.flushes"),
+            "flushes must not depend on the interval"
+        );
+    }
+
+    #[test]
+    fn export_writes_stable_metric_names() {
+        let mut c = ShardedCache::with_shards(CacheConfig::new(64, 2, 16), 1).with_interval(2);
+        c.register_region("X", 0, 64);
+        for a in (0..64u64).step_by(8) {
+            c.access(a, false);
+        }
+        c.flush_window();
+        let mut reg = MetricsRegistry::new();
+        c.export_metrics(&mut reg, "cache.test");
+        assert_eq!(reg.counter_value("cache.test.accesses"), 8);
+        assert_eq!(reg.counter_value("cache.test.array.X.accesses"), 8);
+        assert!(reg.histogram("cache.test.interval_miss_rate").is_some());
+    }
+
+    #[test]
+    fn clear_exports_like_a_fresh_cache() {
+        let (_, trace) = &streams()[0];
+        let fresh = || {
+            let mut c = ShardedCache::with_shards(CacheConfig::rs6000(), 4).with_interval(1000);
+            c.register_region("A", 0, 1 << 22);
+            c
+        };
+        let export = |c: &mut ShardedCache| {
+            let mut reg = MetricsRegistry::new();
+            c.export_metrics(&mut reg, "sim");
+            reg.to_json()
+        };
+        let mut used = fresh();
+        used.enable_flush_log();
+        used.access_batch(trace);
+        let _ = used.stats();
+        used.clear();
+        assert!(used.take_flush_log().is_empty());
+        assert_eq!(export(&mut used), export(&mut fresh()));
+    }
+
+    #[test]
+    fn reset_and_clear_semantics() {
         let mut c = ShardedCache::with_shards(CacheConfig::new(64, 2, 16), 2);
         c.access(0, false);
         c.reset_stats();

@@ -8,7 +8,7 @@
 //! implement [`TraceSink::access`] still observe every access in order
 //! via the default batch implementation.
 
-use cmt_cache::{Cache, MultiCache, ObservedCache, ShardedCache};
+use cmt_cache::ShardedCache;
 use cmt_obs::{MetricsRegistry, TraceArg, TraceTrack};
 
 pub use cmt_cache::fast::{pack_access, unpack_access, WRITE_BIT};
@@ -71,43 +71,13 @@ impl TraceSink for CountingSink {
     }
 }
 
-impl TraceSink for Cache {
-    fn access(&mut self, addr: u64, is_write: bool) {
-        let _ = Cache::access(self, addr, is_write);
-    }
-
-    fn access_batch(&mut self, batch: &[u64]) {
-        Cache::access_batch(self, batch);
-    }
-}
-
-impl TraceSink for MultiCache {
-    fn access(&mut self, addr: u64, is_write: bool) {
-        MultiCache::access(self, addr, is_write);
-    }
-
-    fn access_batch(&mut self, batch: &[u64]) {
-        MultiCache::access_batch(self, batch);
-    }
-}
-
 impl TraceSink for ShardedCache {
     fn access(&mut self, addr: u64, is_write: bool) {
-        ShardedCache::access(self, addr, is_write);
+        let _ = ShardedCache::access(self, addr, is_write);
     }
 
     fn access_batch(&mut self, batch: &[u64]) {
         ShardedCache::access_batch(self, batch);
-    }
-}
-
-impl TraceSink for ObservedCache {
-    fn access(&mut self, addr: u64, is_write: bool) {
-        let _ = ObservedCache::access(self, addr, is_write);
-    }
-
-    fn access_batch(&mut self, batch: &[u64]) {
-        ObservedCache::access_batch(self, batch);
     }
 }
 
@@ -467,8 +437,8 @@ mod tests {
         for k in 0..10_000u64 {
             rec.access((k * 56) % (1 << 16), k % 4 == 0);
         }
-        let mut a = Cache::new(CacheConfig::i860());
-        let mut b = Cache::new(CacheConfig::i860());
+        let mut a = ShardedCache::with_shards(CacheConfig::i860(), 4);
+        let mut b = ShardedCache::with_shards(CacheConfig::i860(), 4);
         rec.replay(&mut a);
         rec.replay_batched(&mut b);
         assert_eq!(a.stats(), b.stats());
@@ -528,14 +498,14 @@ mod tests {
         let packed: Vec<u64> = (0..10_000u64)
             .map(|k| pack_access((k * 72) % (1 << 14), k % 5 == 0))
             .collect();
-        let mut per_access =
-            MeteredSink::new(ObservedCache::new(Cache::new(CacheConfig::i860()), 64));
+        let observed = || ShardedCache::with_shards(CacheConfig::i860(), 1).with_interval(64);
+        let mut per_access = MeteredSink::new(observed());
         per_access.inner.register_region("A", 0, 1 << 14);
         for &p in &packed {
             let (a, w) = unpack_access(p);
             per_access.access(a, w);
         }
-        let mut batched = MeteredSink::new(ObservedCache::new(Cache::new(CacheConfig::i860()), 64));
+        let mut batched = MeteredSink::new(observed());
         batched.inner.register_region("A", 0, 1 << 14);
         for chunk in packed.chunks(BATCH_LEN) {
             batched.access_batch(chunk);
@@ -670,26 +640,15 @@ mod tests {
     }
 
     #[test]
-    fn observed_cache_as_sink() {
-        let mut oc = ObservedCache::new(Cache::new(CacheConfig::i860()), 0);
-        oc.register_region("A", 0, 64);
-        {
-            let mut sink = CacheSink(&mut oc);
-            sink.access(0, false);
-            sink.access(8, false);
-        }
-        assert_eq!(oc.stats().hits, 1);
-        assert_eq!(oc.per_array().next().unwrap().1.accesses, 2);
-    }
-
-    #[test]
     fn cache_as_sink() {
-        let mut c = Cache::new(CacheConfig::i860());
+        let mut c = ShardedCache::new(CacheConfig::i860());
+        c.register_region("A", 0, 64);
         {
             let mut sink = CacheSink(&mut c);
             sink.access(0, false);
             sink.access(8, false);
         }
         assert_eq!(c.stats().hits, 1);
+        assert_eq!(c.per_array()[0].1.accesses, 2);
     }
 }

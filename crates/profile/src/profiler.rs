@@ -13,7 +13,7 @@
 //! per-nest attribution a hotspot ranking wants.
 
 use crate::policy::SamplePolicy;
-use cmt_cache::{Cache, CacheConfig, CacheStats, ObservedCache};
+use cmt_cache::{CacheConfig, CacheStats, ShardedCache};
 use cmt_interp::{Machine, SampledSink, TraceSink, BATCH_LEN};
 use cmt_ir::affine::Affine;
 use cmt_ir::ids::ArrayId;
@@ -298,7 +298,8 @@ pub fn profile_nest(
     // Snapshot interval == sampling window, so the first closed snapshot
     // is exactly window 0 of the sampled stream (the sampler always
     // forwards window 0) — the cold-start correction below splits on it.
-    let mut cache = ObservedCache::new(Cache::new(opts.cache), window);
+    // One shard: profiling parallelizes across nests, not inside one.
+    let mut cache = ShardedCache::with_shards(opts.cache, 1).with_interval(window);
     for (k, info) in single.arrays().iter().enumerate() {
         let id = ArrayId(k as u32);
         let start = m.storage(id).address_of(0);
@@ -381,6 +382,7 @@ pub fn profile_nest(
 
     let mut arrays: Vec<ArrayAttribution> = cache
         .per_array()
+        .into_iter()
         .filter(|(_, s)| s.accesses > 0)
         .map(|(name, s)| {
             // Per-array estimate: distribute the nest-level estimate in
@@ -390,8 +392,8 @@ pub fn profile_nest(
             // scaling by the sampled→total access ratio.
             let est_misses = scale_u64(s.misses, est.misses, observed.misses);
             ArrayAttribution {
-                name: name.to_string(),
-                sampled: *s,
+                name,
+                sampled: s,
                 est_misses,
                 share: 0.0,
             }
@@ -459,7 +461,7 @@ mod tests {
         assert_eq!(nest.observed, nest.est);
         // Direct simulation of the same program agrees exactly.
         let mut m = Machine::new(&p, &[32]).unwrap();
-        let mut c = Cache::new(CacheConfig::i860());
+        let mut c = ShardedCache::new(CacheConfig::i860());
         m.run(&p, &mut c).unwrap();
         assert_eq!(nest.est, c.stats());
         // Both arrays show up in attribution and shares sum to ~1.

@@ -9,7 +9,7 @@
 //! cargo run --release --example adi_fusion [N]
 //! ```
 
-use cmt_locality_repro::cache::{Cache, CacheConfig, CycleModel};
+use cmt_locality_repro::cache::{CacheConfig, CycleModel, ShardedCache};
 use cmt_locality_repro::interp::{self, Machine};
 use cmt_locality_repro::ir::pretty::program_to_string;
 use cmt_locality_repro::locality::{compound::compound, model::CostModel};
@@ -44,7 +44,7 @@ fn main() {
 
     let cyc = CycleModel::default();
     for (label, p) in [("scalarized", &original), ("transformed", &transformed)] {
-        let mut c = Cache::new(CacheConfig::rs6000());
+        let mut c = ShardedCache::new(CacheConfig::rs6000());
         let mut m = Machine::new(p, &[n]).expect("allocation");
         m.run(p, &mut c).expect("execution");
         let s = c.stats();

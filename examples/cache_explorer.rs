@@ -9,7 +9,7 @@
 //! cargo run --release --example cache_explorer [N]
 //! ```
 
-use cmt_locality_repro::cache::{Cache, CacheConfig};
+use cmt_locality_repro::cache::{CacheConfig, ShardedCache};
 use cmt_locality_repro::interp::Machine;
 use cmt_locality_repro::ir::build::ProgramBuilder;
 use cmt_locality_repro::ir::expr::Expr;
@@ -63,7 +63,7 @@ fn main() {
         let cfg = CacheConfig::new(size_kb * 1024, assoc, line);
         let rate = |p: &Program| -> f64 {
             let mut m = Machine::new(p, &[n]).expect("allocation");
-            let mut c = Cache::new(cfg);
+            let mut c = ShardedCache::new(cfg);
             m.run(p, &mut c).expect("execution");
             c.stats().hit_rate_excluding_cold()
         };

@@ -7,7 +7,7 @@
 //! cargo run --release --example cholesky_distribution [N]
 //! ```
 
-use cmt_locality_repro::cache::{Cache, CacheConfig, CycleModel};
+use cmt_locality_repro::cache::{CacheConfig, CycleModel, ShardedCache};
 use cmt_locality_repro::interp::{self, Machine};
 use cmt_locality_repro::ir::pretty::program_to_string;
 use cmt_locality_repro::locality::{compound::compound, model::CostModel};
@@ -47,7 +47,7 @@ fn main() {
 
     let cyc = CycleModel::default();
     for (label, p) in [("KIJ", &original), ("transformed", &transformed)] {
-        let mut c = Cache::new(CacheConfig::rs6000());
+        let mut c = ShardedCache::new(CacheConfig::rs6000());
         let mut m = Machine::new(p, &[n]).expect("allocation");
         m.run(p, &mut c).expect("execution");
         let s = c.stats();

@@ -12,7 +12,7 @@
 //! cargo run --release --example full_pipeline [N]
 //! ```
 
-use cmt_locality_repro::cache::{Cache, CacheConfig, CycleModel};
+use cmt_locality_repro::cache::{CacheConfig, CycleModel, ShardedCache};
 use cmt_locality_repro::interp::{assert_equivalent, Machine};
 use cmt_locality_repro::ir::pretty::program_to_string;
 use cmt_locality_repro::ir::Program;
@@ -24,7 +24,7 @@ use cmt_locality_repro::suite::kernels::matmul;
 
 fn measure(p: &Program, n: i64) -> (f64, u64) {
     let mut m = Machine::new(p, &[n]).expect("allocation");
-    let mut c = Cache::new(CacheConfig::i860());
+    let mut c = ShardedCache::new(CacheConfig::i860());
     m.run(p, &mut c).expect("execution");
     let s = c.stats();
     (

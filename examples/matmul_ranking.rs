@@ -6,8 +6,8 @@
 //! cargo run --release --example matmul_ranking [N]
 //! ```
 
-use cmt_locality_repro::cache::{CacheConfig, CycleModel, MultiCache};
-use cmt_locality_repro::interp::Machine;
+use cmt_locality_repro::cache::{CacheConfig, CycleModel, ShardedCache};
+use cmt_locality_repro::interp::{Machine, TeeSink};
 use cmt_locality_repro::locality::model::CostModel;
 use cmt_locality_repro::locality::report::realized_cost;
 use cmt_locality_repro::suite::kernels::matmul_orders;
@@ -30,10 +30,12 @@ fn main() {
     for (name, p) in matmul_orders() {
         let cost = realized_cost(&p, p.nests()[0], &model);
         let mut m = Machine::new(&p, &[n]).expect("allocation");
-        let mut caches = MultiCache::new(&[CacheConfig::rs6000(), CacheConfig::i860()]);
+        let mut caches = TeeSink(
+            ShardedCache::new(CacheConfig::rs6000()),
+            ShardedCache::new(CacheConfig::i860()),
+        );
         m.run(&p, &mut caches).expect("execution");
-        let s1 = caches.caches()[0].stats();
-        let s2 = caches.caches()[1].stats();
+        let (s1, s2) = (caches.0.stats(), caches.1.stats());
         println!(
             "{:<6} {:>24} {:>11.1}% {:>11.1}% {:>14}",
             name,

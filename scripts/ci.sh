@@ -11,6 +11,12 @@ cargo build --release --workspace
 echo ">>> cargo test --release --workspace"
 cargo test -q --release --workspace
 
+echo ">>> cargo test --release (benchmark package)"
+# The repo benchmark is a package of its own (see BENCHMARK.json) that
+# builds against the cmt-cache / cmt-bench / cmt-profile public APIs, so
+# an API change that breaks it must fail here, not at benchmark time.
+cargo test -q --release --manifest-path benchmark/Cargo.toml
+
 echo ">>> cargo fmt --check"
 cargo fmt --all --check
 
@@ -31,17 +37,18 @@ cargo run --release -q -p cmt-verify --bin verify_corpus -- --seeds 32 --out "$V
 rm -rf "$VERIFY_DIR"
 
 echo ">>> smoke-perf (cache_sim equivalence + determinism + regression gates)"
-# Quick-mode bench over all four engines (legacy, flat scalar, flat
-# batched, set-sharded): fails on an engine-equivalence or CMT_JOBS
-# determinism mismatch, and on a geomean-speedup regression below 70%
-# of the committed BENCH_cache_sim.json (CMT_BENCH_GATE_FRAC default —
-# loose enough that quick-mode noise on a shared runner passes, tight
-# enough that an engine pessimization fails). The JSON goes to a temp
-# dir so the committed baseline stays untouched. CMT_SHARDS=1 pins the
-# *timed* sharded arm to the direct single-shard path the committed
-# baseline was measured on (quick-mode streams are far too short to
-# amortize per-flush thread dispatch); stats equivalence inside the
-# bench still covers multi-shard configurations.
+# Quick-mode bench of the set-sharded engine against the legacy oracle:
+# fails on an equivalence mismatch (legacy == sharded x{1,4}) or a
+# CMT_JOBS determinism mismatch, and when the sharded-vs-legacy geomean
+# speedup (sharded_vs_legacy_geomean) drops below 70% of the committed
+# BENCH_cache_sim.json (CMT_BENCH_GATE_FRAC default — loose enough that
+# quick-mode noise on a shared runner passes, tight enough that an
+# engine pessimization fails). The JSON goes to a temp dir so the
+# committed baseline stays untouched. CMT_SHARDS=1 pins the *timed*
+# sharded arm to the direct single-shard path the committed baseline
+# was measured on (quick-mode streams are far too short to amortize
+# per-flush thread dispatch); the equivalence gate inside the bench
+# still covers a multi-shard configuration.
 PERF_DIR=$(mktemp -d)
 CMT_JOBS=2 CMT_SHARDS=1 CMT_BENCH_QUICK=1 CMT_BENCH_JSON="$PERF_DIR/cache_sim.json" \
   CMT_BENCH_GATE="$PWD/BENCH_cache_sim.json" \

@@ -1,7 +1,7 @@
 //! Property-style tests on the cache-simulator substrate, driven by the
 //! seeded in-repo PRNG so the suite is deterministic and fully offline.
 
-use cmt_locality_repro::cache::{Cache, CacheConfig};
+use cmt_locality_repro::cache::{CacheConfig, ShardedCache};
 use cmt_locality_repro::obs::SplitMix64;
 
 const CASES: usize = 64;
@@ -21,7 +21,7 @@ fn accounting_invariants() {
     for _ in 0..CASES {
         let trace = random_trace(&mut rng);
         let cfg = CacheConfig::i860();
-        let mut c = Cache::new(cfg);
+        let mut c = ShardedCache::new(cfg);
         let mut lines = std::collections::HashSet::new();
         for &a in &trace {
             c.access(a, false);
@@ -47,8 +47,8 @@ fn associativity_monotonicity() {
         // associativity.
         let small = CacheConfig::new(32 * 32 * 2, 2, 32);
         let large = CacheConfig::new(32 * 32 * 8, 8, 32);
-        let mut cs = Cache::new(small);
-        let mut cl = Cache::new(large);
+        let mut cs = ShardedCache::new(small);
+        let mut cl = ShardedCache::new(large);
         for &a in &trace {
             cs.access(a, false);
             cl.access(a, false);
@@ -69,7 +69,7 @@ fn deterministic_replay() {
     for _ in 0..CASES {
         let trace = random_trace(&mut rng);
         let run = || {
-            let mut c = Cache::new(CacheConfig::rs6000());
+            let mut c = ShardedCache::new(CacheConfig::rs6000());
             for &a in &trace {
                 c.access(a, a % 3 == 0);
             }
@@ -85,7 +85,7 @@ fn single_line_always_hits() {
     let mut rng = SplitMix64::seed_from_u64(0x0111);
     for _ in 0..CASES {
         let count = rng.gen_range_usize(1, 499);
-        let mut c = Cache::new(CacheConfig::i860());
+        let mut c = ShardedCache::new(CacheConfig::i860());
         for k in 0..count {
             c.access((k % 4) as u64 * 8, false);
         }

@@ -87,7 +87,7 @@ fn corpus_expected_transformations() {
 
 #[test]
 fn optimized_corpus_improves_small_cache_hit_rates() {
-    use cmt_locality_repro::cache::{Cache, CacheConfig};
+    use cmt_locality_repro::cache::{CacheConfig, ShardedCache};
     use cmt_locality_repro::interp::Machine;
     let model = CostModel::new(4);
     for (name, src) in corpus() {
@@ -96,7 +96,7 @@ fn optimized_corpus_improves_small_cache_hit_rates() {
         let _ = compound(&mut transformed, &model);
         let rate = |p: &cmt_locality_repro::ir::Program| {
             let mut m = Machine::new(p, &[96]).unwrap();
-            let mut c = Cache::new(CacheConfig::i860());
+            let mut c = ShardedCache::new(CacheConfig::i860());
             m.run(p, &mut c).unwrap();
             c.stats().hit_rate_excluding_cold()
         };

@@ -8,7 +8,7 @@
 //! must agree. The pattern space is small (4³ = 64), so these tests are
 //! exhaustive rather than sampled.
 
-use cmt_locality_repro::cache::{Cache, CacheConfig};
+use cmt_locality_repro::cache::{CacheConfig, ShardedCache};
 use cmt_locality_repro::interp::Machine;
 use cmt_locality_repro::ir::affine::Affine;
 use cmt_locality_repro::ir::build::ProgramBuilder;
@@ -65,7 +65,7 @@ fn build(spec: &Spec, ji_order: bool) -> Program {
 
 fn simulate_misses(p: &Program, n: i64) -> u64 {
     let mut m = Machine::new(p, &[n]).expect("allocation");
-    let mut c = Cache::new(CacheConfig::i860());
+    let mut c = ShardedCache::new(CacheConfig::i860());
     m.run(p, &mut c).expect("execution");
     c.stats().warm_misses()
 }

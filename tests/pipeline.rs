@@ -30,7 +30,7 @@ fn matmul_three_step_pipeline() {
 
 #[test]
 fn pipeline_reduces_misses_on_small_cache() {
-    use cmt_locality_repro::cache::{Cache, CacheConfig};
+    use cmt_locality_repro::cache::{CacheConfig, ShardedCache};
     use cmt_locality_repro::interp::Machine;
     let original = kernels::matmul("IJK");
     let model = CostModel::new(4);
@@ -42,7 +42,7 @@ fn pipeline_reduces_misses_on_small_cache() {
 
     let misses = |prog: &cmt_locality_repro::ir::Program| {
         let mut m = Machine::new(prog, &[64]).unwrap();
-        let mut c = Cache::new(CacheConfig::i860());
+        let mut c = ShardedCache::new(CacheConfig::i860());
         m.run(prog, &mut c).unwrap();
         c.stats().warm_misses()
     };
