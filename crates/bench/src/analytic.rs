@@ -20,13 +20,17 @@ use crate::runner::{par_map, par_map_traced};
 use cmt_analytic::{predict_program, MissModel, NestPrediction};
 use cmt_cache::CacheConfig;
 use cmt_ir::program::Program;
-use cmt_obs::json::{self, ObjectWriter, Value};
-use cmt_obs::{CollectSink, NullObs, ObsSink, Remark, RemarkKind, TraceSession, Tracing};
+use cmt_obs::diff::rel_change;
+use cmt_obs::json::{self, ObjectWriter};
+use cmt_obs::{
+    Artifact, CollectSink, Findings, NullObs, ObsSink, Remark, RemarkKind, TraceSession, Tracing,
+};
 use cmt_profile::{
     describe_cache, kendall_tau, profile_program, rank_hotspots, top_k_agreement, HotspotEntry,
     HotspotProfile, ProfileOptions, SamplePolicy,
 };
 use cmt_verify::{corpus_seeds, generate};
+use std::fmt::Write as _;
 
 /// What an analytic accuracy sweep covers.
 #[derive(Clone, Copy, Debug)]
@@ -154,27 +158,19 @@ pub struct AnalyticReport {
 }
 
 impl AnalyticReport {
-    /// The weakest top-K agreement across geometries — what the CI gate
-    /// bounds from below.
-    pub fn min_top_k_agreement(&self) -> f64 {
-        self.geometries
-            .iter()
-            .map(|g| g.top_k_agreement)
-            .fold(1.0, f64::min)
-    }
+    /// Gate: tie-aware top-K agreement on every geometry is at least
+    /// this.
+    pub const MIN_TOP_K_AGREEMENT: f64 = 0.9;
 
-    /// The largest per-nest mean relative miss error across geometries —
-    /// what the CI gate bounds from above.
-    pub fn max_mean_rel_error(&self) -> f64 {
-        self.geometries
-            .iter()
-            .map(|g| g.mean_rel_error)
-            .fold(0.0, f64::max)
-    }
+    /// Gate: mean per-nest relative miss error on every geometry is at
+    /// most this.
+    pub const MAX_MEAN_REL_ERROR: f64 = 0.25;
+}
 
-    /// Serializes to the deterministic report document (fixed field
-    /// order, fixed float formatting), trailing newline included.
-    pub fn to_json(&self) -> String {
+impl Artifact for AnalyticReport {
+    const SUFFIX: &'static str = "analytic.json";
+
+    fn to_json(&self) -> String {
         let geoms = json::array(self.geometries.iter().map(|g| {
             let mut w = ObjectWriter::new();
             w.field_str("cache", &g.cache)
@@ -204,61 +200,166 @@ impl AnalyticReport {
         w.finish() + "\n"
     }
 
-    /// Parses a document produced by [`AnalyticReport::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural problem (not JSON,
-    /// missing field, wrong type).
-    pub fn parse(text: &str) -> Result<AnalyticReport, String> {
+    fn parse(text: &str) -> Result<AnalyticReport, String> {
         let v = json::parse(text)?;
-        let str_of = |v: &Value, k: &str| -> Result<String, String> {
-            Ok(v.get(k)
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("missing string field {k:?}"))?
-                .to_string())
-        };
-        let u64_of = |v: &Value, k: &str| -> Result<u64, String> {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("missing numeric field {k:?}"))
-        };
-        let f64_of = |v: &Value, k: &str| -> Result<f64, String> {
-            v.get(k)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing numeric field {k:?}"))
-        };
-        if str_of(&v, "bench")? != "analytic" {
+        if v.str_field("bench")? != "analytic" {
             return Err("not an analytic report (bench != \"analytic\")".to_string());
         }
         let mut out = AnalyticReport {
-            seeds: u64_of(&v, "seeds")? as usize,
-            programs: u64_of(&v, "programs")? as usize,
-            nests: u64_of(&v, "nests")? as usize,
-            n: f64_of(&v, "n")? as i64,
-            top_k: u64_of(&v, "top_k")? as usize,
+            seeds: v.u64_field("seeds")? as usize,
+            programs: v.u64_field("programs")? as usize,
+            nests: v.u64_field("nests")? as usize,
+            n: v.f64_field("n")? as i64,
+            top_k: v.u64_field("top_k")? as usize,
             geometries: Vec::new(),
         };
-        let geoms = v
-            .get("geometries")
-            .and_then(Value::as_array)
-            .ok_or("missing geometries array")?;
-        for g in geoms {
+        for g in v.array_field("geometries")? {
             out.geometries.push(GeometryAgreement {
-                cache: str_of(g, "cache")?,
-                nests: u64_of(g, "nests")? as usize,
-                predicted_misses: u64_of(g, "predicted_misses")?,
-                simulated_misses: u64_of(g, "simulated_misses")?,
-                mean_rel_error: f64_of(g, "mean_rel_error")?,
-                aggregate_error: f64_of(g, "aggregate_error")?,
-                top_k_agreement: f64_of(g, "top_k_agreement")?,
-                top_k_agreement_strict: f64_of(g, "top_k_agreement_strict")?,
-                kendall_tau: f64_of(g, "kendall_tau")?,
-                worst_nest: str_of(g, "worst_nest")?,
-                worst_rel_error: f64_of(g, "worst_rel_error")?,
+                cache: g.str_field("cache")?,
+                nests: g.u64_field("nests")? as usize,
+                predicted_misses: g.u64_field("predicted_misses")?,
+                simulated_misses: g.u64_field("simulated_misses")?,
+                mean_rel_error: g.f64_field("mean_rel_error")?,
+                aggregate_error: g.f64_field("aggregate_error")?,
+                top_k_agreement: g.f64_field("top_k_agreement")?,
+                top_k_agreement_strict: g.f64_field("top_k_agreement_strict")?,
+                kendall_tau: g.f64_field("kendall_tau")?,
+                worst_nest: g.str_field("worst_nest")?,
+                worst_rel_error: g.f64_field("worst_rel_error")?,
             });
         }
         Ok(out)
+    }
+
+    /// Per-geometry miss totals and the worst nest must match exactly;
+    /// error, agreement and tau drift counts beyond `threshold`
+    /// (relative). Geometries are matched by cache description.
+    fn diff(&self, current: &Self, threshold: f64) -> Findings {
+        let mut f = Findings::default();
+        let header = [
+            ("seeds", self.seeds, current.seeds),
+            ("programs", self.programs, current.programs),
+            ("nests", self.nests, current.nests),
+            ("top_k", self.top_k, current.top_k),
+        ];
+        for (name, b, c) in header {
+            if b != c {
+                f.deterministic
+                    .push(format!("config {name} changed {b} -> {c}"));
+            }
+        }
+        if self.n != current.n {
+            f.deterministic
+                .push(format!("config n changed {} -> {}", self.n, current.n));
+        }
+        for b in &self.geometries {
+            let Some(c) = current.geometries.iter().find(|c| c.cache == b.cache) else {
+                f.deterministic
+                    .push(format!("geometry removed: {}", b.cache));
+                continue;
+            };
+            let exact = [
+                ("predicted misses", b.predicted_misses, c.predicted_misses),
+                ("simulated misses", b.simulated_misses, c.simulated_misses),
+            ];
+            for (name, bv, cv) in exact {
+                if bv != cv {
+                    f.deterministic
+                        .push(format!("{}: {name} {bv} -> {cv}", b.cache));
+                }
+            }
+            if b.worst_nest != c.worst_nest {
+                f.deterministic.push(format!(
+                    "{}: worst nest {} -> {}",
+                    b.cache, b.worst_nest, c.worst_nest
+                ));
+            }
+            let relative = [
+                ("mean rel error", b.mean_rel_error, c.mean_rel_error),
+                ("aggregate error", b.aggregate_error, c.aggregate_error),
+                ("top-k agreement", b.top_k_agreement, c.top_k_agreement),
+                (
+                    "strict top-k agreement",
+                    b.top_k_agreement_strict,
+                    c.top_k_agreement_strict,
+                ),
+                ("kendall tau", b.kendall_tau, c.kendall_tau),
+            ];
+            for (name, bv, cv) in relative {
+                if rel_change(bv, cv) > threshold {
+                    f.deterministic
+                        .push(format!("{}: {name} {bv:.4} -> {cv:.4}", b.cache));
+                }
+            }
+        }
+        for c in &current.geometries {
+            if !self.geometries.iter().any(|b| b.cache == c.cache) {
+                f.deterministic.push(format!("geometry added: {}", c.cache));
+            }
+        }
+        f
+    }
+
+    fn gate(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        for g in &self.geometries {
+            if g.top_k_agreement < Self::MIN_TOP_K_AGREEMENT {
+                v.push(format!(
+                    "{} top-{} agreement {:.3} below {}",
+                    g.cache,
+                    self.top_k,
+                    g.top_k_agreement,
+                    Self::MIN_TOP_K_AGREEMENT
+                ));
+            }
+            if g.mean_rel_error > Self::MAX_MEAN_REL_ERROR {
+                v.push(format!(
+                    "{} mean rel miss error {:.4} exceeds {}",
+                    g.cache,
+                    g.mean_rel_error,
+                    Self::MAX_MEAN_REL_ERROR
+                ));
+            }
+        }
+        v
+    }
+
+    /// Per-geometry accuracy against the simulator.
+    fn report(&self, out: &mut String) {
+        let _ = writeln!(out, "\n## Analytic vs simulated\n");
+        let _ = writeln!(
+            out,
+            "{} programs ({} seeds{}), {} nests at n={}, top-{} ranking:\n",
+            self.programs,
+            self.seeds,
+            if self.programs > self.seeds {
+                " + paper kernels"
+            } else {
+                ""
+            },
+            self.nests,
+            self.n,
+            self.top_k,
+        );
+        out.push_str(
+            "| geometry | pred misses | sim misses | mean rel err | top-k (tied) | top-k (strict) | tau | worst nest |\n",
+        );
+        out.push_str("|---|---|---|---|---|---|---|---|\n");
+        for g in &self.geometries {
+            let _ = writeln!(
+                out,
+                "| `{}` | {} | {} | {:.4} | {:.3} | {:.3} | {:.3} | `{}` ({:.2}) |",
+                g.cache,
+                g.predicted_misses,
+                g.simulated_misses,
+                g.mean_rel_error,
+                g.top_k_agreement,
+                g.top_k_agreement_strict,
+                g.kendall_tau,
+                g.worst_nest,
+                g.worst_rel_error,
+            );
+        }
     }
 }
 

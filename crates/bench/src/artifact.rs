@@ -1,12 +1,17 @@
 //! Machine-readable artifacts: JSONL remark streams and JSON metric
-//! snapshots written next to the human-readable tables.
+//! snapshots written next to the human-readable tables, an optional
+//! Chrome Trace, and the optional [`Artifact`] kinds of
+//! [`ARTIFACT_KINDS`].
 //!
-//! Every table/figure binary calls [`write_remarks_jsonl`] /
-//! [`write_metrics_json`] after printing; the files land in
-//! `$CMT_OBS_DIR` (default `results/`) so CI and the reproduction script
-//! can diff runs without scraping stdout.
+//! Every table/figure binary calls [`emit`] after printing; the files
+//! land in `$CMT_OBS_DIR` (default `results/`) so CI and the
+//! reproduction script can diff runs without scraping stdout.
 
-use cmt_obs::{MetricsRegistry, Remark};
+use crate::analytic::AnalyticReport;
+use crate::explain::ExplainDocument;
+use crate::serving::ServerBenchReport;
+use cmt_obs::{Artifact, ArtifactKind, Kind, MetricsRegistry, Remark, TraceSession};
+use cmt_profile::HotspotProfile;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
@@ -31,6 +36,8 @@ pub enum ArtifactError {
         /// Underlying I/O error.
         source: io::Error,
     },
+    /// A recorded trace violates its structural invariants.
+    TraceInvariants(String),
 }
 
 impl std::fmt::Display for ArtifactError {
@@ -44,6 +51,7 @@ impl std::fmt::Display for ArtifactError {
             ArtifactError::Write { path, source } => {
                 write!(f, "could not write artifact {}: {source}", path.display())
             }
+            ArtifactError::TraceInvariants(e) => write!(f, "trace invariants: {e}"),
         }
     }
 }
@@ -54,6 +62,7 @@ impl std::error::Error for ArtifactError {
             ArtifactError::CreateDir { source, .. } | ArtifactError::Write { source, .. } => {
                 Some(source)
             }
+            ArtifactError::TraceInvariants(_) => None,
         }
     }
 }
@@ -98,52 +107,23 @@ pub fn trace_enabled() -> bool {
     std::env::var_os("CMT_TRACE").is_some_and(|v| !v.is_empty() && v != "0")
 }
 
-/// Writes a Chrome Trace Event document into
-/// `{artifact_dir}/{name}.trace.json`, creating the directory as needed.
-/// Open the file in Perfetto (<https://ui.perfetto.dev>) or
-/// `chrome://tracing`. Returns the path written.
-pub fn write_trace_json(name: &str, json: &str) -> Result<PathBuf, ArtifactError> {
-    write_artifact("trace.json", name, json)
-}
+/// Suffix of the optional Chrome Trace artifact.
+pub const TRACE_SUFFIX: &str = "trace.json";
 
-/// Writes a ranked hotspot profile (see `cmt_profile::HotspotProfile`)
-/// into `{artifact_dir}/{name}.profile.json`, creating the directory as
-/// needed. The document is timing-free, so it is byte-identical across
-/// runs and `CMT_JOBS` settings. Returns the path written.
-pub fn write_profile_json(name: &str, json: &str) -> Result<PathBuf, ArtifactError> {
-    write_artifact("profile.json", name, json)
-}
+/// Every optional artifact kind, in `cmt-report` section order.
+/// `obs_diff` and `cmt-report` loop over this list, so a new kind is
+/// one [`Artifact`] impl plus one entry here.
+pub static ARTIFACT_KINDS: [&dyn ArtifactKind; 4] = [
+    &Kind::<HotspotProfile>::NEW,
+    &Kind::<AnalyticReport>::NEW,
+    &Kind::<ExplainDocument>::NEW,
+    &Kind::<ServerBenchReport>::NEW,
+];
 
-/// Writes an analytic accuracy report (see
-/// `cmt_bench::analytic::AnalyticReport`) into
-/// `{artifact_dir}/{name}.analytic.json`, creating the directory as
-/// needed. The document is timing-free, so it is byte-identical across
-/// runs and `CMT_JOBS` settings. Returns the path written.
-pub fn write_analytic_json(name: &str, json: &str) -> Result<PathBuf, ArtifactError> {
-    write_artifact("analytic.json", name, json)
-}
-
-/// Writes a decision-provenance document (see
-/// [`crate::explain::ExplainDocument`]) into
-/// `{artifact_dir}/{name}.explain.json`, creating the directory as
-/// needed. Returns the path written.
-pub fn write_explain_json(name: &str, json: &str) -> Result<PathBuf, ArtifactError> {
-    write_artifact("explain.json", name, json)
-}
-
-/// Writes a server load-harness report (see
-/// [`crate::serving::ServerBenchReport`]) into
-/// `{artifact_dir}/{name}.server.json`, creating the directory as
-/// needed. Returns the path written.
-pub fn write_server_json(name: &str, json: &str) -> Result<PathBuf, ArtifactError> {
-    write_artifact("server.json", name, json)
-}
-
-/// Writes a rendered markdown run report into
-/// `{artifact_dir}/{name}.report.md`, creating the directory as needed.
-/// Returns the path written.
-pub fn write_report_md(name: &str, text: &str) -> Result<PathBuf, ArtifactError> {
-    write_artifact("report.md", name, text)
+/// Writes `artifact` into `{artifact_dir}/{name}.{A::SUFFIX}`, creating
+/// the directory as needed. Returns the path written.
+pub fn write<A: Artifact>(name: &str, artifact: &A) -> Result<PathBuf, ArtifactError> {
+    write_artifact(A::SUFFIX, name, &artifact.to_json())
 }
 
 /// Writes the registry snapshot into `{artifact_dir}/{name}.metrics.json`,
@@ -152,8 +132,10 @@ pub fn write_metrics_json(name: &str, metrics: &MetricsRegistry) -> Result<PathB
     write_artifact("metrics.json", name, &(metrics.to_json() + "\n"))
 }
 
-/// Convenience: write both artifacts and report the paths on stdout in
-/// the same style the tables use. A failure (missing or read-only
+/// Writes a run's remarks and metrics, plus its Chrome Trace (open in
+/// Perfetto or `chrome://tracing`) when one was recorded, and reports
+/// the paths on stdout in the same style the tables use. The trace is
+/// validated first. A failure (broken trace, missing or read-only
 /// `$CMT_OBS_DIR`, full disk) is returned so the binary can print it
 /// and exit nonzero — CI must not treat a run with silently missing
 /// artifacts as green.
@@ -161,7 +143,13 @@ pub fn emit(
     name: &str,
     remarks: &[Remark],
     metrics: &MetricsRegistry,
+    trace: Option<&TraceSession>,
 ) -> Result<(), ArtifactError> {
+    if let Some(session) = trace {
+        session.validate().map_err(ArtifactError::TraceInvariants)?;
+        let p = write_artifact(TRACE_SUFFIX, name, &session.to_chrome_json())?;
+        println!("[obs] trace:    {}", p.display());
+    }
     let p = write_remarks_jsonl(name, remarks)?;
     println!("[obs] remarks:  {}", p.display());
     let p = write_metrics_json(name, metrics)?;

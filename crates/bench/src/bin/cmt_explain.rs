@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! cmt-explain [--seeds N] [--no-kernels] [--n N] [--margin-tie X]
-//!             [--max-disagreement X] [--max-regret F]
-//!             [--name NAME] [--bench-json PATH] [--check PATH]
+//!             [--name NAME] [--bench-json PATH]
 //! ```
 //!
 //! Runs the compound driver twice over the first `--seeds`
@@ -22,48 +21,41 @@
 //! `BENCH_explain.json`. Decision trees for the paper kernels print to
 //! stdout.
 //!
-//! Gates (deterministic — never wall-clock):
+//! Gates (deterministic — never wall-clock), the constants of
+//! `ExplainReport`'s artifact gate:
 //!
-//! * oracle disagreement rate ≤ `--max-disagreement` (default 0.20);
-//! * `LoopCost` regret vs best-of-both ≤ `--max-regret` (default 0.05).
+//! * oracle disagreement rate ≤ 0.20;
+//! * `LoopCost` regret vs best-of-both ≤ 0.05.
 //!
-//! `--check PATH` skips the sweep and applies the gates to a
-//! previously committed summary instead (the cheap CI gate on
-//! `BENCH_explain.json`).
+//! The committed `BENCH_explain.json` is held to the same gate by a
+//! tier-1 test.
 //!
 //! Exit codes: `0` ok, `1` gate failure, `2` usage or artifact error.
 
 use cmt_bench::ExplainSweepConfig;
 use cmt_bench::{explain_corpus, explain_sweep, render_decision_tree, ExplainReport};
-use cmt_obs::{CollectSink, TraceSession};
+use cmt_obs::{Artifact, CollectSink, TraceSession};
 use std::process::ExitCode;
 use std::time::Instant;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: cmt-explain [--seeds N] [--no-kernels] [--n N] [--margin-tie X] \
-         [--max-disagreement X] [--max-regret F] [--name NAME] [--bench-json PATH] \
-         [--check PATH]"
+         [--name NAME] [--bench-json PATH]"
     );
     ExitCode::from(2)
 }
 
 struct Args {
     cfg: ExplainSweepConfig,
-    max_disagreement: f64,
-    max_regret: f64,
     name: String,
     bench_json: Option<String>,
-    check: Option<String>,
 }
 
 fn parse_args() -> Result<Args, ()> {
     let mut cfg = ExplainSweepConfig::default();
-    let mut max_disagreement = 0.20f64;
-    let mut max_regret = 0.05f64;
     let mut name = "explain_corpus".to_string();
     let mut bench_json = None;
-    let mut check = None;
     let mut args = std::env::args().skip(1);
     let value = |args: &mut dyn Iterator<Item = String>| args.next().ok_or(());
     while let Some(a) = args.next() {
@@ -72,43 +64,16 @@ fn parse_args() -> Result<Args, ()> {
             "--no-kernels" => cfg.kernels = false,
             "--n" => cfg.n = value(&mut args)?.parse().map_err(|_| ())?,
             "--margin-tie" => cfg.margin_tie = value(&mut args)?.parse().map_err(|_| ())?,
-            "--max-disagreement" => max_disagreement = value(&mut args)?.parse().map_err(|_| ())?,
-            "--max-regret" => max_regret = value(&mut args)?.parse().map_err(|_| ())?,
             "--name" => name = value(&mut args)?,
             "--bench-json" => bench_json = Some(value(&mut args)?),
-            "--check" => check = Some(value(&mut args)?),
             _ => return Err(()),
         }
     }
     Ok(Args {
         cfg,
-        max_disagreement,
-        max_regret,
         name,
         bench_json,
-        check,
     })
-}
-
-/// Applies the deterministic gates to `report`; returns whether any
-/// failed.
-fn gate(report: &ExplainReport, max_disagreement: f64, max_regret: f64) -> bool {
-    let mut failed = false;
-    if report.disagreement_rate > max_disagreement {
-        eprintln!(
-            "cmt-explain: GATE: disagreement rate {:.3} exceeds --max-disagreement {}",
-            report.disagreement_rate, max_disagreement
-        );
-        failed = true;
-    }
-    if report.loopcost_regret > max_regret {
-        eprintln!(
-            "cmt-explain: GATE: loopcost regret {:.4} exceeds --max-regret {}",
-            report.loopcost_regret, max_regret
-        );
-        failed = true;
-    }
-    failed
 }
 
 fn print_summary(report: &ExplainReport) {
@@ -150,35 +115,6 @@ fn main() -> ExitCode {
     };
     let cfg = args.cfg;
 
-    // Check mode: gate a committed summary, no computation.
-    if let Some(path) = &args.check {
-        let doc = match std::fs::read_to_string(path) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("cmt-explain: {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let report = match ExplainReport::parse(&doc) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("cmt-explain: {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        println!(
-            "cmt-explain: checking {path} ({} programs, {} decisions at n={})",
-            report.programs, report.decisions, report.n
-        );
-        print_summary(&report);
-        return if gate(&report, args.max_disagreement, args.max_regret) {
-            ExitCode::FAILURE
-        } else {
-            println!("cmt-explain: committed report passes all gates");
-            ExitCode::SUCCESS
-        };
-    }
-
     let programs = explain_corpus(&cfg);
     println!(
         "cmt-explain: {} programs ({} seeds{}) at n={}, 2 oracles, 3 geometries",
@@ -214,46 +150,32 @@ fn main() -> ExitCode {
         secs
     );
 
-    let doc_json = doc.to_json();
-    match cmt_bench::write_explain_json(&args.name, &doc_json) {
+    match cmt_bench::write(&args.name, &doc) {
         Ok(p) => println!("[obs] explain:  {}", p.display()),
         Err(e) => {
             eprintln!("cmt-explain: {e}");
             return ExitCode::from(2);
         }
     }
-    if let Some(session) = &session {
-        if let Err(e) = session.validate() {
-            eprintln!("cmt-explain: trace invariants: {e}");
-            return ExitCode::from(2);
-        }
-        match cmt_bench::write_trace_json(&args.name, &session.to_chrome_json()) {
-            Ok(p) => println!("[obs] trace:    {}", p.display()),
-            Err(e) => {
-                eprintln!("cmt-explain: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Err(e) = cmt_bench::emit(&args.name, &sink.remarks, &sink.metrics) {
+    if let Err(e) = cmt_bench::emit(&args.name, &sink.remarks, &sink.metrics, session.as_ref()) {
         eprintln!("cmt-explain: {e}");
         return ExitCode::from(2);
     }
-    let report_json = report.to_json();
     if let Some(path) = &args.bench_json {
-        if let Err(e) = std::fs::write(path, &report_json) {
+        if let Err(e) = std::fs::write(path, report.to_json()) {
             eprintln!("cmt-explain: {path}: {e}");
             return ExitCode::from(2);
         }
         println!("[obs] bench:    {path}");
     }
 
-    let failed = gate(&report, args.max_disagreement, args.max_regret);
-    let _ = ExplainReport::parse(&report_json).expect("self-written report must parse");
-    let _ = cmt_bench::ExplainDocument::parse(&doc_json).expect("self-written document must parse");
-    if failed {
-        ExitCode::FAILURE
-    } else {
+    let violations = report.gate();
+    for v in &violations {
+        eprintln!("cmt-explain: GATE: {v}");
+    }
+    if violations.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

@@ -3,8 +3,7 @@
 //! ```text
 //! cmt-profile [--seeds N] [--no-kernels] [--n N] [--top K]
 //!             [--stride K | --first-n N | --full]
-//!             [--no-optimize] [--check] [--min-agreement X]
-//!             [--max-cost F] [--name NAME] [--bench-json PATH]
+//!             [--no-optimize] [--check] [--name NAME] [--bench-json PATH]
 //! ```
 //!
 //! Sweeps the first `--seeds` verify-corpus programs plus the paper
@@ -15,12 +14,12 @@
 //! run per flagged program.
 //!
 //! Gates (deterministic — they fail on sampling accuracy or sampled
-//! work volume, never on wall-clock):
+//! work volume, never on wall-clock), constants of `HotspotProfile`:
 //!
-//! * always: sampled fraction of corpus accesses ≤ `--max-cost`
-//!   (default 0.10);
+//! * always: the profile's artifact gate — sampled fraction of corpus
+//!   accesses ≤ 0.10 (`MAX_SAMPLED_FRACTION`; policy `--full` exempt);
 //! * with `--check`: top-K agreement with a full-simulation ground
-//!   truth ranking ≥ `--min-agreement` (default 1.0).
+//!   truth ranking ≥ 1.0 (`MIN_TOP_K_AGREEMENT`).
 //!
 //! `--bench-json` additionally records wall-clock for the sampled and
 //! (under `--check`) full passes — informational, like the committed
@@ -30,8 +29,8 @@
 
 use cmt_bench::{profile_sweep, sweep_corpus, SweepConfig, SweepResult};
 use cmt_obs::json::ObjectWriter;
-use cmt_obs::{CollectSink, TraceSession};
-use cmt_profile::SamplePolicy;
+use cmt_obs::{Artifact, CollectSink, TraceSession};
+use cmt_profile::{HotspotProfile, SamplePolicy};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -39,23 +38,19 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: cmt-profile [--seeds N] [--no-kernels] [--n N] [--top K] \
          [--stride K | --first-n N | --full] [--no-optimize] [--check] \
-         [--min-agreement X] [--max-cost F] [--name NAME] [--bench-json PATH]"
+         [--name NAME] [--bench-json PATH]"
     );
     ExitCode::from(2)
 }
 
 struct Args {
     cfg: SweepConfig,
-    min_agreement: f64,
-    max_cost: f64,
     name: String,
     bench_json: Option<String>,
 }
 
 fn parse_args() -> Result<Args, ()> {
     let mut cfg = SweepConfig::default();
-    let mut min_agreement = 1.0f64;
-    let mut max_cost = 0.10f64;
     let mut name = "profile_corpus".to_string();
     let mut bench_json = None;
     let mut args = std::env::args().skip(1);
@@ -89,8 +84,6 @@ fn parse_args() -> Result<Args, ()> {
             "--full" => cfg.policy = SamplePolicy::Full,
             "--no-optimize" => cfg.optimize = false,
             "--check" => cfg.check = true,
-            "--min-agreement" => min_agreement = value(&mut args)?.parse().map_err(|_| ())?,
-            "--max-cost" => max_cost = value(&mut args)?.parse().map_err(|_| ())?,
             "--name" => name = value(&mut args)?,
             "--bench-json" => bench_json = Some(value(&mut args)?),
             _ => return Err(()),
@@ -98,8 +91,6 @@ fn parse_args() -> Result<Args, ()> {
     }
     Ok(Args {
         cfg,
-        min_agreement,
-        max_cost,
         name,
         bench_json,
     })
@@ -122,7 +113,7 @@ fn bench_json_doc(
     w.field_u64("accesses_sampled", result.accesses_sampled);
     w.field_raw(
         "sampled_fraction",
-        &format!("{:.6}", result.sampled_fraction()),
+        &format!("{:.6}", result.hotspots.sampled_fraction()),
     );
     // Wall-clock is informational only — gates never read it.
     w.field_raw("sampled_seconds", &format!("{sampled_secs:.3}"));
@@ -196,32 +187,19 @@ fn main() -> ExitCode {
         "sampled {} of {} accesses ({:.2}%) across {} nests",
         result.accesses_sampled,
         result.accesses_total,
-        result.sampled_fraction() * 100.0,
+        result.hotspots.sampled_fraction() * 100.0,
         result.nests
     );
 
     // Artifacts: profile.json + remarks/metrics (+ trace).
-    match cmt_bench::write_profile_json(&args.name, &result.hotspots.to_json()) {
+    match cmt_bench::write(&args.name, &result.hotspots) {
         Ok(p) => println!("[obs] profile:  {}", p.display()),
         Err(e) => {
             eprintln!("cmt-profile: {e}");
             return ExitCode::from(2);
         }
     }
-    if let Some(session) = &session {
-        if let Err(e) = session.validate() {
-            eprintln!("cmt-profile: trace invariants: {e}");
-            return ExitCode::from(2);
-        }
-        match cmt_bench::write_trace_json(&args.name, &session.to_chrome_json()) {
-            Ok(p) => println!("[obs] trace:    {}", p.display()),
-            Err(e) => {
-                eprintln!("cmt-profile: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Err(e) = cmt_bench::emit(&args.name, &sink.remarks, &sink.metrics) {
+    if let Err(e) = cmt_bench::emit(&args.name, &sink.remarks, &sink.metrics, session.as_ref()) {
         eprintln!("cmt-profile: {e}");
         return ExitCode::from(2);
     }
@@ -235,31 +213,27 @@ fn main() -> ExitCode {
     }
 
     // Deterministic gates.
-    let mut failed = false;
-    if !matches!(cfg.policy, SamplePolicy::Full) && result.sampled_fraction() > args.max_cost {
-        eprintln!(
-            "cmt-profile: GATE: sampled fraction {:.4} exceeds --max-cost {}",
-            result.sampled_fraction(),
-            args.max_cost
-        );
-        failed = true;
-    }
+    let mut violations = result.hotspots.gate();
     if let Some(a) = &result.agreement {
         println!(
             "check: top-{} agreement {:.3}, kendall tau {:.3} vs full simulation",
             a.top_k, a.top_k_agreement, a.kendall_tau
         );
-        if a.top_k_agreement < args.min_agreement {
-            eprintln!(
-                "cmt-profile: GATE: top-{} agreement {:.3} below --min-agreement {}",
-                a.top_k, a.top_k_agreement, args.min_agreement
-            );
-            failed = true;
+        if a.top_k_agreement < HotspotProfile::MIN_TOP_K_AGREEMENT {
+            violations.push(format!(
+                "top-{} agreement {:.3} below {}",
+                a.top_k,
+                a.top_k_agreement,
+                HotspotProfile::MIN_TOP_K_AGREEMENT
+            ));
         }
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
+    for v in &violations {
+        eprintln!("cmt-profile: GATE: {v}");
+    }
+    if violations.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

@@ -5,15 +5,16 @@
 //! ```
 //!
 //! Joins `{dir}/{name}.remarks.jsonl`, `{dir}/{name}.metrics.json`, and
-//! (when present) `{dir}/{name}.trace.json`, `{dir}/{name}.profile.json`,
-//! `{dir}/{name}.analytic.json`, `{dir}/{name}.explain.json`, and
-//! `{dir}/{name}.server.json` into `{dir}/{name}.report.md`. `DIR` defaults to the artifact directory
-//! (`$CMT_OBS_DIR`, or `results/`). The report reads only deterministic
-//! fields, so it is byte-identical across runs of the same workload.
+//! (when present) `{dir}/{name}.trace.json` and the file of every kind
+//! in `cmt_bench::ARTIFACT_KINDS` into `{dir}/{name}.report.md`. `DIR`
+//! defaults to the artifact directory (`$CMT_OBS_DIR`, or `results/`).
+//! The report reads only deterministic fields, so it is byte-identical
+//! across runs of the same workload.
 //!
 //! Exit codes: `0` report written, `1` report could not be written,
 //! `2` usage error or missing/malformed input artifacts.
 
+use cmt_bench::{render_report, ARTIFACT_KINDS, TRACE_SUFFIX};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -58,27 +59,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // The trace (only written under CMT_TRACE), hotspot profile (only
-    // written by profiling sweeps), analytic accuracy report (only
-    // written by `cmt-analytic`), decision provenance (only written by
-    // `cmt-explain`), and service load report (only written by
-    // `cmt-serve-bench`) are optional.
-    let trace = read("trace.json").ok();
-    let profile = read("profile.json").ok();
-    let analytic = read("analytic.json").ok();
-    let explain = read("explain.json").ok();
-    let server = read("server.json").ok();
+    // The trace (only written under CMT_TRACE) and every artifact kind
+    // (each written by one sweep or harness) are optional.
+    let suffixes = ARTIFACT_KINDS.iter().map(|k| k.suffix());
+    let optional: Vec<(&str, String)> = std::iter::once(TRACE_SUFFIX)
+        .chain(suffixes)
+        .filter_map(|suffix| read(suffix).ok().map(|text| (suffix, text)))
+        .collect();
+    let optional: Vec<(&str, &str)> = optional.iter().map(|(s, t)| (*s, t.as_str())).collect();
 
-    match cmt_bench::render_report(
-        &name,
-        &remarks,
-        &metrics,
-        trace.as_deref(),
-        profile.as_deref(),
-        analytic.as_deref(),
-        explain.as_deref(),
-        server.as_deref(),
-    ) {
+    match render_report(&name, &remarks, &metrics, &optional) {
         Ok(report) => {
             let path = dir.join(format!("{name}.report.md"));
             if let Err(e) = std::fs::write(&path, &report) {

@@ -5,31 +5,31 @@
 //! cmt-serve-bench [--seeds N] [--no-kernels] [--clients C] [--passes P]
 //!                 [--n N] [--fault-seed S] [--hot PCT] [--mix-seed S]
 //!                 [--connect HOST:PORT] [--bench-json PATH]
-//!                 [--artifact NAME] [--min-hit FRAC]
-//!                 [--check PATH [--threshold REL]]
+//!                 [--artifact NAME] [--check PATH]
 //! ```
 //!
 //! Replays the verify corpus (plus the paper kernels) against a server —
 //! an in-process one by default, or a running `cmt-serve` via
-//! `--connect` — and writes the `BENCH_server.json` report (default
-//! path: the repo root copy; override with `--bench-json`).
-//! `--artifact NAME` additionally writes `{artifact_dir}/NAME.server.json`
-//! for `cmt-report` / `obs_diff`.
+//! `--connect` — and prints the report. `--bench-json PATH` writes it
+//! as a `BENCH_server.json` document (nothing is written without it, so
+//! a casual run never rewrites the committed baseline). `--artifact
+//! NAME` writes `{artifact_dir}/NAME.server.json` for `cmt-report` /
+//! `obs_diff`.
 //!
-//! Gates (any failure exits 1):
-//! * always: zero malformed replies and zero transport failures — every
-//!   request must get a structured answer;
-//! * `--min-hit F`: second-pass memo hit rate ≥ `F`;
-//! * `--check PATH` (or `CMT_BENCH_GATE=PATH`): deterministic fields
-//!   must match the committed report within `--threshold` (default
-//!   0.05); wall-clock latency findings are informational only and
-//!   printed without failing the gate.
+//! Gates (any failure exits 1), constants of `ServerBenchReport`:
+//! * always, the report's artifact gate: zero malformed replies and
+//!   zero transport failures — every request must get a structured
+//!   answer — and, when a replay pass ran, a second-pass memo hit rate
+//!   ≥ 0.5 (`MIN_HIT_RATE`);
+//! * `--check PATH`: deterministic fields must match the committed
+//!   report within 0.05 (`CHECK_THRESHOLD`); wall-clock latency
+//!   findings are informational only and printed without failing the
+//!   gate.
 //!
 //! Exit codes: `0` all gates pass, `1` a gate failed, `2` usage error.
 
-use cmt_bench::{
-    diff_server, run_serve_bench, ServeBenchConfig, ServeTransport, ServerBenchReport,
-};
+use cmt_bench::{run_serve_bench, ServeBenchConfig, ServeTransport, ServerBenchReport};
+use cmt_obs::Artifact;
 use cmt_serve::ServeConfig;
 use std::process::ExitCode;
 
@@ -37,7 +37,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: cmt-serve-bench [--seeds N] [--no-kernels] [--clients C] [--passes P] \
          [--n N] [--fault-seed S] [--hot PCT] [--mix-seed S] [--connect HOST:PORT] \
-         [--bench-json PATH] [--artifact NAME] [--min-hit FRAC] [--check PATH] [--threshold REL]"
+         [--bench-json PATH] [--artifact NAME] [--check PATH]"
     );
     ExitCode::from(2)
 }
@@ -47,9 +47,7 @@ fn main() -> ExitCode {
     let mut connect: Option<String> = None;
     let mut bench_json: Option<String> = None;
     let mut artifact: Option<String> = None;
-    let mut min_hit: Option<f64> = None;
-    let mut check: Option<String> = std::env::var("CMT_BENCH_GATE").ok();
-    let mut threshold = 0.05f64;
+    let mut check: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -70,19 +68,7 @@ fn main() -> ExitCode {
                 "--connect" => connect = Some(val("--connect")?),
                 "--bench-json" => bench_json = Some(val("--bench-json")?),
                 "--artifact" => artifact = Some(val("--artifact")?),
-                "--min-hit" => {
-                    min_hit = Some(
-                        val("--min-hit")?
-                            .parse()
-                            .map_err(|_| "bad --min-hit".to_string())?,
-                    )
-                }
                 "--check" => check = Some(val("--check")?),
-                "--threshold" => {
-                    threshold = val("--threshold")?
-                        .parse()
-                        .map_err(|_| "bad --threshold".to_string())?
-                }
                 "--help" | "-h" => return Err("help".to_string()),
                 other => return Err(format!("unknown flag {other}")),
             }
@@ -129,20 +115,18 @@ fn main() -> ExitCode {
         report.p99_cold_us,
     );
 
-    let json = report.to_json() + "\n";
-    let bench_path = bench_json.unwrap_or_else(|| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_server.json").to_string()
-    });
-    if let Some(parent) = std::path::Path::new(&bench_path).parent() {
-        let _ = std::fs::create_dir_all(parent);
+    if let Some(path) = bench_json {
+        if let Some(parent) = std::path::Path::new(&path).parent() {
+            let _ = std::fs::create_dir_all(parent);
+        }
+        if let Err(e) = std::fs::write(&path, report.to_json()) {
+            eprintln!("cmt-serve-bench: cannot write {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        println!("[serve-bench] report: {path}");
     }
-    if let Err(e) = std::fs::write(&bench_path, &json) {
-        eprintln!("cmt-serve-bench: cannot write {bench_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("[serve-bench] report: {bench_path}");
     if let Some(name) = artifact {
-        match cmt_bench::write_server_json(&name, &json) {
+        match cmt_bench::write(&name, &report) {
             Ok(p) => println!("[serve-bench] artifact: {}", p.display()),
             Err(e) => {
                 eprintln!("cmt-serve-bench: {e}");
@@ -152,19 +136,9 @@ fn main() -> ExitCode {
     }
 
     let mut failed = false;
-    if report.malformed > 0 || report.transport_failures > 0 {
-        eprintln!(
-            "cmt-serve-bench: GATE FAILED: {} malformed replies, {} transport failures (want 0/0)",
-            report.malformed, report.transport_failures
-        );
+    for v in report.gate() {
+        eprintln!("cmt-serve-bench: GATE FAILED: {v}");
         failed = true;
-    }
-    if let Some(min) = min_hit {
-        let hit = report.hit_rate_second_pass();
-        if hit < min {
-            eprintln!("cmt-serve-bench: GATE FAILED: second-pass hit rate {hit:.3} < {min:.3}");
-            failed = true;
-        }
     }
     if let Some(path) = check {
         let baseline = std::fs::read_to_string(&path)
@@ -172,13 +146,13 @@ fn main() -> ExitCode {
             .and_then(|t| ServerBenchReport::parse(&t));
         match baseline {
             Ok(baseline) => {
-                for finding in diff_server(&baseline, &report, threshold) {
-                    if finding.starts_with("latency:") {
-                        println!("[serve-bench] info {finding}");
-                    } else {
-                        eprintln!("cmt-serve-bench: GATE FAILED: {finding}");
-                        failed = true;
-                    }
+                let findings = baseline.diff(&report, ServerBenchReport::CHECK_THRESHOLD);
+                for finding in findings.informational {
+                    println!("[serve-bench] info {finding}");
+                }
+                for finding in findings.deterministic {
+                    eprintln!("cmt-serve-bench: GATE FAILED: {finding}");
+                    failed = true;
                 }
             }
             Err(e) => {

@@ -1,7 +1,5 @@
 //! Regenerates Figure 2: matrix-multiply loop-order ranking.
 
-use cmt_locality::pass::Pipeline;
-use cmt_obs::{CollectSink, TraceSession, Tracing};
 use std::process::ExitCode;
 
 /// Pinned shard count for the artifact-producing simulation, so the
@@ -28,40 +26,14 @@ fn main() -> ExitCode {
     // CMT_TRACE set, the same run also records a Chrome Trace (pass and
     // nest spans on the main track, the simulation with its per-shard
     // slices and miss-rate counter series on its own track).
-    let mut p = cmt_suite::kernels::matmul("IJK");
-    let sim_n = n.min(128);
-    let pipeline = Pipeline::paper_default(4);
-    let mut sink;
-    if cmt_bench::trace_enabled() {
-        let mut session = TraceSession::new();
-        let mut traced = Tracing::new(CollectSink::new(), session.main());
-        let reports = pipeline.run_observed(&mut p, &mut traced);
-        sink = traced.inner;
-        for r in &reports {
-            println!("[pass] {}: {}", r.name, r.summary);
-        }
-        let mut track = session.track("sim");
-        let mut sim = cmt_bench::simulate_observed(&p, sim_n, SHARDS, 10_000, Some(&mut track));
-        session.absorb(track);
-        sim.export_metrics(&mut sink.metrics, "fig2.matmul_opt");
-        session.validate().expect("trace invariants");
-        match cmt_bench::write_trace_json("fig2_matmul", &session.to_chrome_json()) {
-            Ok(path) => println!("[obs] trace:    {}", path.display()),
-            Err(e) => {
-                eprintln!("fig2_matmul: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        sink = CollectSink::new();
-        let reports = pipeline.run_observed(&mut p, &mut sink);
-        for r in &reports {
-            println!("[pass] {}: {}", r.name, r.summary);
-        }
-        let mut sim = cmt_bench::simulate_observed(&p, sim_n, SHARDS, 10_000, None);
-        sim.export_metrics(&mut sink.metrics, "fig2.matmul_opt");
-    }
-    if let Err(e) = cmt_bench::emit("fig2_matmul", &sink.remarks, &sink.metrics) {
+    let program = cmt_suite::kernels::matmul("IJK");
+    if let Err(e) = cmt_bench::emit_observed_pipeline(
+        "fig2_matmul",
+        program,
+        n.min(128),
+        SHARDS,
+        "fig2.matmul_opt",
+    ) {
         eprintln!("fig2_matmul: {e}");
         return ExitCode::FAILURE;
     }

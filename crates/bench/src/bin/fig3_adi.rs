@@ -1,7 +1,5 @@
 //! Regenerates Figure 3: ADI fusion + interchange.
 
-use cmt_locality::pass::Pipeline;
-use cmt_obs::{CollectSink, TraceSession, Tracing};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -20,40 +18,10 @@ fn main() -> ExitCode {
     // form (fuse-all then interchange), plus an attributed simulation.
     // With CMT_TRACE set, the same run also records a Chrome Trace
     // (pass spans on the main track, the simulation on its own track).
-    let mut p = cmt_suite::kernels::adi_scalarized();
-    let sim_n = n.min(128);
-    let pipeline = Pipeline::paper_default(4);
-    let mut sink;
-    if cmt_bench::trace_enabled() {
-        let mut session = TraceSession::new();
-        let mut traced = Tracing::new(CollectSink::new(), session.main());
-        let reports = pipeline.run_observed(&mut p, &mut traced);
-        sink = traced.inner;
-        for r in &reports {
-            println!("[pass] {}: {}", r.name, r.summary);
-        }
-        let mut track = session.track("sim");
-        let mut sim = cmt_bench::simulate_observed(&p, sim_n, 1, 10_000, Some(&mut track));
-        session.absorb(track);
-        sim.export_metrics(&mut sink.metrics, "fig3.adi_opt");
-        session.validate().expect("trace invariants");
-        match cmt_bench::write_trace_json("fig3_adi", &session.to_chrome_json()) {
-            Ok(path) => println!("[obs] trace:    {}", path.display()),
-            Err(e) => {
-                eprintln!("fig3_adi: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        sink = CollectSink::new();
-        let reports = pipeline.run_observed(&mut p, &mut sink);
-        for r in &reports {
-            println!("[pass] {}: {}", r.name, r.summary);
-        }
-        let mut sim = cmt_bench::simulate_observed(&p, sim_n, 1, 10_000, None);
-        sim.export_metrics(&mut sink.metrics, "fig3.adi_opt");
-    }
-    if let Err(e) = cmt_bench::emit("fig3_adi", &sink.remarks, &sink.metrics) {
+    let program = cmt_suite::kernels::adi_scalarized();
+    if let Err(e) =
+        cmt_bench::emit_observed_pipeline("fig3_adi", program, n.min(128), 1, "fig3.adi_opt")
+    {
         eprintln!("fig3_adi: {e}");
         return ExitCode::FAILURE;
     }

@@ -1,7 +1,5 @@
 //! Regenerates Figure 7: Cholesky variants.
 
-use cmt_locality::pass::Pipeline;
-use cmt_obs::{CollectSink, TraceSession, Tracing};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -19,40 +17,14 @@ fn main() -> ExitCode {
     // simulation of the result. With CMT_TRACE set, the same run also
     // records a Chrome Trace (pass spans on the main track, the
     // simulation on its own track).
-    let mut p = cmt_suite::kernels::cholesky_kij();
-    let sim_n = n.min(160);
-    let pipeline = Pipeline::paper_default(4);
-    let mut sink;
-    if cmt_bench::trace_enabled() {
-        let mut session = TraceSession::new();
-        let mut traced = Tracing::new(CollectSink::new(), session.main());
-        let reports = pipeline.run_observed(&mut p, &mut traced);
-        sink = traced.inner;
-        for r in &reports {
-            println!("[pass] {}: {}", r.name, r.summary);
-        }
-        let mut track = session.track("sim");
-        let mut sim = cmt_bench::simulate_observed(&p, sim_n, 1, 10_000, Some(&mut track));
-        session.absorb(track);
-        sim.export_metrics(&mut sink.metrics, "fig7.cholesky_opt");
-        session.validate().expect("trace invariants");
-        match cmt_bench::write_trace_json("fig7_cholesky", &session.to_chrome_json()) {
-            Ok(path) => println!("[obs] trace:    {}", path.display()),
-            Err(e) => {
-                eprintln!("fig7_cholesky: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        sink = CollectSink::new();
-        let reports = pipeline.run_observed(&mut p, &mut sink);
-        for r in &reports {
-            println!("[pass] {}: {}", r.name, r.summary);
-        }
-        let mut sim = cmt_bench::simulate_observed(&p, sim_n, 1, 10_000, None);
-        sim.export_metrics(&mut sink.metrics, "fig7.cholesky_opt");
-    }
-    if let Err(e) = cmt_bench::emit("fig7_cholesky", &sink.remarks, &sink.metrics) {
+    let program = cmt_suite::kernels::cholesky_kij();
+    if let Err(e) = cmt_bench::emit_observed_pipeline(
+        "fig7_cholesky",
+        program,
+        n.min(160),
+        1,
+        "fig7.cholesky_opt",
+    ) {
         eprintln!("fig7_cholesky: {e}");
         return ExitCode::FAILURE;
     }

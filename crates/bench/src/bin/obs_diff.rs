@@ -7,28 +7,22 @@
 //! Diffs `{name}.metrics.json` (counter deltas and histogram-statistic
 //! drift beyond `REL`, default 0.0) and `{name}.remarks.jsonl`
 //! (new/vanished remark lines, order-insensitive) between the two
-//! directories. When either side has a `{name}.profile.json` hotspot
-//! profile, it participates too: rank moves always count, miss/
-//! attribution drift beyond `REL` counts, and a profile present on only
-//! one side is itself a finding. Likewise a `{name}.explain.json`
-//! decision-provenance document: decision flips (different desired
-//! order or outcome for the same nest×action) always count, win-margin
-//! drift beyond `REL` counts, and a one-sided document is a finding.
-//! A `{name}.server.json` service load report participates the same
-//! way: reply-count and hit-rate/shed-rate drift beyond `REL` counts,
-//! p99 cold-latency drift is reported with a `latency:` prefix, and a
-//! one-sided report is a finding. Wall-clock (`*.ns`) histograms are
-//! excluded — only deterministic fields participate. Prints one line
-//! per finding.
+//! directories. Every optional artifact kind of
+//! `cmt_bench::ARTIFACT_KINDS` (`profile.json`, `analytic.json`,
+//! `explain.json`, `server.json`) participates through its own diff
+//! when either side has one: absent on both sides is skipped, present
+//! on one side is a finding. Wall-clock (`*.ns`) histograms are
+//! excluded, and a kind's wall-clock fields (the server's p99 cold
+//! latency) print as informational lines that never count. Prints one
+//! line per finding.
 //!
 //! Exit codes: `0` no differences, `1` differences found, `2` usage
 //! error or missing/malformed input artifacts — so CI gating on a
 //! committed `results/baseline/` can tell "drift" apart from "broken
 //! run".
 
-use cmt_bench::{diff_explain, diff_server, ExplainDocument, ServerBenchReport};
-use cmt_obs::{diff_metrics, diff_remarks};
-use cmt_profile::{diff_profiles, HotspotProfile};
+use cmt_bench::ARTIFACT_KINDS;
+use cmt_obs::{diff_metrics, diff_remarks, Findings};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -77,76 +71,39 @@ fn main() -> ExitCode {
         }
     };
 
-    // The hotspot profile is an optional artifact: only profiling
-    // sweeps write one, so "absent on both sides" is not a finding.
-    let bp = read(baseline, name, "profile.json").ok();
-    let cp = read(current, name, "profile.json").ok();
-    // Same contract for decision provenance: only `cmt-explain` runs
-    // write one.
-    let be = read(baseline, name, "explain.json").ok();
-    let ce = read(current, name, "explain.json").ok();
-    // And for the service load report: only `cmt-serve-bench` writes
-    // one.
-    let bs = read(baseline, name, "server.json").ok();
-    let cs = read(current, name, "server.json").ok();
-
-    let findings = (|| -> Result<Vec<String>, String> {
-        let mut f: Vec<String> = diff_metrics(&bm, &cm, threshold)?
-            .into_iter()
-            .map(|d| d.to_string())
-            .collect();
-        f.extend(diff_remarks(&br, &cr)?.into_iter().map(|d| d.to_string()));
-        match (&bp, &cp) {
-            (None, None) => {}
-            (Some(_), None) => f.push("profile.json removed (baseline only)".to_string()),
-            (None, Some(_)) => f.push("profile.json added (current only)".to_string()),
-            (Some(b), Some(c)) => {
-                let b = HotspotProfile::parse(b).map_err(|e| format!("baseline profile: {e}"))?;
-                let c = HotspotProfile::parse(c).map_err(|e| format!("current profile: {e}"))?;
-                f.extend(
-                    diff_profiles(&b, &c, threshold)
-                        .into_iter()
-                        .map(|d| format!("profile: {d}")),
-                );
-            }
-        }
-        match (&be, &ce) {
-            (None, None) => {}
-            (Some(_), None) => f.push("explain.json removed (baseline only)".to_string()),
-            (None, Some(_)) => f.push("explain.json added (current only)".to_string()),
-            (Some(b), Some(c)) => {
-                let b = ExplainDocument::parse(b).map_err(|e| format!("baseline explain: {e}"))?;
-                let c = ExplainDocument::parse(c).map_err(|e| format!("current explain: {e}"))?;
-                f.extend(
-                    diff_explain(&b, &c, threshold)
-                        .into_iter()
-                        .map(|d| format!("explain: {d}")),
-                );
-            }
-        }
-        match (&bs, &cs) {
-            (None, None) => {}
-            (Some(_), None) => f.push("server.json removed (baseline only)".to_string()),
-            (None, Some(_)) => f.push("server.json added (current only)".to_string()),
-            (Some(b), Some(c)) => {
-                let b = ServerBenchReport::parse(b).map_err(|e| format!("baseline server: {e}"))?;
-                let c = ServerBenchReport::parse(c).map_err(|e| format!("current server: {e}"))?;
-                f.extend(diff_server(&b, &c, threshold));
-            }
+    let findings = (|| -> Result<Findings, String> {
+        let mut f = Findings::default();
+        f.deterministic.extend(
+            diff_metrics(&bm, &cm, threshold)?
+                .into_iter()
+                .map(|d| d.to_string()),
+        );
+        f.deterministic
+            .extend(diff_remarks(&br, &cr)?.into_iter().map(|d| d.to_string()));
+        for kind in ARTIFACT_KINDS {
+            let b = read(baseline, name, kind.suffix()).ok();
+            let c = read(current, name, kind.suffix()).ok();
+            let found = kind.diff(b.as_deref(), c.as_deref(), threshold)?;
+            f.deterministic.extend(found.deterministic);
+            f.informational.extend(found.informational);
         }
         Ok(f)
     })();
     match findings {
-        Ok(findings) if findings.is_empty() => {
-            println!("obs_diff: {name}: no differences (threshold {threshold})");
-            ExitCode::SUCCESS
-        }
-        Ok(findings) => {
-            for f in &findings {
-                println!("{f}");
+        Ok(f) => {
+            for line in &f.deterministic {
+                println!("{line}");
             }
-            println!("obs_diff: {name}: {} difference(s)", findings.len());
-            ExitCode::FAILURE
+            for line in &f.informational {
+                println!("{line} (informational, not counted)");
+            }
+            if f.deterministic.is_empty() {
+                println!("obs_diff: {name}: no differences (threshold {threshold})");
+                ExitCode::SUCCESS
+            } else {
+                println!("obs_diff: {name}: {} difference(s)", f.deterministic.len());
+                ExitCode::FAILURE
+            }
         }
         Err(e) => {
             // Malformed JSON/JSONL is a broken artifact, not a diff.

@@ -1,8 +1,5 @@
 //! Regenerates Table 2: per-program memory-order statistics.
 
-use cmt_locality::compound_observed;
-use cmt_locality::model::CostModel;
-use cmt_obs::{CollectSink, TraceSession, Tracing};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -10,43 +7,15 @@ fn main() -> ExitCode {
     println!("{text}");
 
     // Observability artifacts: the full remark stream for every suite
-    // model — one `compound` run each, same decisions the table counts.
-    // Each worker collects into its own sink; absorbing them in suite
-    // order keeps the JSONL stream byte-identical for any CMT_JOBS.
-    // With CMT_TRACE set, each worker additionally records its
-    // `compound` spans onto its own trace track.
-    let model = CostModel::new(4);
-    let models = cmt_suite::suite();
-    let mut session = cmt_bench::trace_enabled().then(TraceSession::new);
-    let parts = match session.as_mut() {
-        Some(session) => cmt_bench::par_map_traced(&models, session, |m, track| {
-            let mut traced = Tracing::new(CollectSink::new(), track);
-            let mut p = m.optimized.clone();
-            let _ = compound_observed(&mut p, &model, &Default::default(), &mut traced);
-            traced.inner
-        }),
-        None => cmt_bench::par_map(&models, |m| {
-            let mut local = CollectSink::new();
-            let mut p = m.optimized.clone();
-            let _ = compound_observed(&mut p, &model, &Default::default(), &mut local);
-            local
-        }),
-    };
-    let mut sink = CollectSink::new();
-    for part in parts {
-        sink.absorb(part);
-    }
-    if let Some(session) = &session {
-        session.validate().expect("trace invariants");
-        match cmt_bench::write_trace_json("table2_memory_order", &session.to_chrome_json()) {
-            Ok(path) => println!("[obs] trace:    {}", path.display()),
-            Err(e) => {
-                eprintln!("table2_memory_order: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Err(e) = cmt_bench::emit("table2_memory_order", &sink.remarks, &sink.metrics) {
+    // model — one `compound` run each, same decisions the table counts —
+    // plus a Chrome Trace under CMT_TRACE.
+    let programs: Vec<_> = cmt_suite::suite()
+        .into_iter()
+        .map(|m| m.optimized)
+        .collect();
+    if let Err(e) =
+        cmt_bench::emit_observed_compound("table2_memory_order", &programs, &Default::default())
+    {
         eprintln!("table2_memory_order: {e}");
         return ExitCode::FAILURE;
     }

@@ -46,17 +46,12 @@ fn main() -> ExitCode {
     for part in parts {
         sink.absorb(part);
     }
-    if let Some(session) = trace_session {
-        session.validate().expect("trace invariants");
-        match cmt_bench::write_trace_json("table4_hit_rates", &session.to_chrome_json()) {
-            Ok(path) => println!("[obs] trace:    {}", path.display()),
-            Err(e) => {
-                eprintln!("table4_hit_rates: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Err(e) = cmt_bench::emit("table4_hit_rates", &sink.remarks, &sink.metrics) {
+    if let Err(e) = cmt_bench::emit(
+        "table4_hit_rates",
+        &sink.remarks,
+        &sink.metrics,
+        trace_session.as_ref(),
+    ) {
         eprintln!("table4_hit_rates: {e}");
         return ExitCode::FAILURE;
     }

@@ -34,9 +34,12 @@ use cmt_cache::CacheConfig;
 use cmt_ir::program::Program;
 use cmt_locality::{compound_oracle, CompoundOptions, CostModel, NullProvenance, RankOracle};
 use cmt_obs::json::{self, ObjectWriter, Value};
-use cmt_obs::{CollectSink, DecisionRecord, NullObs, ObsSink, TraceSession, Tracing};
+use cmt_obs::{
+    Artifact, CollectSink, DecisionRecord, Findings, NullObs, ObsSink, TraceSession, Tracing,
+};
 use cmt_profile::{describe_cache, profile_program, ProfileOptions, SamplePolicy};
 use cmt_verify::{corpus_seeds, generate};
+use std::fmt::Write as _;
 
 /// What a decision-provenance sweep covers.
 #[derive(Clone, Copy, Debug)]
@@ -270,35 +273,10 @@ impl NestDivergence {
     }
 }
 
-fn str_of(v: &Value, k: &str) -> Result<String, String> {
-    Ok(v.get(k)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing string field {k:?}"))?
-        .to_string())
-}
+impl Artifact for ExplainDocument {
+    const SUFFIX: &'static str = "explain.json";
 
-fn u64_of(v: &Value, k: &str) -> Result<u64, String> {
-    v.get(k)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing numeric field {k:?}"))
-}
-
-fn f64_of(v: &Value, k: &str) -> Result<f64, String> {
-    v.get(k)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing numeric field {k:?}"))
-}
-
-fn bool_of(v: &Value, k: &str) -> Result<bool, String> {
-    v.get(k)
-        .and_then(Value::as_bool)
-        .ok_or_else(|| format!("missing boolean field {k:?}"))
-}
-
-impl ExplainDocument {
-    /// Serializes to the deterministic full record (fixed field order,
-    /// fixed float formatting), trailing newline included.
-    pub fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let decisions = json::array(self.decisions.iter().map(DecisionJoin::to_json));
         let divergence = json::array(self.divergence.iter().map(NestDivergence::to_json));
         let mut w = ObjectWriter::new();
@@ -312,73 +290,167 @@ impl ExplainDocument {
         w.finish() + "\n"
     }
 
-    /// Parses a document produced by [`ExplainDocument::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural problem.
-    pub fn parse(text: &str) -> Result<ExplainDocument, String> {
+    fn parse(text: &str) -> Result<ExplainDocument, String> {
         let v = json::parse(text)?;
-        if str_of(&v, "bench")? != "explain-full" {
+        if v.str_field("bench")? != "explain-full" {
             return Err("not an explain document (bench != \"explain-full\")".to_string());
         }
         let mut out = ExplainDocument {
-            seeds: u64_of(&v, "seeds")? as usize,
-            programs: u64_of(&v, "programs")? as usize,
-            n: f64_of(&v, "n")? as i64,
-            margin_tie: f64_of(&v, "margin_tie")?,
+            seeds: v.u64_field("seeds")? as usize,
+            programs: v.u64_field("programs")? as usize,
+            n: v.f64_field("n")? as i64,
+            margin_tie: v.f64_field("margin_tie")?,
             decisions: Vec::new(),
             divergence: Vec::new(),
         };
-        for d in v
-            .get("decisions")
-            .and_then(Value::as_array)
-            .ok_or("missing decisions array")?
-        {
+        for d in v.array_field("decisions")? {
             out.decisions.push(DecisionJoin {
-                program: str_of(d, "program")?,
-                nest: str_of(d, "nest")?,
-                action: str_of(d, "action")?,
-                outcome: str_of(d, "outcome")?,
-                legal: bool_of(d, "legal")?,
+                program: d.str_field("program")?,
+                nest: d.str_field("nest")?,
+                action: d.str_field("action")?,
+                outcome: d.str_field("outcome")?,
+                legal: d.bool_field("legal")?,
                 blocking: d.get("blocking").and_then(Value::as_str).map(String::from),
-                loopcost_desired: str_of(d, "loopcost_desired")?,
+                loopcost_desired: d.str_field("loopcost_desired")?,
                 analytic_desired: d
                     .get("analytic_desired")
                     .and_then(Value::as_str)
                     .map(String::from),
-                achieved: str_of(d, "achieved")?,
+                achieved: d.str_field("achieved")?,
                 margin: d.get("margin").and_then(Value::as_f64),
                 rel_margin: d.get("rel_margin").and_then(Value::as_f64),
-                disagree: bool_of(d, "disagree")?,
-                near_tie: bool_of(d, "near_tie")?,
+                disagree: d.bool_field("disagree")?,
+                near_tie: d.bool_field("near_tie")?,
             });
         }
-        for d in v
-            .get("divergence")
-            .and_then(Value::as_array)
-            .ok_or("missing divergence array")?
-        {
+        for d in v.array_field("divergence")? {
             out.divergence.push(NestDivergence {
-                nest: str_of(d, "nest")?,
-                cache: str_of(d, "cache")?,
-                predicted: u64_of(d, "predicted")?,
-                simulated: u64_of(d, "simulated")?,
-                baseline: f64_of(d, "baseline")?,
-                self_interference: f64_of(d, "self_interference")?,
-                cliff_rescue: f64_of(d, "cliff_rescue")?,
-                cross: f64_of(d, "cross")?,
-                rounding: f64_of(d, "rounding")?,
+                nest: d.str_field("nest")?,
+                cache: d.str_field("cache")?,
+                predicted: d.u64_field("predicted")?,
+                simulated: d.u64_field("simulated")?,
+                baseline: d.f64_field("baseline")?,
+                self_interference: d.f64_field("self_interference")?,
+                cliff_rescue: d.f64_field("cliff_rescue")?,
+                cross: d.f64_field("cross")?,
+                rounding: d.f64_field("rounding")?,
             });
         }
         Ok(out)
     }
+
+    /// Decision flips (same program×nest×action, different desired
+    /// order or outcome), margin drift beyond `threshold` (relative),
+    /// and rows present on only one side.
+    fn diff(&self, current: &Self, threshold: f64) -> Findings {
+        let key = |d: &DecisionJoin| (d.program.clone(), d.nest.clone(), d.action.clone());
+        let mut findings = Vec::new();
+        for c in &current.decisions {
+            let Some(b) = self.decisions.iter().find(|b| key(b) == key(c)) else {
+                findings.push(format!(
+                    "decision added: {} {} ({})",
+                    c.nest, c.action, c.outcome
+                ));
+                continue;
+            };
+            if b.loopcost_desired != c.loopcost_desired
+                || b.analytic_desired != c.analytic_desired
+                || b.outcome != c.outcome
+            {
+                findings.push(format!(
+                    "decision flip: {} {}: {} [{}] -> {} [{}]",
+                    c.nest, c.action, b.loopcost_desired, b.outcome, c.loopcost_desired, c.outcome
+                ));
+            }
+            if let (Some(bm), Some(cm)) = (b.margin, c.margin) {
+                let rel = (cm - bm).abs() / bm.abs().max(1.0);
+                if rel > threshold {
+                    findings.push(format!(
+                        "margin drift: {} {}: {bm:.3} -> {cm:.3} ({:+.1}%)",
+                        c.nest,
+                        c.action,
+                        100.0 * (cm - bm) / bm.abs().max(1.0),
+                    ));
+                }
+            }
+        }
+        for b in &self.decisions {
+            if !current.decisions.iter().any(|c| key(c) == key(b)) {
+                findings.push(format!(
+                    "decision vanished: {} {} ({})",
+                    b.nest, b.action, b.outcome
+                ));
+            }
+        }
+        Findings {
+            deterministic: findings,
+            informational: Vec::new(),
+        }
+    }
+
+    /// Provenance summary plus the first disagreements.
+    fn report(&self, out: &mut String) {
+        let joined = self
+            .decisions
+            .iter()
+            .filter(|d| d.analytic_desired.is_some())
+            .count();
+        let disagreements: Vec<_> = self.decisions.iter().filter(|d| d.disagree).collect();
+        let near_ties = self.decisions.iter().filter(|d| d.near_tie).count();
+        let blocked = self.decisions.iter().filter(|d| !d.legal).count();
+        let _ = writeln!(out, "\n## Decisions ({})\n", self.decisions.len());
+        let _ = writeln!(
+            out,
+            "{} programs ({} seeds) at n={}: {} joined across both oracles, \
+             {} disagreements, {} near-ties (margin < {:.0}%), {} blocked by dependences.\n",
+            self.programs,
+            self.seeds,
+            self.n,
+            joined,
+            disagreements.len(),
+            near_ties,
+            100.0 * self.margin_tie,
+            blocked,
+        );
+        if disagreements.is_empty() {
+            return;
+        }
+        out.push_str("| nest | action | loopcost wants | analytic wants | outcome |\n");
+        out.push_str("|---|---|---|---|---|\n");
+        for d in disagreements.iter().take(10) {
+            let _ = writeln!(
+                out,
+                "| `{}` | {} | {} | {} | {} |",
+                d.nest,
+                d.action,
+                d.loopcost_desired,
+                d.analytic_desired.as_deref().unwrap_or("—"),
+                d.outcome,
+            );
+        }
+        if disagreements.len() > 10 {
+            let _ = writeln!(out, "\n({} more elided)", disagreements.len() - 10);
+        }
+    }
 }
 
 impl ExplainReport {
-    /// Serializes to the deterministic summary document, trailing
-    /// newline included.
-    pub fn to_json(&self) -> String {
+    /// Gate: the oracles disagree on at most this fraction of joined
+    /// decisions.
+    pub const MAX_DISAGREEMENT_RATE: f64 = 0.20;
+
+    /// Gate: `LoopCost` regret against best-of-both is at most this.
+    pub const MAX_LOOPCOST_REGRET: f64 = 0.05;
+}
+
+/// The summary is written only to an explicit `--bench-json` path (the
+/// committed `BENCH_explain.json`), never under its suffix, so it is not
+/// in [`crate::ARTIFACT_KINDS`]; the contract gives it parsing and its
+/// gate.
+impl Artifact for ExplainReport {
+    const SUFFIX: &'static str = "explain-summary.json";
+
+    fn to_json(&self) -> String {
         let attribution = json::array(self.attribution.iter().map(|a| {
             let mut w = ObjectWriter::new();
             w.field_str("cache", &a.cache)
@@ -412,51 +484,61 @@ impl ExplainReport {
         w.finish() + "\n"
     }
 
-    /// Parses a document produced by [`ExplainReport::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural problem.
-    pub fn parse(text: &str) -> Result<ExplainReport, String> {
+    fn parse(text: &str) -> Result<ExplainReport, String> {
         let v = json::parse(text)?;
-        if str_of(&v, "bench")? != "explain" {
+        if v.str_field("bench")? != "explain" {
             return Err("not an explain report (bench != \"explain\")".to_string());
         }
         let mut out = ExplainReport {
-            seeds: u64_of(&v, "seeds")? as usize,
-            programs: u64_of(&v, "programs")? as usize,
-            n: f64_of(&v, "n")? as i64,
-            decisions: u64_of(&v, "decisions")? as usize,
-            joined: u64_of(&v, "joined")? as usize,
-            disagreements: u64_of(&v, "disagreements")? as usize,
-            disagreement_rate: f64_of(&v, "disagreement_rate")?,
-            near_ties: u64_of(&v, "near_ties")? as usize,
-            near_tie_rate: f64_of(&v, "near_tie_rate")?,
-            loopcost_misses: u64_of(&v, "loopcost_misses")?,
-            analytic_misses: u64_of(&v, "analytic_misses")?,
-            best_misses: u64_of(&v, "best_misses")?,
-            loopcost_regret: f64_of(&v, "loopcost_regret")?,
-            analytic_regret: f64_of(&v, "analytic_regret")?,
+            seeds: v.u64_field("seeds")? as usize,
+            programs: v.u64_field("programs")? as usize,
+            n: v.f64_field("n")? as i64,
+            decisions: v.u64_field("decisions")? as usize,
+            joined: v.u64_field("joined")? as usize,
+            disagreements: v.u64_field("disagreements")? as usize,
+            disagreement_rate: v.f64_field("disagreement_rate")?,
+            near_ties: v.u64_field("near_ties")? as usize,
+            near_tie_rate: v.f64_field("near_tie_rate")?,
+            loopcost_misses: v.u64_field("loopcost_misses")?,
+            analytic_misses: v.u64_field("analytic_misses")?,
+            best_misses: v.u64_field("best_misses")?,
+            loopcost_regret: v.f64_field("loopcost_regret")?,
+            analytic_regret: v.f64_field("analytic_regret")?,
             attribution: Vec::new(),
         };
-        for a in v
-            .get("attribution")
-            .and_then(Value::as_array)
-            .ok_or("missing attribution array")?
-        {
+        for a in v.array_field("attribution")? {
             out.attribution.push(GeometryAttribution {
-                cache: str_of(a, "cache")?,
-                nests: u64_of(a, "nests")? as usize,
-                predicted: u64_of(a, "predicted")?,
-                simulated: u64_of(a, "simulated")?,
-                capacity_residual: f64_of(a, "capacity_residual")?,
-                self_interference: f64_of(a, "self_interference")?,
-                cliff_rescue: f64_of(a, "cliff_rescue")?,
-                cross: f64_of(a, "cross")?,
-                rounding: f64_of(a, "rounding")?,
+                cache: a.str_field("cache")?,
+                nests: a.u64_field("nests")? as usize,
+                predicted: a.u64_field("predicted")?,
+                simulated: a.u64_field("simulated")?,
+                capacity_residual: a.f64_field("capacity_residual")?,
+                self_interference: a.f64_field("self_interference")?,
+                cliff_rescue: a.f64_field("cliff_rescue")?,
+                cross: a.f64_field("cross")?,
+                rounding: a.f64_field("rounding")?,
             });
         }
         Ok(out)
+    }
+
+    fn gate(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        if self.disagreement_rate > Self::MAX_DISAGREEMENT_RATE {
+            v.push(format!(
+                "disagreement rate {:.3} exceeds {}",
+                self.disagreement_rate,
+                Self::MAX_DISAGREEMENT_RATE
+            ));
+        }
+        if self.loopcost_regret > Self::MAX_LOOPCOST_REGRET {
+            v.push(format!(
+                "loopcost regret {:.4} exceeds {}",
+                self.loopcost_regret,
+                Self::MAX_LOOPCOST_REGRET
+            ));
+        }
+        v
     }
 }
 
@@ -496,57 +578,6 @@ pub fn render_decision_tree(program: &str, rows: &[DecisionJoin]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Diffs two explain documents, baseline vs current: decision flips
-/// (same program×nest×action, different desired order or outcome),
-/// margin drift beyond `threshold` (relative), and rows present on only
-/// one side. Used by the `obs_diff` binary's `explain.json` arm.
-pub fn diff_explain(
-    baseline: &ExplainDocument,
-    current: &ExplainDocument,
-    threshold: f64,
-) -> Vec<String> {
-    let key = |d: &DecisionJoin| (d.program.clone(), d.nest.clone(), d.action.clone());
-    let mut findings = Vec::new();
-    for c in &current.decisions {
-        let Some(b) = baseline.decisions.iter().find(|b| key(b) == key(c)) else {
-            findings.push(format!(
-                "decision added: {} {} ({})",
-                c.nest, c.action, c.outcome
-            ));
-            continue;
-        };
-        if b.loopcost_desired != c.loopcost_desired
-            || b.analytic_desired != c.analytic_desired
-            || b.outcome != c.outcome
-        {
-            findings.push(format!(
-                "decision flip: {} {}: {} [{}] -> {} [{}]",
-                c.nest, c.action, b.loopcost_desired, b.outcome, c.loopcost_desired, c.outcome
-            ));
-        }
-        if let (Some(bm), Some(cm)) = (b.margin, c.margin) {
-            let rel = (cm - bm).abs() / bm.abs().max(1.0);
-            if rel > threshold {
-                findings.push(format!(
-                    "margin drift: {} {}: {bm:.3} -> {cm:.3} ({:+.1}%)",
-                    c.nest,
-                    c.action,
-                    100.0 * (cm - bm) / bm.abs().max(1.0),
-                ));
-            }
-        }
-    }
-    for b in &baseline.decisions {
-        if !current.decisions.iter().any(|c| key(c) == key(b)) {
-            findings.push(format!(
-                "decision vanished: {} {} ({})",
-                b.nest, b.action, b.outcome
-            ));
-        }
-    }
-    findings
 }
 
 /// Everything one worker computes for one program.
@@ -899,23 +930,29 @@ mod tests {
         };
         let base = doc(mk("J.I", 100.0));
         // Identical: no findings.
-        assert!(diff_explain(&base, &doc(mk("J.I", 100.0)), 0.0).is_empty());
+        assert!(base
+            .diff(&doc(mk("J.I", 100.0)), 0.0)
+            .deterministic
+            .is_empty());
         // Desired flip.
-        let f = diff_explain(&base, &doc(mk("I.J", 100.0)), 0.0);
+        let f = base.diff(&doc(mk("I.J", 100.0)), 0.0).deterministic;
         assert!(f.iter().any(|s| s.contains("decision flip")), "{f:?}");
         // Margin drift beyond threshold.
-        let f = diff_explain(&base, &doc(mk("J.I", 200.0)), 0.25);
+        let f = base.diff(&doc(mk("J.I", 200.0)), 0.25).deterministic;
         assert!(f.iter().any(|s| s.contains("margin drift")), "{f:?}");
         // Drift below threshold is quiet.
-        assert!(diff_explain(&base, &doc(mk("J.I", 101.0)), 0.25).is_empty());
+        assert!(base
+            .diff(&doc(mk("J.I", 101.0)), 0.25)
+            .deterministic
+            .is_empty());
         // One-sided rows.
         let empty = ExplainDocument {
             decisions: Vec::new(),
             ..base.clone()
         };
-        let f = diff_explain(&base, &empty, 0.0);
+        let f = base.diff(&empty, 0.0).deterministic;
         assert!(f.iter().any(|s| s.contains("vanished")), "{f:?}");
-        let f = diff_explain(&empty, &base, 0.0);
+        let f = empty.diff(&base, 0.0).deterministic;
         assert!(f.iter().any(|s| s.contains("added")), "{f:?}");
     }
 

@@ -29,21 +29,20 @@ pub use analytic::{
     AnalyticReport, AnalyticSweepConfig, GeometryAgreement, TIE_TOLERANCE,
 };
 pub use artifact::{
-    artifact_dir, emit, trace_enabled, write_analytic_json, write_explain_json, write_metrics_json,
-    write_profile_json, write_remarks_jsonl, write_report_md, write_server_json, write_trace_json,
-    ArtifactError,
+    artifact_dir, emit, trace_enabled, write, write_metrics_json, write_remarks_jsonl,
+    ArtifactError, ARTIFACT_KINDS, TRACE_SUFFIX,
 };
 pub use explain::{
-    diff_explain, explain_corpus, explain_sweep, render_decision_tree, DecisionJoin,
-    ExplainDocument, ExplainReport, ExplainSweepConfig, GeometryAttribution, NestDivergence,
+    explain_corpus, explain_sweep, render_decision_tree, DecisionJoin, ExplainDocument,
+    ExplainReport, ExplainSweepConfig, GeometryAttribution, NestDivergence,
 };
 pub use profiling::{profile_sweep, sweep_corpus, AgreementReport, SweepConfig, SweepResult};
 pub use report::render_report;
 pub use runner::{
-    cmt_jobs, emit_observed_compound, par_map, par_map_traced, simulate_observed, simulate_program,
-    simulate_versions, try_par_map, try_par_map_traced, ObservedSim, ProgramSim, VersionPair,
-    WorkerPanic,
+    cmt_jobs, emit_observed_compound, emit_observed_pipeline, par_map, par_map_traced,
+    simulate_observed, simulate_program, simulate_versions, try_par_map, try_par_map_traced,
+    ObservedSim, ProgramSim, VersionPair, WorkerPanic,
 };
 pub use serving::{
-    diff_server, run_serve_bench, serve_corpus, ServeBenchConfig, ServeTransport, ServerBenchReport,
+    run_serve_bench, serve_corpus, ServeBenchConfig, ServeTransport, ServerBenchReport,
 };

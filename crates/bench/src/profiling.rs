@@ -92,18 +92,6 @@ pub struct SweepResult {
     pub agreement: Option<AgreementReport>,
 }
 
-impl SweepResult {
-    /// Fraction of corpus accesses the sampled pass simulated — the
-    /// deterministic cost metric the CI gate bounds (≤ 0.10 at the
-    /// default policy).
-    pub fn sampled_fraction(&self) -> f64 {
-        if self.accesses_total == 0 {
-            return 0.0;
-        }
-        self.accesses_sampled as f64 / self.accesses_total as f64
-    }
-}
-
 /// Builds the sweep corpus: the first `cfg.seeds` committed
 /// verify-corpus seeds, then (when `cfg.kernels`) the paper kernels.
 pub fn sweep_corpus(cfg: &SweepConfig) -> Vec<Program> {
@@ -278,7 +266,8 @@ mod tests {
     #[test]
     fn sampled_pass_is_cheaper_than_full() {
         // Debug-build sized: the ≤10% fraction at n=64 is gated in
-        // release by the CI profiling smoke (`cmt-profile --max-cost`).
+        // release by the CI profiling smoke (`cmt-profile`, through
+        // `HotspotProfile::MAX_SAMPLED_FRACTION`).
         let cfg = SweepConfig {
             n: 32,
             ..small_cfg()

@@ -1,46 +1,37 @@
 //! Per-run markdown reports: one document joining a run's remarks
-//! JSONL, metrics JSON, and (optionally) trace JSON.
+//! JSONL, metrics JSON, and the optional artifacts it left (trace and
+//! every kind of [`crate::ARTIFACT_KINDS`]).
 //!
 //! The renderer consumes **only deterministic fields** — remark
-//! contents, counters, non-wall-clock histogram statistics, and the
-//! structural [`cmt_obs::TraceSummary`] of the trace (never timestamps
-//! or durations) — so the report for a fixed workload and `CMT_JOBS`
+//! contents, counters, non-wall-clock histogram statistics, each
+//! artifact kind's report section, and the structural
+//! [`cmt_obs::TraceSummary`] of the trace (never timestamps or
+//! durations) — so the report for a fixed workload and `CMT_JOBS`
 //! value is byte-identical across runs and diffs cleanly in review. A
 //! test pins this.
 
-use crate::analytic::AnalyticReport;
-use crate::explain::ExplainDocument;
-use crate::serving::ServerBenchReport;
+use crate::artifact::{ARTIFACT_KINDS, TRACE_SUFFIX};
 use cmt_obs::diff::WALL_CLOCK_SUFFIX;
 use cmt_obs::json::{parse, Value};
 use cmt_obs::validate_chrome_trace;
-use cmt_profile::HotspotProfile;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Renders the markdown report for one run.
 ///
 /// `remarks_jsonl` and `metrics_json` are the artifact file contents;
-/// `trace_json` is the Chrome Trace document when the run was traced;
-/// `profile_json` is the ranked hotspot profile when the run was a
-/// profiling sweep; `analytic_json` is the analytic-vs-simulated
-/// accuracy report when the run was an analytic sweep; `explain_json`
-/// is the decision-provenance document when the run was an explain
-/// sweep; `server_json` is the service load-harness report when the
-/// run exercised cmt-serve. Fails on malformed artifacts (a malformed
-/// trace or profile is a real bug — the validators run as part of
-/// rendering).
-#[allow(clippy::too_many_arguments)]
+/// `optional` pairs the suffix of each optional artifact the run left
+/// (`trace.json` or a kind of [`crate::ARTIFACT_KINDS`]) with its
+/// contents. Sections follow the kind list, then the trace. Fails on
+/// malformed artifacts (a malformed trace or profile is a real bug —
+/// the validators run as part of rendering).
 pub fn render_report(
     name: &str,
     remarks_jsonl: &str,
     metrics_json: &str,
-    trace_json: Option<&str>,
-    profile_json: Option<&str>,
-    analytic_json: Option<&str>,
-    explain_json: Option<&str>,
-    server_json: Option<&str>,
+    optional: &[(&str, &str)],
 ) -> Result<String, String> {
+    let find = |suffix: &str| optional.iter().find(|(s, _)| *s == suffix).map(|(_, t)| *t);
     let mut out = String::new();
     let _ = writeln!(out, "# Run report: {name}\n");
 
@@ -138,170 +129,15 @@ pub fn render_report(
         }
     }
 
-    // --- Hotspot profile: ranking head plus escalation stamps. ---
-    if let Some(profile) = profile_json {
-        let profile = HotspotProfile::parse(profile).map_err(|e| format!("profile: {e}"))?;
-        let _ = writeln!(out, "\n## Hotspots ({} nests)\n", profile.entries.len());
-        let _ = writeln!(
-            out,
-            "Policy `{}` on `{}` at n={}; top {} of the ranking:\n",
-            profile.policy,
-            profile.cache,
-            profile.n,
-            profile.entries.len().min(10)
-        );
-        if !profile.entries.is_empty() {
-            out.push_str(
-                "| rank | nest | est misses | miss rate | escalated | full misses | top array |\n",
-            );
-            out.push_str("|---|---|---|---|---|---|---|\n");
-            for e in profile.entries.iter().take(10) {
-                let full = e
-                    .full_misses
-                    .map(|m| m.to_string())
-                    .unwrap_or_else(|| "—".to_string());
-                let top_array = e
-                    .arrays
-                    .first()
-                    .map(|(name, _, share)| format!("{name} ({:.0}%)", share * 100.0))
-                    .unwrap_or_else(|| "—".to_string());
-                let _ = writeln!(
-                    out,
-                    "| {} | `{}` | {} | {:.4} | {} | {} | {} |",
-                    e.rank,
-                    e.nest,
-                    e.est_misses,
-                    e.est_miss_rate,
-                    if e.escalated { "yes" } else { "no" },
-                    full,
-                    top_array,
-                );
-            }
+    // --- One section per optional artifact kind present. ---
+    for kind in ARTIFACT_KINDS {
+        if let Some(text) = find(kind.suffix()) {
+            kind.report(text, &mut out)?;
         }
-    }
-
-    // --- Analytic model: per-geometry accuracy vs the simulator. ---
-    if let Some(analytic) = analytic_json {
-        let report = AnalyticReport::parse(analytic).map_err(|e| format!("analytic: {e}"))?;
-        let _ = writeln!(out, "\n## Analytic vs simulated\n");
-        let _ = writeln!(
-            out,
-            "{} programs ({} seeds{}), {} nests at n={}, top-{} ranking:\n",
-            report.programs,
-            report.seeds,
-            if report.programs > report.seeds {
-                " + paper kernels"
-            } else {
-                ""
-            },
-            report.nests,
-            report.n,
-            report.top_k,
-        );
-        out.push_str(
-            "| geometry | pred misses | sim misses | mean rel err | top-k (tied) | top-k (strict) | tau | worst nest |\n",
-        );
-        out.push_str("|---|---|---|---|---|---|---|---|\n");
-        for g in &report.geometries {
-            let _ = writeln!(
-                out,
-                "| `{}` | {} | {} | {:.4} | {:.3} | {:.3} | {:.3} | `{}` ({:.2}) |",
-                g.cache,
-                g.predicted_misses,
-                g.simulated_misses,
-                g.mean_rel_error,
-                g.top_k_agreement,
-                g.top_k_agreement_strict,
-                g.kendall_tau,
-                g.worst_nest,
-                g.worst_rel_error,
-            );
-        }
-    }
-
-    // --- Decisions: provenance summary plus the flagged rows. ---
-    if let Some(explain) = explain_json {
-        let doc = ExplainDocument::parse(explain).map_err(|e| format!("explain: {e}"))?;
-        let joined = doc
-            .decisions
-            .iter()
-            .filter(|d| d.analytic_desired.is_some())
-            .count();
-        let disagreements: Vec<_> = doc.decisions.iter().filter(|d| d.disagree).collect();
-        let near_ties = doc.decisions.iter().filter(|d| d.near_tie).count();
-        let blocked = doc.decisions.iter().filter(|d| !d.legal).count();
-        let _ = writeln!(out, "\n## Decisions ({})\n", doc.decisions.len());
-        let _ = writeln!(
-            out,
-            "{} programs ({} seeds) at n={}: {} joined across both oracles, \
-             {} disagreements, {} near-ties (margin < {:.0}%), {} blocked by dependences.\n",
-            doc.programs,
-            doc.seeds,
-            doc.n,
-            joined,
-            disagreements.len(),
-            near_ties,
-            100.0 * doc.margin_tie,
-            blocked,
-        );
-        if !disagreements.is_empty() {
-            out.push_str("| nest | action | loopcost wants | analytic wants | outcome |\n");
-            out.push_str("|---|---|---|---|---|\n");
-            for d in disagreements.iter().take(10) {
-                let _ = writeln!(
-                    out,
-                    "| `{}` | {} | {} | {} | {} |",
-                    d.nest,
-                    d.action,
-                    d.loopcost_desired,
-                    d.analytic_desired.as_deref().unwrap_or("—"),
-                    d.outcome,
-                );
-            }
-            if disagreements.len() > 10 {
-                let _ = writeln!(out, "\n({} more elided)", disagreements.len() - 10);
-            }
-        }
-    }
-
-    // --- Service: the load harness's deterministic fields only ---
-    // (latency percentiles are wall-clock and elided, like `*.ns`
-    // histograms above).
-    if let Some(server) = server_json {
-        let r = ServerBenchReport::parse(server).map_err(|e| format!("server: {e}"))?;
-        let _ = writeln!(out, "\n## Service\n");
-        let _ = writeln!(
-            out,
-            "{} requests over {} pass(es) × {} client(s) at n={}{}: \
-             {} ok, {} overloaded, {} errors; second-pass hit rate {:.3}, shed rate {:.3}.\n",
-            r.requests,
-            r.passes,
-            r.clients,
-            r.n,
-            if r.fault_injected {
-                format!(" (fault seed {})", r.fault_seed)
-            } else {
-                String::new()
-            },
-            r.ok,
-            r.overloaded,
-            r.errors,
-            r.hit_rate_second_pass(),
-            r.shed_rate(),
-        );
-        out.push_str("| fidelity | replies |\n|---|---|\n");
-        let _ = writeln!(out, "| cached | {} |", r.cached);
-        let _ = writeln!(out, "| simulated | {} |", r.simulated);
-        let _ = writeln!(out, "| analytic | {} |", r.analytic);
-        let _ = writeln!(
-            out,
-            "\n{} degraded pipeline runs; memo cache: {} hits, {} misses, {} inserted, {} evicted.",
-            r.degraded, r.memo_hits, r.memo_misses, r.memo_inserted, r.memo_evictions,
-        );
     }
 
     // --- Trace: structural summary only (no timestamps). ---
-    if let Some(trace) = trace_json {
+    if let Some(trace) = find(TRACE_SUFFIX) {
         let summary = validate_chrome_trace(trace).map_err(|e| format!("trace: {e}"))?;
         let _ = writeln!(out, "\n## Trace\n");
         let _ = writeln!(
@@ -321,7 +157,8 @@ pub fn render_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmt_obs::{CollectSink, ObsSink, Remark, RemarkKind, TraceSession};
+    use crate::serving::ServerBenchReport;
+    use cmt_obs::{Artifact, CollectSink, ObsSink, Remark, RemarkKind, TraceSession};
 
     fn sample_sink() -> CollectSink {
         let mut sink = CollectSink::new();
@@ -343,11 +180,7 @@ mod tests {
             "unit",
             &sink.remarks_jsonl(),
             &sink.metrics.to_json(),
-            Some(&session.to_chrome_json()),
-            None,
-            None,
-            None,
-            None,
+            &[(TRACE_SUFFIX, &session.to_chrome_json())],
         )
         .unwrap();
         assert!(report.contains("# Run report: unit"));
@@ -382,11 +215,7 @@ mod tests {
                 "det",
                 &sink.remarks_jsonl(),
                 &sink.metrics.to_json(),
-                Some(&session.to_chrome_json()),
-                None,
-                None,
-                None,
-                None,
+                &[(TRACE_SUFFIX, &session.to_chrome_json())],
             )
             .unwrap()
         };
@@ -395,14 +224,17 @@ mod tests {
 
     #[test]
     fn malformed_inputs_error() {
-        assert!(render_report("x", "not json\n", "{}", None, None, None, None, None).is_err());
-        assert!(render_report("x", "", "{", None, None, None, None, None).is_err());
+        assert!(render_report("x", "not json\n", "{}", &[]).is_err());
+        assert!(render_report("x", "", "{", &[]).is_err());
         let ok_metrics = "{\"counters\":{},\"histograms\":{}}";
-        assert!(render_report("x", "", ok_metrics, Some("["), None, None, None, None).is_err());
-        assert!(render_report("x", "", ok_metrics, None, Some("{"), None, None, None).is_err());
-        assert!(render_report("x", "", ok_metrics, None, None, Some("{"), None, None).is_err());
-        assert!(render_report("x", "", ok_metrics, None, None, None, Some("{"), None).is_err());
-        assert!(render_report("x", "", ok_metrics, None, None, None, None, Some("{")).is_err());
+        assert!(render_report("x", "", ok_metrics, &[(TRACE_SUFFIX, "[")]).is_err());
+        for kind in ARTIFACT_KINDS {
+            assert!(
+                render_report("x", "", ok_metrics, &[(kind.suffix(), "{")]).is_err(),
+                "{}",
+                kind.suffix()
+            );
+        }
     }
 
     #[test]
@@ -430,11 +262,7 @@ mod tests {
             "prof",
             "",
             "{\"counters\":{},\"histograms\":{}}",
-            None,
-            Some(&ranked.to_json()),
-            None,
-            None,
-            None,
+            &[("profile.json", &ranked.to_json())],
         )
         .unwrap();
         assert!(report.contains("## Hotspots (1 nests)"), "{report}");
@@ -459,11 +287,7 @@ mod tests {
             "an",
             "",
             "{\"counters\":{},\"histograms\":{}}",
-            None,
-            None,
-            Some(&analytic.to_json()),
-            None,
-            None,
+            &[("analytic.json", &analytic.to_json())],
         )
         .unwrap();
         assert!(report.contains("## Analytic vs simulated"), "{report}");
@@ -506,11 +330,7 @@ mod tests {
             "srv",
             "",
             "{\"counters\":{},\"histograms\":{}}",
-            None,
-            None,
-            None,
-            None,
-            Some(&server.to_json()),
+            &[("server.json", &server.to_json())],
         )
         .unwrap();
         assert!(report.contains("## Service"), "{report}");
@@ -540,11 +360,7 @@ mod tests {
             "ex",
             "",
             "{\"counters\":{},\"histograms\":{}}",
-            None,
-            None,
-            None,
-            Some(&doc.to_json()),
-            None,
+            &[("explain.json", &doc.to_json())],
         )
         .unwrap();
         assert!(report.contains("## Decisions ("), "{report}");

@@ -339,7 +339,7 @@ pub fn emit_observed_compound(
     name: &str,
     programs: &[Program],
     opts: &cmt_locality::CompoundOptions,
-) -> Result<(), String> {
+) -> Result<(), crate::ArtifactError> {
     use cmt_locality::compound_observed;
     use cmt_obs::{CollectSink, TraceSession, Tracing};
 
@@ -363,15 +363,54 @@ pub fn emit_observed_compound(
     for part in parts {
         sink.absorb(part);
     }
-    if let Some(session) = &session {
-        session
-            .validate()
-            .map_err(|e| format!("trace invariants: {e}"))?;
-        let path =
-            crate::write_trace_json(name, &session.to_chrome_json()).map_err(|e| e.to_string())?;
-        println!("[obs] trace:    {}", path.display());
+    crate::emit(name, &sink.remarks, &sink.metrics, session.as_ref())
+}
+
+/// Shared observability companion of the figure binaries: runs the
+/// paper pipeline over `program` (printing one `[pass]` line per pass),
+/// simulates the result at `n` on `shards` shards with per-array
+/// attribution, exports that simulation's metrics under `prefix`, and
+/// writes the `{name}` artifacts. Under `CMT_TRACE` the passes record on
+/// the main track and the simulation on its own `sim` track.
+///
+/// # Errors
+///
+/// Fails when a trace violates its structural invariants or an
+/// artifact cannot be written.
+pub fn emit_observed_pipeline(
+    name: &str,
+    mut program: Program,
+    n: i64,
+    shards: usize,
+    prefix: &str,
+) -> Result<(), crate::ArtifactError> {
+    use cmt_locality::pass::Pipeline;
+    use cmt_obs::{CollectSink, TraceSession, Tracing};
+
+    let pipeline = Pipeline::paper_default(4);
+    let mut session = crate::trace_enabled().then(TraceSession::new);
+    let (mut sink, reports) = match session.as_mut() {
+        Some(session) => {
+            let mut traced = Tracing::new(CollectSink::new(), session.main());
+            let reports = pipeline.run_observed(&mut program, &mut traced);
+            (traced.inner, reports)
+        }
+        None => {
+            let mut sink = CollectSink::new();
+            let reports = pipeline.run_observed(&mut program, &mut sink);
+            (sink, reports)
+        }
+    };
+    for r in &reports {
+        println!("[pass] {}: {}", r.name, r.summary);
     }
-    crate::emit(name, &sink.remarks, &sink.metrics).map_err(|e| e.to_string())
+    let mut track = session.as_mut().map(|s| s.track("sim"));
+    let mut sim = simulate_observed(&program, n, shards, 10_000, track.as_mut());
+    if let (Some(session), Some(track)) = (session.as_mut(), track) {
+        session.absorb(track);
+    }
+    sim.export_metrics(&mut sink.metrics, prefix);
+    crate::emit(name, &sink.remarks, &sink.metrics, session.as_ref())
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Deterministic load harness for the cmt-serve optimization service,
-//! plus the `BENCH_server.json` report it emits and the cross-run diff
-//! behind `obs_diff`'s `server.json` arm.
+//! plus the `BENCH_server.json` report it emits (an [`Artifact`]: its
+//! diff and gate back `obs_diff` and `cmt-serve-bench --check`).
 //!
 //! The harness replays the verify corpus plus the paper kernels against
 //! a server — in-process ([`ServeTransport::InProcess`], used by tests)
@@ -23,10 +23,11 @@
 
 use cmt_ir::pretty::program_to_source;
 use cmt_obs::json::{self, ObjectWriter, Value};
-use cmt_obs::SplitMix64;
+use cmt_obs::{Artifact, Findings, SplitMix64};
 use cmt_serve::{ServeConfig, Server};
 use cmt_suite::kernels::paper_kernels;
 use cmt_verify::{corpus_seeds, generate};
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -161,8 +162,18 @@ impl ServerBenchReport {
         }
     }
 
-    /// Stable JSON rendering (field order fixed).
-    pub fn to_json(&self) -> String {
+    /// Gate: second-pass memo hit rate, applied when a replay pass ran.
+    pub const MIN_HIT_RATE: f64 = 0.5;
+
+    /// Drift threshold `cmt-serve-bench --check` compares a live run
+    /// against the committed baseline with.
+    pub const CHECK_THRESHOLD: f64 = 0.05;
+}
+
+impl Artifact for ServerBenchReport {
+    const SUFFIX: &'static str = "server.json";
+
+    fn to_json(&self) -> String {
         let mut w = ObjectWriter::new();
         w.field_str("schema", "cmt-serve-bench-v1")
             .field_u64("seeds", self.seeds)
@@ -193,57 +204,172 @@ impl ServerBenchReport {
             .field_f64("p99_us", self.p99_us)
             .field_f64("p50_cold_us", self.p50_cold_us)
             .field_f64("p99_cold_us", self.p99_cold_us);
-        w.finish()
+        w.finish() + "\n"
     }
 
-    /// Parses a report previously written by [`Self::to_json`].
-    pub fn parse(text: &str) -> Result<ServerBenchReport, String> {
+    fn parse(text: &str) -> Result<ServerBenchReport, String> {
         let v = json::parse(text).map_err(|e| format!("server report: {e}"))?;
         let schema = v.get("schema").and_then(Value::as_str).unwrap_or("");
         if schema != "cmt-serve-bench-v1" {
             return Err(format!("server report: unknown schema {schema:?}"));
         }
-        let u = |k: &str| -> Result<u64, String> {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("server report: missing field {k}"))
-        };
-        let f = |k: &str| -> Result<f64, String> {
-            v.get(k)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("server report: missing field {k}"))
-        };
         Ok(ServerBenchReport {
-            seeds: u("seeds")?,
-            clients: u("clients")?,
-            passes: u("passes")?,
-            n: u("n")?,
+            seeds: v.u64_field("seeds")?,
+            clients: v.u64_field("clients")?,
+            passes: v.u64_field("passes")?,
+            n: v.u64_field("n")?,
             fault_injected: v
                 .get("fault_injected")
                 .and_then(Value::as_bool)
                 .unwrap_or(false),
-            fault_seed: u("fault_seed")?,
-            requests: u("requests")?,
-            ok: u("ok")?,
-            cached: u("cached")?,
-            simulated: u("simulated")?,
-            analytic: u("analytic")?,
-            degraded: u("degraded")?,
-            errors: u("errors")?,
-            overloaded: u("overloaded")?,
-            malformed: u("malformed")?,
-            transport_failures: u("transport_failures")?,
-            second_pass_requests: u("second_pass_requests")?,
-            second_pass_cached: u("second_pass_cached")?,
-            memo_hits: u("memo_hits")?,
-            memo_misses: u("memo_misses")?,
-            memo_inserted: u("memo_inserted")?,
-            memo_evictions: u("memo_evictions")?,
-            p50_us: f("p50_us")?,
-            p99_us: f("p99_us")?,
-            p50_cold_us: f("p50_cold_us")?,
-            p99_cold_us: f("p99_cold_us")?,
+            fault_seed: v.u64_field("fault_seed")?,
+            requests: v.u64_field("requests")?,
+            ok: v.u64_field("ok")?,
+            cached: v.u64_field("cached")?,
+            simulated: v.u64_field("simulated")?,
+            analytic: v.u64_field("analytic")?,
+            degraded: v.u64_field("degraded")?,
+            errors: v.u64_field("errors")?,
+            overloaded: v.u64_field("overloaded")?,
+            malformed: v.u64_field("malformed")?,
+            transport_failures: v.u64_field("transport_failures")?,
+            second_pass_requests: v.u64_field("second_pass_requests")?,
+            second_pass_cached: v.u64_field("second_pass_cached")?,
+            memo_hits: v.u64_field("memo_hits")?,
+            memo_misses: v.u64_field("memo_misses")?,
+            memo_inserted: v.u64_field("memo_inserted")?,
+            memo_evictions: v.u64_field("memo_evictions")?,
+            p50_us: v.f64_field("p50_us")?,
+            p99_us: v.f64_field("p99_us")?,
+            p50_cold_us: v.f64_field("p50_cold_us")?,
+            p99_cold_us: v.f64_field("p99_cold_us")?,
         })
+    }
+
+    /// Config fields must match; deterministic counters (relative) and
+    /// the hit/shed rates (absolute) count beyond `threshold`. The
+    /// wall-clock p99 cold latency is informational.
+    fn diff(&self, current: &Self, threshold: f64) -> Findings {
+        let mut f = Vec::new();
+        let config = [
+            ("seeds", self.seeds, current.seeds),
+            ("clients", self.clients, current.clients),
+            ("passes", self.passes, current.passes),
+            ("n", self.n, current.n),
+        ];
+        for (name, b, c) in config {
+            if b != c {
+                f.push(format!("config {name} changed {b} -> {c}"));
+            }
+        }
+        let counters = [
+            ("requests", self.requests, current.requests),
+            ("ok", self.ok, current.ok),
+            ("cached", self.cached, current.cached),
+            ("simulated", self.simulated, current.simulated),
+            ("analytic", self.analytic, current.analytic),
+            ("degraded", self.degraded, current.degraded),
+            ("errors", self.errors, current.errors),
+            ("overloaded", self.overloaded, current.overloaded),
+            ("malformed", self.malformed, current.malformed),
+            (
+                "transport_failures",
+                self.transport_failures,
+                current.transport_failures,
+            ),
+            ("memo_hits", self.memo_hits, current.memo_hits),
+            ("memo_misses", self.memo_misses, current.memo_misses),
+            (
+                "memo_evictions",
+                self.memo_evictions,
+                current.memo_evictions,
+            ),
+        ];
+        for (name, b, c) in counters {
+            if rel_drift(b as f64, c as f64) > threshold {
+                f.push(format!("{name} {b} -> {c}"));
+            }
+        }
+        let hb = self.hit_rate_second_pass();
+        let hc = current.hit_rate_second_pass();
+        if (hc - hb).abs() > threshold {
+            f.push(format!("hit rate {hb:.4} -> {hc:.4}"));
+        }
+        let sb = self.shed_rate();
+        let sc = current.shed_rate();
+        if (sc - sb).abs() > threshold {
+            f.push(format!("shed rate {sb:.4} -> {sc:.4}"));
+        }
+        let mut informational = Vec::new();
+        if rel_drift(self.p99_cold_us, current.p99_cold_us) > threshold {
+            informational.push(format!(
+                "p99 cold latency {:.1}us -> {:.1}us",
+                self.p99_cold_us, current.p99_cold_us
+            ));
+        }
+        Findings {
+            deterministic: f,
+            informational,
+        }
+    }
+
+    /// Every request answered structurally, and (when a replay pass
+    /// ran) a second-pass memo hit rate of at least
+    /// [`Self::MIN_HIT_RATE`].
+    fn gate(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        if self.malformed > 0 || self.transport_failures > 0 {
+            v.push(format!(
+                "{} malformed replies, {} transport failures (want 0/0)",
+                self.malformed, self.transport_failures
+            ));
+        }
+        let hit = self.hit_rate_second_pass();
+        if self.second_pass_requests > 0 && hit < Self::MIN_HIT_RATE {
+            v.push(format!(
+                "second-pass hit rate {hit:.3} < {:.3}",
+                Self::MIN_HIT_RATE
+            ));
+        }
+        v
+    }
+
+    /// The load harness's deterministic fields only (latency
+    /// percentiles are wall-clock and elided, like `*.ns` histograms).
+    fn report(&self, out: &mut String) {
+        let _ = writeln!(out, "\n## Service\n");
+        let _ = writeln!(
+            out,
+            "{} requests over {} pass(es) × {} client(s) at n={}{}: \
+             {} ok, {} overloaded, {} errors; second-pass hit rate {:.3}, shed rate {:.3}.\n",
+            self.requests,
+            self.passes,
+            self.clients,
+            self.n,
+            if self.fault_injected {
+                format!(" (fault seed {})", self.fault_seed)
+            } else {
+                String::new()
+            },
+            self.ok,
+            self.overloaded,
+            self.errors,
+            self.hit_rate_second_pass(),
+            self.shed_rate(),
+        );
+        out.push_str("| fidelity | replies |\n|---|---|\n");
+        let _ = writeln!(out, "| cached | {} |", self.cached);
+        let _ = writeln!(out, "| simulated | {} |", self.simulated);
+        let _ = writeln!(out, "| analytic | {} |", self.analytic);
+        let _ = writeln!(
+            out,
+            "\n{} degraded pipeline runs; memo cache: {} hits, {} misses, {} inserted, {} evicted.",
+            self.degraded,
+            self.memo_hits,
+            self.memo_misses,
+            self.memo_inserted,
+            self.memo_evictions,
+        );
     }
 }
 
@@ -263,75 +389,6 @@ fn rel_drift(b: f64, c: f64) -> f64 {
     } else {
         (c - b).abs() / b.abs().max(c.abs())
     }
-}
-
-/// Diffs two server bench reports. Deterministic counters and the
-/// hit/shed rates produce findings beyond `threshold` (relative for
-/// counters, absolute for rates); wall-clock p99 drift produces
-/// findings prefixed `latency:` so gates that only trust deterministic
-/// fields can filter them out.
-pub fn diff_server(
-    baseline: &ServerBenchReport,
-    current: &ServerBenchReport,
-    threshold: f64,
-) -> Vec<String> {
-    let mut f = Vec::new();
-    let config = [
-        ("seeds", baseline.seeds, current.seeds),
-        ("clients", baseline.clients, current.clients),
-        ("passes", baseline.passes, current.passes),
-        ("n", baseline.n, current.n),
-    ];
-    for (name, b, c) in config {
-        if b != c {
-            f.push(format!("server: config {name} changed {b} -> {c}"));
-        }
-    }
-    let counters = [
-        ("requests", baseline.requests, current.requests),
-        ("ok", baseline.ok, current.ok),
-        ("cached", baseline.cached, current.cached),
-        ("simulated", baseline.simulated, current.simulated),
-        ("analytic", baseline.analytic, current.analytic),
-        ("degraded", baseline.degraded, current.degraded),
-        ("errors", baseline.errors, current.errors),
-        ("overloaded", baseline.overloaded, current.overloaded),
-        ("malformed", baseline.malformed, current.malformed),
-        (
-            "transport_failures",
-            baseline.transport_failures,
-            current.transport_failures,
-        ),
-        ("memo_hits", baseline.memo_hits, current.memo_hits),
-        ("memo_misses", baseline.memo_misses, current.memo_misses),
-        (
-            "memo_evictions",
-            baseline.memo_evictions,
-            current.memo_evictions,
-        ),
-    ];
-    for (name, b, c) in counters {
-        if rel_drift(b as f64, c as f64) > threshold {
-            f.push(format!("server: {name} {b} -> {c}"));
-        }
-    }
-    let hb = baseline.hit_rate_second_pass();
-    let hc = current.hit_rate_second_pass();
-    if (hc - hb).abs() > threshold {
-        f.push(format!("server: hit rate {hb:.4} -> {hc:.4}"));
-    }
-    let sb = baseline.shed_rate();
-    let sc = current.shed_rate();
-    if (sc - sb).abs() > threshold {
-        f.push(format!("server: shed rate {sb:.4} -> {sc:.4}"));
-    }
-    if rel_drift(baseline.p99_cold_us, current.p99_cold_us) > threshold {
-        f.push(format!(
-            "latency: p99 cold {:.1}us -> {:.1}us",
-            baseline.p99_cold_us, current.p99_cold_us
-        ));
-    }
-    f
 }
 
 /// The replay set: `seeds` verify-corpus programs plus (optionally) the
@@ -701,7 +758,7 @@ mod tests {
         assert!(report.hit_rate_second_pass() >= 0.99, "{report:?}");
         let parsed = ServerBenchReport::parse(&report.to_json()).expect("parses");
         assert_eq!(parsed, report);
-        assert!(diff_server(&report, &parsed, 0.0).is_empty());
+        assert_eq!(report.diff(&parsed, 0.0), Findings::default());
     }
 
     #[test]
@@ -715,24 +772,14 @@ mod tests {
         other.second_pass_cached = 0;
         other.overloaded += 4;
         other.p99_cold_us *= 100.0;
-        let findings = diff_server(&report, &other, 0.05);
-        assert!(
-            findings.iter().any(|f| f.contains("hit rate")),
-            "{findings:?}"
-        );
-        assert!(
-            findings.iter().any(|f| f.contains("overloaded")),
-            "{findings:?}"
-        );
-        assert!(
-            findings.iter().any(|f| f.starts_with("latency:")),
-            "{findings:?}"
-        );
-        // Deterministic gates can drop the wall-clock findings.
-        assert!(findings
-            .iter()
-            .filter(|f| !f.starts_with("latency:"))
-            .all(|f| f.starts_with("server:")));
+        let findings = report.diff(&other, 0.05);
+        let det = &findings.deterministic;
+        assert!(det.iter().any(|f| f.contains("hit rate")), "{det:?}");
+        assert!(det.iter().any(|f| f.contains("overloaded")), "{det:?}");
+        // Wall-clock drift is informational only, never deterministic.
+        assert_eq!(findings.informational.len(), 1, "{findings:?}");
+        assert!(findings.informational[0].contains("p99 cold latency"));
+        assert!(!det.iter().any(|f| f.contains("latency")), "{det:?}");
     }
 
     #[test]

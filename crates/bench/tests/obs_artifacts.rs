@@ -1,13 +1,16 @@
 //! End-to-end pins for the observability artifacts: a traced run of a
 //! paper table produces a valid Chrome Trace with one track per worker,
 //! `obs_diff` exits 0 on identical artifacts and nonzero on a perturbed
-//! counter, and `cmt-report` renders a deterministic report.
+//! counter or any registered artifact kind's drift, and `cmt-report`
+//! renders a deterministic report.
 //!
 //! These tests run the real binaries (via `CARGO_BIN_EXE_*`) so the
 //! `CMT_TRACE` / `CMT_JOBS` / `CMT_OBS_DIR` wiring is covered, each in
 //! its own artifact directory so they can run concurrently.
 
-use cmt_obs::validate_chrome_trace;
+use cmt_bench::{AnalyticReport, ExplainDocument, ServerBenchReport, ARTIFACT_KINDS};
+use cmt_obs::{validate_chrome_trace, Artifact};
+use cmt_profile::{HotspotEntry, HotspotProfile};
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
@@ -132,6 +135,20 @@ fn obs_diff_exit_codes_are_pinned() {
     assert!(text.contains("sim.accesses"), "{text}");
     assert!(text.contains("500") && text.contains("501"), "{text}");
 
+    // Server reports differing only in wall-clock latency: the drift is
+    // printed as informational and the exit code stays 0.
+    fs::write(b.join("unit.metrics.json"), metrics).unwrap();
+    let server = committed::<ServerBenchReport>("BENCH_server.json");
+    let mut slower = server.clone();
+    slower.p99_cold_us += 12.8;
+    fs::write(a.join("unit.server.json"), server.to_json()).unwrap();
+    fs::write(b.join("unit.server.json"), slower.to_json()).unwrap();
+    let out = run();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{text}");
+    assert!(text.contains("p99 cold latency"), "{text}");
+    assert!(text.contains("informational"), "{text}");
+
     // Bad usage: exit 2.
     let out = Command::new(env!("CARGO_BIN_EXE_obs_diff"))
         .output()
@@ -253,12 +270,89 @@ fn explain_json_is_deterministic_across_jobs_shards_and_reruns() {
     assert_eq!(docs[1], docs[2], "explain.json differs across reruns");
 }
 
+/// A committed `BENCH_*.json` document at the repo root.
+fn committed<A: Artifact>(file: &str) -> A {
+    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    A::parse(&fs::read_to_string(&path).expect(file)).expect(file)
+}
+
+/// One sample document per registered artifact kind, and a copy with
+/// one deterministic field perturbed: `(suffix, sample, perturbed)`.
+fn kind_samples() -> Vec<(&'static str, String, String)> {
+    let entry = HotspotEntry {
+        rank: 1,
+        program: "p".to_string(),
+        nest: "p/nest0:I.J".to_string(),
+        accesses: 1000,
+        sampled_accesses: 100,
+        windows: 4,
+        windows_sampled: 1,
+        est_misses: 100,
+        est_miss_rate: 0.1,
+        exact: false,
+        escalated: false,
+        full_misses: None,
+        arrays: vec![("A".to_string(), 100, 1.0)],
+    };
+    let profile = HotspotProfile {
+        policy: "every-kth(k=16,window=256,seed=0x1)".to_string(),
+        cache: "8192B/2-way/32B-line".to_string(),
+        n: 16,
+        entries: vec![entry],
+    };
+    let mut profile2 = profile.clone();
+    profile2.entries[0].est_misses += 1;
+
+    let analytic = committed::<AnalyticReport>("BENCH_analytic.json");
+    let mut analytic2 = analytic.clone();
+    analytic2.geometries[0].simulated_misses += 1;
+
+    let explain = |desired: &str| {
+        format!(
+            "{{\"bench\":\"explain-full\",\"seeds\":1,\"programs\":1,\"n\":16,\
+             \"margin_tie\":0.050000,\"decisions\":[{{\"program\":\"p\",\
+             \"nest\":\"p/nest0:I.J\",\"action\":\"permute\",\"outcome\":\"applied\",\
+             \"legal\":true,\"loopcost_desired\":\"{desired}\",\"achieved\":\"{desired}\",\
+             \"disagree\":false,\"near_tie\":false}}],\"divergence\":[]}}\n"
+        )
+    };
+
+    let server = committed::<ServerBenchReport>("BENCH_server.json");
+    let mut server2 = server.clone();
+    server2.cached -= 1;
+
+    vec![
+        (
+            HotspotProfile::SUFFIX,
+            profile.to_json(),
+            profile2.to_json(),
+        ),
+        (
+            AnalyticReport::SUFFIX,
+            analytic.to_json(),
+            analytic2.to_json(),
+        ),
+        (ExplainDocument::SUFFIX, explain("J.I"), explain("I.J")),
+        (
+            ServerBenchReport::SUFFIX,
+            server.to_json(),
+            server2.to_json(),
+        ),
+    ]
+}
+
 #[test]
-fn obs_diff_flags_explain_decision_flips() {
-    // The explain.json arm: identical docs exit 0, a flipped decision
-    // exits 1 with an "explain:" finding, absent-on-both-sides is
-    // skipped (covered by exit 0 before the docs are written).
-    let dir = scratch("diff-explain");
+fn obs_diff_exit_codes_cover_every_artifact_kind() {
+    // For every registered kind: absent on both sides is skipped (0),
+    // identical documents are clean (0), a perturbed deterministic field
+    // is a finding (1), a one-sided document is a finding (1), and a
+    // malformed document is a broken artifact (2).
+    let samples = kind_samples();
+    let covered: Vec<&str> = samples.iter().map(|s| s.0).collect();
+    let registered: Vec<&str> = ARTIFACT_KINDS.iter().map(|k| k.suffix()).collect();
+    assert_eq!(covered, registered, "every registered kind needs a sample");
+
+    let dir = scratch("diff-kinds");
     let (a, b) = (dir.join("a"), dir.join("b"));
     fs::create_dir_all(&a).unwrap();
     fs::create_dir_all(&b).unwrap();
@@ -273,41 +367,33 @@ fn obs_diff_flags_explain_decision_flips() {
             .output()
             .expect("spawn obs_diff")
     };
-    // No explain.json on either side: skipped, exit 0.
     assert_eq!(run().status.code(), Some(0));
 
-    let doc = |desired: &str| {
-        format!(
-            "{{\"bench\":\"explain-full\",\"seeds\":1,\"programs\":1,\"n\":16,\
-             \"margin_tie\":0.050000,\"decisions\":[{{\"program\":\"p\",\
-             \"nest\":\"p/nest0:I.J\",\"action\":\"permute\",\"outcome\":\"applied\",\
-             \"legal\":true,\"loopcost_desired\":\"{desired}\",\"achieved\":\"{desired}\",\
-             \"disagree\":false,\"near_tie\":false}}],\"divergence\":[]}}\n"
-        )
-    };
-    fs::write(a.join("unit.explain.json"), doc("J.I")).unwrap();
-    fs::write(b.join("unit.explain.json"), doc("J.I")).unwrap();
-    assert_eq!(run().status.code(), Some(0));
+    for (suffix, sample, perturbed) in samples {
+        let file = format!("unit.{suffix}");
+        let label = suffix.trim_end_matches(".json");
+        fs::write(a.join(&file), &sample).unwrap();
+        fs::write(b.join(&file), &sample).unwrap();
+        let out = run();
+        assert_eq!(out.status.code(), Some(0), "{suffix}: {out:?}");
 
-    // Same key, different desired order: decision flip, exit 1.
-    fs::write(b.join("unit.explain.json"), doc("I.J")).unwrap();
-    let out = run();
-    assert_eq!(out.status.code(), Some(1));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("explain: decision flip"), "{text}");
+        fs::write(b.join(&file), &perturbed).unwrap();
+        let out = run();
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{suffix}: {text}");
+        assert!(text.contains(&format!("{label}: ")), "{suffix}: {text}");
 
-    // One-sided document: a finding, exit 1.
-    fs::remove_file(b.join("unit.explain.json")).unwrap();
-    let out = run();
-    assert_eq!(out.status.code(), Some(1));
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("explain.json removed"),
-        "{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
+        fs::remove_file(b.join(&file)).unwrap();
+        let out = run();
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{suffix}: {text}");
+        assert!(text.contains(&format!("{suffix} removed")), "{text}");
 
-    // Malformed document: broken artifact, exit 2.
-    fs::write(b.join("unit.explain.json"), "{").unwrap();
-    assert_eq!(run().status.code(), Some(2));
+        fs::write(b.join(&file), "{").unwrap();
+        assert_eq!(run().status.code(), Some(2), "{suffix}");
+
+        fs::remove_file(a.join(&file)).unwrap();
+        fs::remove_file(b.join(&file)).unwrap();
+    }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -6,11 +6,12 @@
 //! supervised optimizer.
 //!
 //! Sizes are debug-build friendly; the release-scale versions of these
-//! gates (32 seeds at n=64, ≤10% sampled cost, top-5 agreement 1.0)
-//! run in CI via `cmt-profile --check` (see scripts/ci.sh).
+//! gates (32 seeds at n=64, ≤10% sampled cost, top-5 agreement 1.0 —
+//! the `HotspotProfile` gate constants) run in CI via `cmt-profile
+//! --check` (see scripts/ci.sh).
 
 use cmt_bench::{profile_sweep, sweep_corpus, SweepConfig};
-use cmt_obs::CollectSink;
+use cmt_obs::{Artifact, CollectSink};
 use cmt_profile::{profile_program, ProfileOptions, SamplePolicy};
 use std::sync::Mutex;
 
@@ -77,7 +78,7 @@ fn sampled_ranking_agrees_with_full_simulation() {
     // debug-friendly size (n=32, nests of only a few sampling windows)
     // close-ranked nests may legitimately swap, so the bounds are
     // looser than the release-scale CI gate (top-5 agreement == 1.0 at
-    // n=64 via `cmt-profile --check --min-agreement 1.0`).
+    // n=64 via `cmt-profile --check`).
     assert!(
         agreement.top_k_agreement >= 2.0 / 3.0,
         "sampled top-{} agreement {} too low",

@@ -123,7 +123,7 @@ impl fmt::Display for DiffFinding {
 
 /// Relative change of `after` versus `before`; infinite when a zero
 /// baseline becomes nonzero.
-fn rel_change(before: f64, after: f64) -> f64 {
+pub fn rel_change(before: f64, after: f64) -> f64 {
     if before == after {
         0.0
     } else if before == 0.0 {

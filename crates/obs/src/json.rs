@@ -210,6 +210,37 @@ impl Value {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v)
     }
+
+    /// The required string field `key` (artifact parsers).
+    pub fn str_field(&self, key: &str) -> Result<String, String> {
+        let v = self.get(key).and_then(Value::as_str);
+        Ok(v.ok_or_else(|| format!("missing string field {key:?}"))?
+            .to_string())
+    }
+
+    /// The required non-negative integral field `key`.
+    pub fn u64_field(&self, key: &str) -> Result<u64, String> {
+        let v = self.get(key).and_then(Value::as_u64);
+        v.ok_or_else(|| format!("missing numeric field {key:?}"))
+    }
+
+    /// The required numeric field `key`.
+    pub fn f64_field(&self, key: &str) -> Result<f64, String> {
+        let v = self.get(key).and_then(Value::as_f64);
+        v.ok_or_else(|| format!("missing numeric field {key:?}"))
+    }
+
+    /// The required boolean field `key`.
+    pub fn bool_field(&self, key: &str) -> Result<bool, String> {
+        let v = self.get(key).and_then(Value::as_bool);
+        v.ok_or_else(|| format!("missing boolean field {key:?}"))
+    }
+
+    /// The required array field `key`.
+    pub fn array_field(&self, key: &str) -> Result<&Vec<Value>, String> {
+        let v = self.get(key).and_then(Value::as_array);
+        v.ok_or_else(|| format!("missing array field {key:?}"))
+    }
 }
 
 /// Parses one JSON document; trailing whitespace is allowed, trailing

@@ -26,6 +26,10 @@
 //!   Perfetto or `chrome://tracing`;
 //! * [`diff`] — cross-run regression diffing of metrics snapshots and
 //!   remark streams (the engine behind the `obs_diff` binary);
+//! * [`artifact`] — the [`Artifact`] contract every optional run
+//!   artifact implements once (suffix, parse/serialize, diff, gate,
+//!   report section), so `obs_diff`, `cmt-report` and the baseline
+//!   gates loop over one list of kinds;
 //! * [`json`] — the tiny hand-rolled JSON writer and parser behind the
 //!   export formats (this crate has zero dependencies);
 //! * [`rng`] — a small SplitMix64/xorshift PRNG used for deterministic
@@ -52,6 +56,7 @@
 //! assert!(line.contains("\"kind\":\"Applied\""));
 //! ```
 
+pub mod artifact;
 pub mod decision;
 pub mod diff;
 pub mod json;
@@ -62,6 +67,7 @@ pub mod rng;
 pub mod sink;
 pub mod trace;
 
+pub use artifact::{Artifact, ArtifactKind, Findings, Kind};
 pub use decision::{DecisionCandidate, DecisionRecord};
 pub use diff::{diff_metrics, diff_remarks, DiffFinding};
 pub use metrics::{HistogramSummary, MetricsRegistry, SpanTimer};

@@ -1,10 +1,13 @@
-//! Ranked hotspot profiles: the `profile.json` artifact, its parser,
-//! and ranking-agreement metrics (top-K overlap, Kendall tau).
+//! Ranked hotspot profiles: the `profile.json` artifact (parser, diff,
+//! gate and report section), and ranking-agreement metrics (top-K
+//! overlap, Kendall tau).
 
 use crate::profiler::{NestProfile, ProgramProfile};
 use cmt_cache::CacheConfig;
 use cmt_obs::json::{self, ObjectWriter, Value};
-use cmt_obs::{ObsSink, Remark, RemarkKind};
+use cmt_obs::{Artifact, Findings, ObsSink, Remark, RemarkKind};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// One ranked nest in a hotspot profile.
 #[derive(Clone, Debug, PartialEq)]
@@ -113,9 +116,57 @@ pub fn rank_hotspots(
 }
 
 impl HotspotProfile {
-    /// Serializes to the deterministic `profile.json` document (fixed
-    /// field order, fixed float formatting), trailing newline included.
-    pub fn to_json(&self) -> String {
+    /// Gate: the sampled pass may simulate at most this fraction of the
+    /// corpus accesses (policy `full` is exempt).
+    pub const MAX_SAMPLED_FRACTION: f64 = 0.10;
+
+    /// Gate on a ground-truth check sweep: the sampled top-K must agree
+    /// this well with full simulation. The profile holds no ground
+    /// truth, so the sweep applies it to its agreement report.
+    pub const MIN_TOP_K_AGREEMENT: f64 = 1.0;
+
+    /// Fraction of the profiled accesses the sampler simulated (0 for
+    /// an empty profile).
+    pub fn sampled_fraction(&self) -> f64 {
+        let total: u64 = self.entries.iter().map(|e| e.accesses).sum();
+        let sampled: u64 = self.entries.iter().map(|e| e.sampled_accesses).sum();
+        if total == 0 {
+            0.0
+        } else {
+            sampled as f64 / total as f64
+        }
+    }
+
+    /// Emits one `profile.hotspot` Analysis remark per entry, in rank
+    /// order — the run-report surface of the ranking.
+    pub fn emit_remarks(&self, obs: &mut dyn ObsSink) {
+        if !obs.enabled() {
+            return;
+        }
+        let total = self.entries.len();
+        for e in &self.entries {
+            obs.remark(
+                Remark::new("profile.hotspot", e.nest.clone(), RemarkKind::Analysis)
+                    .reason(format!(
+                        "rank {}/{}: est {} misses (rate {:.4}) from {}/{} sampled accesses{}",
+                        e.rank,
+                        total,
+                        e.est_misses,
+                        e.est_miss_rate,
+                        e.sampled_accesses,
+                        e.accesses,
+                        if e.exact { "; exact" } else { "" },
+                    ))
+                    .cost_before(e.est_misses as f64),
+            );
+        }
+    }
+}
+
+impl Artifact for HotspotProfile {
+    const SUFFIX: &'static str = "profile.json";
+
+    fn to_json(&self) -> String {
         let entries = json::array(self.entries.iter().map(|e| {
             let mut w = ObjectWriter::new();
             w.field_u64("rank", e.rank as u64)
@@ -150,72 +201,38 @@ impl HotspotProfile {
         w.finish() + "\n"
     }
 
-    /// Parses a document produced by [`HotspotProfile::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural problem (not JSON,
-    /// missing field, wrong type).
-    pub fn parse(text: &str) -> Result<HotspotProfile, String> {
+    fn parse(text: &str) -> Result<HotspotProfile, String> {
         let v = json::parse(text)?;
-        let str_of = |v: &Value, k: &str| -> Result<String, String> {
-            Ok(v.get(k)
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("missing string field {k:?}"))?
-                .to_string())
-        };
-        let u64_of = |v: &Value, k: &str| -> Result<u64, String> {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("missing numeric field {k:?}"))
-        };
-        let f64_of = |v: &Value, k: &str| -> Result<f64, String> {
-            v.get(k)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing numeric field {k:?}"))
-        };
-        let bool_of = |v: &Value, k: &str| -> Result<bool, String> {
-            match v.get(k) {
-                Some(Value::Bool(b)) => Ok(*b),
-                _ => Err(format!("missing boolean field {k:?}")),
-            }
-        };
         let mut out = HotspotProfile {
-            policy: str_of(&v, "policy")?,
-            cache: str_of(&v, "cache")?,
-            n: f64_of(&v, "n")? as i64,
+            policy: v.str_field("policy")?,
+            cache: v.str_field("cache")?,
+            n: v.f64_field("n")? as i64,
             entries: Vec::new(),
         };
-        let entries = v
-            .get("entries")
-            .and_then(Value::as_array)
-            .ok_or("missing entries array")?;
-        for e in entries {
+        for e in v.array_field("entries")? {
             let arrays = e
-                .get("arrays")
-                .and_then(Value::as_array)
-                .ok_or("missing arrays field")?
+                .array_field("arrays")?
                 .iter()
                 .map(|a| {
                     Ok((
-                        str_of(a, "name")?,
-                        u64_of(a, "est_misses")?,
-                        f64_of(a, "share")?,
+                        a.str_field("name")?,
+                        a.u64_field("est_misses")?,
+                        a.f64_field("share")?,
                     ))
                 })
                 .collect::<Result<Vec<_>, String>>()?;
             out.entries.push(HotspotEntry {
-                rank: u64_of(e, "rank")? as usize,
-                program: str_of(e, "program")?,
-                nest: str_of(e, "nest")?,
-                accesses: u64_of(e, "accesses")?,
-                sampled_accesses: u64_of(e, "sampled_accesses")?,
-                windows: u64_of(e, "windows")?,
-                windows_sampled: u64_of(e, "windows_sampled")?,
-                est_misses: u64_of(e, "est_misses")?,
-                est_miss_rate: f64_of(e, "est_miss_rate")?,
-                exact: bool_of(e, "exact")?,
-                escalated: bool_of(e, "escalated")?,
+                rank: e.u64_field("rank")? as usize,
+                program: e.str_field("program")?,
+                nest: e.str_field("nest")?,
+                accesses: e.u64_field("accesses")?,
+                sampled_accesses: e.u64_field("sampled_accesses")?,
+                windows: e.u64_field("windows")?,
+                windows_sampled: e.u64_field("windows_sampled")?,
+                est_misses: e.u64_field("est_misses")?,
+                est_miss_rate: e.f64_field("est_miss_rate")?,
+                exact: e.bool_field("exact")?,
+                escalated: e.bool_field("escalated")?,
                 full_misses: e.get("full_misses").and_then(Value::as_u64),
                 arrays,
             });
@@ -223,27 +240,133 @@ impl HotspotProfile {
         Ok(out)
     }
 
-    /// Emits one `profile.hotspot` Analysis remark per entry, in rank
-    /// order — the run-report surface of the ranking.
-    pub fn emit_remarks(&self, obs: &mut dyn ObsSink) {
-        if !obs.enabled() {
+    /// Compares rankings, all findings deterministic: a policy/cache
+    /// stamp change, nests on one side only, and rank moves always
+    /// count; per-nest miss estimates with relative change above
+    /// `threshold` and per-array shares with absolute change above it
+    /// count as drift. Order: header, then nests by label.
+    fn diff(&self, current: &Self, threshold: f64) -> Findings {
+        let mut f = Vec::new();
+        let stamp = |p: &HotspotProfile| format!("{} @ {} (n={})", p.policy, p.cache, p.n);
+        if stamp(self) != stamp(current) {
+            f.push(format!(
+                "profile policy changed: {} -> {}",
+                stamp(self),
+                stamp(current)
+            ));
+        }
+        let index = |p: &HotspotProfile| -> BTreeMap<String, usize> {
+            p.entries
+                .iter()
+                .enumerate()
+                .map(|(i, e)| (format!("{}\u{1f}{}", e.program, e.nest), i))
+                .collect()
+        };
+        let (bi, ci) = (index(self), index(current));
+        for (key, &b_at) in &bi {
+            let b = &self.entries[b_at];
+            let Some(&c_at) = ci.get(key) else {
+                f.push(format!("nest removed: {}", b.nest));
+                continue;
+            };
+            let c = &current.entries[c_at];
+            if b.rank != c.rank {
+                f.push(format!(
+                    "rank changed: {}: #{} -> #{}",
+                    b.nest, b.rank, c.rank
+                ));
+            }
+            let rel = b.est_misses.abs_diff(c.est_misses) as f64 / b.est_misses.max(1) as f64;
+            if rel > threshold {
+                let sign = if c.est_misses >= b.est_misses {
+                    1.0
+                } else {
+                    -1.0
+                };
+                f.push(format!(
+                    "est misses drifted: {}: {} -> {} ({:+.1}%)",
+                    b.nest,
+                    b.est_misses,
+                    c.est_misses,
+                    rel * 100.0 * sign
+                ));
+            }
+            let c_share: BTreeMap<&str, f64> = c
+                .arrays
+                .iter()
+                .map(|(name, _, share)| (name.as_str(), *share))
+                .collect();
+            for (name, _, before) in &b.arrays {
+                let after = c_share.get(name.as_str()).copied().unwrap_or(0.0);
+                if (before - after).abs() > threshold {
+                    f.push(format!(
+                        "attribution drifted: {} array {name}: share {before:.3} -> {after:.3}",
+                        b.nest
+                    ));
+                }
+            }
+        }
+        for (key, &c_at) in &ci {
+            if !bi.contains_key(key) {
+                f.push(format!("nest added: {}", current.entries[c_at].nest));
+            }
+        }
+        Findings {
+            deterministic: f,
+            informational: Vec::new(),
+        }
+    }
+
+    fn gate(&self) -> Vec<String> {
+        let frac = self.sampled_fraction();
+        if self.policy != "full" && frac > Self::MAX_SAMPLED_FRACTION {
+            vec![format!(
+                "sampled fraction {frac:.4} exceeds {}",
+                Self::MAX_SAMPLED_FRACTION
+            )]
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// The ranking head (top 10) with escalation stamps.
+    fn report(&self, out: &mut String) {
+        let _ = writeln!(out, "\n## Hotspots ({} nests)\n", self.entries.len());
+        let _ = writeln!(
+            out,
+            "Policy `{}` on `{}` at n={}; top {} of the ranking:\n",
+            self.policy,
+            self.cache,
+            self.n,
+            self.entries.len().min(10)
+        );
+        if self.entries.is_empty() {
             return;
         }
-        let total = self.entries.len();
-        for e in &self.entries {
-            obs.remark(
-                Remark::new("profile.hotspot", e.nest.clone(), RemarkKind::Analysis)
-                    .reason(format!(
-                        "rank {}/{}: est {} misses (rate {:.4}) from {}/{} sampled accesses{}",
-                        e.rank,
-                        total,
-                        e.est_misses,
-                        e.est_miss_rate,
-                        e.sampled_accesses,
-                        e.accesses,
-                        if e.exact { "; exact" } else { "" },
-                    ))
-                    .cost_before(e.est_misses as f64),
+        out.push_str(
+            "| rank | nest | est misses | miss rate | escalated | full misses | top array |\n",
+        );
+        out.push_str("|---|---|---|---|---|---|---|\n");
+        for e in self.entries.iter().take(10) {
+            let full = e
+                .full_misses
+                .map(|m| m.to_string())
+                .unwrap_or_else(|| "—".to_string());
+            let top_array = e
+                .arrays
+                .first()
+                .map(|(name, _, share)| format!("{name} ({:.0}%)", share * 100.0))
+                .unwrap_or_else(|| "—".to_string());
+            let _ = writeln!(
+                out,
+                "| {} | `{}` | {} | {:.4} | {} | {} | {} |",
+                e.rank,
+                e.nest,
+                e.est_misses,
+                e.est_miss_rate,
+                if e.escalated { "yes" } else { "no" },
+                full,
+                top_array,
             );
         }
     }
@@ -350,6 +473,17 @@ mod tests {
     }
 
     #[test]
+    fn gate_bounds_the_sampled_fraction_unless_full() {
+        // `entry` samples a tenth of its accesses: exactly at the bound.
+        let mut p = profile(vec![entry(1, "x", "n0", 100)]);
+        assert!(p.gate().is_empty(), "{:?}", p.gate());
+        p.entries[0].sampled_accesses += 1;
+        assert_eq!(p.gate().len(), 1);
+        p.policy = "full".to_string();
+        assert!(p.gate().is_empty());
+    }
+
+    #[test]
     fn empty_profile_is_valid_json() {
         let p = profile(Vec::new());
         let q = HotspotProfile::parse(&p.to_json()).unwrap();
@@ -406,5 +540,58 @@ mod tests {
         assert_eq!(sink.remarks.len(), 1);
         assert_eq!(sink.remarks[0].pass, "profile.hotspot");
         assert!(sink.remarks[0].reason.contains("rank 1/1"));
+    }
+
+    fn shares(rank: usize, nest: &str, misses: u64, arrays: &[(&str, f64)]) -> HotspotEntry {
+        HotspotEntry {
+            arrays: arrays
+                .iter()
+                .map(|(n, s)| (n.to_string(), (misses as f64 * s) as u64, *s))
+                .collect(),
+            ..entry(rank, "p", nest, misses)
+        }
+    }
+
+    #[test]
+    fn diff_reports_rank_swaps_at_any_threshold() {
+        let a = profile(vec![shares(1, "p/nest0:I", 100, &[("A", 1.0)])]);
+        assert_eq!(a.diff(&a, 0.05), Findings::default());
+        let a = profile(vec![
+            shares(1, "p/nest0:I", 100, &[]),
+            shares(2, "p/nest1:J", 90, &[]),
+        ]);
+        let b = profile(vec![
+            shares(1, "p/nest1:J", 95, &[]),
+            shares(2, "p/nest0:I", 94, &[]),
+        ]);
+        // Generous threshold: miss drift is under it, rank moves remain.
+        let f = a.diff(&b, 0.5).deterministic;
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f.contains(&"rank changed: p/nest0:I: #1 -> #2".to_string()));
+    }
+
+    #[test]
+    fn diff_threshold_gates_numeric_drift() {
+        let a = profile(vec![shares(1, "p/nest0:I", 100, &[("A", 0.6), ("B", 0.4)])]);
+        let b = profile(vec![shares(1, "p/nest0:I", 104, &[("A", 0.7), ("B", 0.3)])]);
+        assert!(a.diff(&b, 0.2).deterministic.is_empty());
+        let tight = a.diff(&b, 0.01).deterministic;
+        assert!(tight.contains(&"est misses drifted: p/nest0:I: 100 -> 104 (+4.0%)".to_string()));
+        let drifted = tight
+            .iter()
+            .filter(|f| f.starts_with("attribution drifted"))
+            .count();
+        assert_eq!(drifted, 2, "{tight:?}");
+    }
+
+    #[test]
+    fn diff_surfaces_added_removed_and_policy_changes() {
+        let a = profile(vec![shares(1, "p/nest0:I", 100, &[])]);
+        let mut b = profile(vec![shares(1, "p/nest1:J", 100, &[])]);
+        b.policy = "full".to_string();
+        let f = a.diff(&b, 0.05).deterministic;
+        assert!(f[0].starts_with("profile policy changed:"), "{f:?}");
+        assert!(f.contains(&"nest removed: p/nest0:I".to_string()), "{f:?}");
+        assert!(f.contains(&"nest added: p/nest1:J".to_string()), "{f:?}");
     }
 }

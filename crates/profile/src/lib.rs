@@ -51,13 +51,11 @@
 
 #![warn(missing_docs)]
 
-pub mod diff;
 pub mod escalate;
 pub mod hotspot;
 pub mod policy;
 pub mod profiler;
 
-pub use diff::{diff_profiles, ProfileDiffFinding};
 pub use escalate::{escalate, EscalationConfig, EscalationOutcome};
 pub use hotspot::{
     describe_cache, kendall_tau, rank_hotspots, top_k_agreement, HotspotEntry, HotspotProfile,

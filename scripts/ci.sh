@@ -82,54 +82,53 @@ echo ">>> profiling smoke (sampled sweep, escalation, agreement + cost gates)"
 # seeds plus the paper kernels (n=64, every-16th-window policy), with
 # top-5 escalation: full-simulation confirm per flagged nest, then one
 # supervised optimization run per flagged program. --check re-profiles
-# everything under full simulation and asserts the sampled top-5
-# ranking matches ground truth exactly; --max-cost asserts the sampled
-# pass simulated ≤ 10% of the corpus accesses. Both gates are
+# everything under full simulation; the gates are HotspotProfile's
+# constants: the sampled top-5 ranking must match ground truth exactly
+# (MIN_TOP_K_AGREEMENT 1.0) and the sampled pass may simulate at most
+# 10% of the corpus accesses (MAX_SAMPLED_FRACTION 0.10). Both gates are
 # deterministic (corpus, seeds, and sampling phases are fixed) — they
 # fail on accuracy or sampled work volume, never on timing. The
 # wall-clock in BENCH_profile.json is informational only; the JSON
 # goes to the smoke dir so the committed BENCH_profile.json stays
 # untouched. profile.json/report land in results/ci for upload.
 CMT_JOBS=4 CMT_OBS_DIR="$SMOKE_DIR" cargo run --release -q -p cmt-bench --bin cmt-profile -- \
-  --seeds 32 --check --min-agreement 1.0 --max-cost 0.10 \
-  --bench-json "$SMOKE_DIR/BENCH_profile.json"
+  --seeds 32 --check --bench-json "$SMOKE_DIR/BENCH_profile.json"
 test -s "$SMOKE_DIR/profile_corpus.profile.json" || { echo "missing profile artifact" >&2; exit 1; }
 grep -q '"profile.escalated":5' "$SMOKE_DIR/profile_corpus.metrics.json" \
   || { echo "expected 5 escalated nests" >&2; exit 1; }
 cargo run --release -q -p cmt-bench --bin cmt-report -- profile_corpus --dir "$SMOKE_DIR"
 test -s "$SMOKE_DIR/profile_corpus.report.md" || { echo "missing profile report" >&2; exit 1; }
 
-echo ">>> smoke-analytic (analytic model vs simulator, committed BENCH gate)"
-# First gate the committed full-corpus accuracy report (256 seeds +
-# paper kernels): it must parse and satisfy the same thresholds the
-# live run is held to. Then a live differential sweep over the first
-# 32 verify-corpus seeds plus the paper kernels: predict every nest
-# symbolically on all three geometries, simulate the same corpus in
-# full, and fail on tie-aware top-5 hotspot-ranking agreement < 0.9 or
-# mean per-nest relative miss error > 0.25 on any geometry. Both gates
-# are deterministic. Artifacts land in results/ci for upload; the
-# report's "Analytic vs simulated" section renders from them.
-cargo run --release -q -p cmt-bench --bin cmt-analytic -- --check BENCH_analytic.json
+echo ">>> smoke-analytic (analytic model vs simulator, live gate)"
+# The committed full-corpus report (BENCH_analytic.json) is gated by
+# the tier-1 test tests/committed_baselines.rs under `cargo test`. Here
+# a live differential sweep over the first 32 verify-corpus seeds plus
+# the paper kernels: predict every nest symbolically on all three
+# geometries, simulate the same corpus in full, and fail (the
+# AnalyticReport gate constants) on tie-aware top-5 hotspot-ranking
+# agreement < 0.9 or mean per-nest relative miss error > 0.25 on any
+# geometry. Both gates are deterministic. Artifacts land in results/ci
+# for upload; the report's "Analytic vs simulated" section renders
+# from them.
 CMT_JOBS=4 CMT_OBS_DIR="$SMOKE_DIR" cargo run --release -q -p cmt-bench --bin cmt-analytic -- \
-  --seeds 32 --min-agreement 0.9 --max-error 0.25 --name analytic_corpus
+  --seeds 32 --name analytic_corpus
 test -s "$SMOKE_DIR/analytic_corpus.analytic.json" || { echo "missing analytic artifact" >&2; exit 1; }
 cargo run --release -q -p cmt-bench --bin cmt-report -- analytic_corpus --dir "$SMOKE_DIR"
 grep -q '## Analytic vs simulated' "$SMOKE_DIR/analytic_corpus.report.md" \
   || { echo "report missing analytic section" >&2; exit 1; }
 
 echo ">>> smoke-explain (decision provenance, oracle disagreement + regret gates)"
-# First gate the committed full-corpus provenance summary (256 seeds +
-# paper kernels): it must parse and satisfy the same thresholds the
-# live run is held to. Then a live sweep over the first 32 seeds plus
-# the paper kernels: run the compound driver under both rank oracles
-# with full decision capture, join the streams, simulate both
-# transformed corpora, and fail on an oracle-disagreement rate > 0.20
+# The committed full-corpus summary (BENCH_explain.json) is gated by
+# the tier-1 test tests/committed_baselines.rs under `cargo test`. Here
+# a live sweep over the first 32 seeds plus the paper kernels: run the
+# compound driver under both rank oracles with full decision capture,
+# join the streams, simulate both transformed corpora, and fail (the
+# ExplainReport gate constants) on an oracle-disagreement rate > 0.20
 # or LoopCost regret vs best-of-both > 0.05. Both gates are
 # deterministic. The explain.json artifact lands in results/ci; the
 # report's "Decisions" section renders from it.
-cargo run --release -q -p cmt-bench --bin cmt-explain -- --check BENCH_explain.json
 CMT_JOBS=4 CMT_OBS_DIR="$SMOKE_DIR" cargo run --release -q -p cmt-bench --bin cmt-explain -- \
-  --seeds 32 --max-disagreement 0.20 --max-regret 0.05 --name explain_corpus
+  --seeds 32 --name explain_corpus
 test -s "$SMOKE_DIR/explain_corpus.explain.json" || { echo "missing explain artifact" >&2; exit 1; }
 cargo run --release -q -p cmt-bench --bin cmt-report -- explain_corpus --dir "$SMOKE_DIR"
 grep -q '## Decisions' "$SMOKE_DIR/explain_corpus.report.md" \
@@ -159,10 +158,11 @@ echo ">>> smoke-serve (TCP service under fault-injected load, drain on SIGTERM)"
 # Starts the memoizing compile server on a free port and drives the
 # 32-seed corpus + paper kernels through it: 4 concurrent clients, two
 # passes (the second replays the first through the memo cache), and a
-# deterministic fault plan per request (seed 7). Gates: every request
-# answered structurally (zero malformed replies / transport failures),
-# second-pass hit rate ≥ 0.5, and the deterministic fields of the
-# committed BENCH_server.json (reply-class counts, hit/shed rates) —
+# deterministic fault plan per request (seed 7). Gates (the
+# ServerBenchReport constants): every request answered structurally
+# (zero malformed replies / transport failures), second-pass hit rate
+# ≥ 0.5, and --check against the deterministic fields of the committed
+# BENCH_server.json within 0.05 (reply-class counts, hit/shed rates) —
 # wall-clock latency drift is informational only, so a slow runner
 # cannot fail the gate. `--deadline-ms 0` disables the wall-clock
 # budget for the same reason: fidelity counts must not depend on host
@@ -176,10 +176,9 @@ target/release/cmt-serve --port 0 --port-file "$SERVE_PORT_FILE" \
 SERVE_PID=$!
 for _ in $(seq 1 100); do test -s "$SERVE_PORT_FILE" && break; sleep 0.1; done
 test -s "$SERVE_PORT_FILE" || { echo "cmt-serve did not start" >&2; kill "$SERVE_PID" 2>/dev/null; exit 1; }
-CMT_OBS_DIR="$SMOKE_DIR" CMT_BENCH_GATE="$PWD/BENCH_server.json" \
-  cargo run --release -q -p cmt-bench --bin cmt-serve-bench -- \
+CMT_OBS_DIR="$SMOKE_DIR" cargo run --release -q -p cmt-bench --bin cmt-serve-bench -- \
   --connect "127.0.0.1:$(cat "$SERVE_PORT_FILE")" --seeds 32 --clients 4 --passes 2 \
-  --fault-seed 7 --min-hit 0.5 --bench-json "$SMOKE_DIR/BENCH_server.json" \
+  --fault-seed 7 --check "$PWD/BENCH_server.json" --bench-json "$SMOKE_DIR/BENCH_server.json" \
   --artifact serve_smoke
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "cmt-serve exited non-zero" >&2; exit 1; }

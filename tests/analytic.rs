@@ -11,7 +11,7 @@ use cmt_locality_repro::ir::build::ProgramBuilder;
 use cmt_locality_repro::ir::expr::Expr;
 use cmt_locality_repro::ir::program::Program;
 use cmt_locality_repro::locality::model::CostModel;
-use cmt_locality_repro::obs::{CollectSink, NullObs};
+use cmt_locality_repro::obs::{Artifact, CollectSink, NullObs};
 use cmt_locality_repro::profile::{profile_program, ProfileOptions, SamplePolicy};
 use cmt_locality_repro::suite::kernels::paper_kernels;
 use cmt_locality_repro::verify::{compare, fingerprint};
