@@ -34,7 +34,7 @@ use cmt_ir::node::{Loop, Node};
 use cmt_ir::program::Program;
 use cmt_ir::stmt::{ArrayRef, Stmt};
 use cmt_ir::visit::{all_loops, nest_label, stmts_with_context};
-use cmt_locality::model::{ref_groups, RefGroup, RefOcc};
+use cmt_locality::model::{RefGroup, RefGroupBasis, RefOcc};
 use std::collections::HashMap;
 
 /// Iteration budget for exact enumeration of variable-dependent loop
@@ -218,13 +218,13 @@ pub fn candidate_misses(
 
 /// Reference groups merged across *every* candidate loop of the nest.
 ///
-/// `ref_groups` follows the paper and only admits group-temporal reuse
-/// carried by the one candidate innermost loop. The reuse engine models
+/// `RefGroupBasis::groups` follows the paper and only admits
+/// group-temporal reuse carried by the one candidate innermost loop. The reuse engine models
 /// reuse at every level, so it unions the partitions obtained with each
 /// loop variable as the candidate: `A(J,I)` and `A(J,I-1)` end up in one
 /// group whichever loop carries the distance-1 dependence. The merged
 /// representative is the deepest-nested member (ties: first in source
-/// order), matching `ref_groups`' own choice.
+/// order), matching `RefGroupBasis::groups`' own choice.
 fn merged_ref_groups(
     cls: u32,
     ctxs: &[(Vec<&Loop>, &Stmt)],
@@ -265,8 +265,9 @@ fn merged_ref_groups(
     } else {
         vars.into_iter().map(Some).collect()
     };
+    let basis = RefGroupBasis::new(cls, ctxs, graph);
     for cand in candidates {
-        for g in ref_groups(cls, ctxs, graph, cand) {
+        for g in basis.groups(cand) {
             let Some(&first) = g.members.first().and_then(|m| index.get(m)) else {
                 continue;
             };

@@ -13,7 +13,7 @@ fn main() {
     {
         let p = kernels::matmul("IJK");
         bench("loopcost_matmul", 200, || {
-            let costs = model.nest_costs(black_box(&p), p.nests()[0]);
+            let costs = model.analyze(black_box(&p), p.nests()[0]);
             black_box(&costs);
         });
     }

@@ -72,7 +72,7 @@ pub struct RankRow {
 
 fn rank_program(name: &str, p: &Program, n: i64, model: &CostModel) -> RankRow {
     // Realized cost: the innermost loop of the deepest chain.
-    let cost = cmt_locality::report::realized_cost(p, p.nests()[0], model);
+    let cost = model.analyze(p, p.nests()[0]).realized_cost();
     let sim = simulate_program(p, n);
     let cyc = CycleModel::default();
     RankRow {

@@ -8,12 +8,10 @@
 
 use crate::distribute::distribute_nest_with;
 use crate::fuse::{fuse_adjacent_observed, fuse_all_inner};
-use crate::model::{CostModel, RankOracle};
+use crate::model::{CostModel, NestMemo, RankOracle};
 use crate::permute::{permute_loop_in_place_observed, permute_nest_observed, PermuteFailure};
 use crate::provenance::{NullProvenance, ProvenanceSink, TransformStep};
-use crate::report::{
-    ideal_cost, inner_loop_in_position, nest_in_memory_order, realized_cost, TransformReport,
-};
+use crate::report::TransformReport;
 use cmt_ir::node::Node;
 use cmt_ir::program::Program;
 use cmt_ir::visit::{all_loops, is_perfect, nest_label};
@@ -99,9 +97,15 @@ pub fn compound_traced(
 /// construction.
 ///
 /// The `model` is still used for the Table-2 statistics
-/// (`nest_in_memory_order`, cost ratios): those measure attainment of the
-/// *paper's* memory order, while the oracle only decides which permutation
-/// the driver tries to reach. With `oracle = model` the two coincide.
+/// ([`crate::model::NestAnalysis::in_memory_order`], cost ratios): those
+/// measure attainment of the *paper's* memory order, while the oracle only
+/// decides which permutation the driver tries to reach. With
+/// `oracle = model` the two coincide.
+///
+/// The run analyzes each distinct nest state once: one [`NestMemo`] serves
+/// the statistics, the dependence graphs of permutation and distribution,
+/// fusion's costs, and — when the oracle ranks by this `model`'s
+/// `LoopCost` — the ranking itself. The memo is dropped when the run ends.
 pub fn compound_oracle(
     program: &mut Program,
     model: &CostModel,
@@ -110,7 +114,24 @@ pub fn compound_oracle(
     prov: &mut dyn ProvenanceSink,
     oracle: &dyn RankOracle,
 ) -> TransformReport {
+    run(program, &NestMemo::new(*model), opts, obs, prov, oracle)
+}
+
+/// [`compound_oracle`] over a caller-owned memo.
+fn run(
+    program: &mut Program,
+    memo: &NestMemo,
+    opts: &CompoundOptions,
+    obs: &mut dyn ObsSink,
+    prov: &mut dyn ProvenanceSink,
+    oracle: &dyn RankOracle,
+) -> TransformReport {
     const PASS: &str = "permute";
+    let oracle: &dyn RankOracle = if oracle.loop_cost_model() == Some(memo.model()) {
+        memo
+    } else {
+        oracle
+    };
     let mut report = TransformReport::default();
     let mut ratio_final_sum = 0.0;
     let mut ratio_ideal_sum = 0.0;
@@ -124,7 +145,7 @@ pub fn compound_oracle(
             continue;
         };
         report.loops_total += all_loops(root).len();
-        let depth = Node::Loop(root.clone()).depth();
+        let depth = program.body()[idx].depth();
         if depth < 2 {
             if obs.enabled() {
                 obs.remark(
@@ -137,16 +158,16 @@ pub fn compound_oracle(
         }
         report.nests_total += 1;
 
-        let root_snapshot = root.clone();
+        let orig = memo.analysis(program, root);
         let label = if obs.enabled() {
             nest_label(program, idx)
         } else {
             String::new()
         };
-        let orig_mem = nest_in_memory_order(program, &root_snapshot, model);
-        let orig_inner = inner_loop_in_position(program, &root_snapshot, model);
-        let orig_cost = realized_cost(program, &root_snapshot, model);
-        let ideal = ideal_cost(program, &root_snapshot, model);
+        let orig_mem = orig.in_memory_order();
+        let orig_inner = orig.inner_loop_in_position();
+        let orig_cost = orig.realized_cost();
+        let ideal = orig.ideal_cost();
         let orig_eval = orig_cost.eval_uniform(EVAL_AT);
         if obs.enabled() {
             obs.trace_begin(
@@ -177,7 +198,7 @@ pub fn compound_oracle(
         if !orig_mem {
             // Step 1: permutation.
             let snap = prov.enabled().then(|| program.clone());
-            let out = permute_nest_observed(program, idx, opts.reversal, oracle, obs, &label);
+            let out = permute_nest_observed(program, idx, opts.reversal, oracle, memo, obs, &label);
             report.reversals += out.reversed.len();
             last_failure = out.failure;
             let mut achieved = out.memory_order;
@@ -217,7 +238,7 @@ pub fn compound_oracle(
             }
 
             // Step 2: FuseAll to expose a perfect nest.
-            if !achieved && opts.fusion && !is_perfect(&root_snapshot) {
+            if !achieved && opts.fusion && !is_perfect(orig.nest()) {
                 let current = program.body()[idx].as_loop().expect("still a loop").clone();
                 match fuse_all_inner(program, &current) {
                     Some(fused) => {
@@ -226,6 +247,7 @@ pub fn compound_oracle(
                             &fused,
                             opts.reversal,
                             oracle,
+                            memo,
                             obs,
                             &label,
                             "fuse.permute",
@@ -298,7 +320,7 @@ pub fn compound_oracle(
             // Step 3: distribution.
             if !achieved && opts.distribution {
                 let snap = prov.enabled().then(|| program.clone());
-                match distribute_nest_with(program, idx, opts.reversal, oracle) {
+                match distribute_nest_with(program, idx, opts.reversal, oracle, memo) {
                     Some(dist) => {
                         if let Some(before) = &snap {
                             prov.step(
@@ -352,14 +374,11 @@ pub fn compound_oracle(
         // Final state of this nest (possibly several top-level nodes
         // after an outermost distribution).
         let finals: Vec<_> = (idx..idx + span)
-            .filter_map(|k| program.body()[k].as_loop().cloned())
+            .filter_map(|k| program.body()[k].as_loop())
+            .map(|l| memo.analysis(program, l))
             .collect();
-        let final_mem = finals
-            .iter()
-            .all(|l| nest_in_memory_order(program, l, model));
-        let final_inner = finals
-            .iter()
-            .all(|l| inner_loop_in_position(program, l, model));
+        let final_mem = finals.iter().all(|a| a.in_memory_order());
+        let final_inner = finals.iter().all(|a| a.inner_loop_in_position());
         if final_mem && !orig_mem {
             report.nests_permuted += 1;
         }
@@ -378,8 +397,8 @@ pub fn compound_oracle(
         }
 
         let mut final_cost = crate::cost::CostPoly::zero();
-        for l in &finals {
-            final_cost += realized_cost(program, l, model);
+        for a in &finals {
+            final_cost += a.realized_cost();
         }
         ratio_final_sum += orig_cost.ratio_at(&final_cost, EVAL_AT).max(1.0);
         ratio_ideal_sum += orig_cost.ratio_at(&ideal, EVAL_AT).max(1.0);
@@ -421,7 +440,7 @@ pub fn compound_oracle(
         if obs.enabled() {
             obs.trace_begin("compound.fuse-adjacent", &[]);
         }
-        let stats = fuse_adjacent_observed(program, model, obs);
+        let stats = fuse_adjacent_observed(program, memo, obs);
         if obs.enabled() {
             obs.trace_end(
                 "compound.fuse-adjacent",
@@ -485,23 +504,7 @@ mod tests {
 
     #[test]
     fn matmul_end_to_end() {
-        let mut b = ProgramBuilder::new("mm");
-        let n = b.param("N");
-        let a = b.matrix("A", n);
-        let bb = b.matrix("B", n);
-        let c = b.matrix("C", n);
-        b.loop_("I", 1, n, |b| {
-            b.loop_("J", 1, n, |b| {
-                b.loop_("K", 1, n, |b| {
-                    let (i, j, k) = (b.var("I"), b.var("J"), b.var("K"));
-                    let lhs = b.at(c, [i, j]);
-                    let rhs = Expr::load(b.at(c, [i, j]))
-                        + Expr::load(b.at(a, [i, k])) * Expr::load(b.at(bb, [k, j]));
-                    b.assign(lhs, rhs);
-                });
-            });
-        });
-        let mut p = b.finish();
+        let mut p = matmul_ijk();
         let report = compound(&mut p, &CostModel::new(4));
         assert_eq!(report.nests_total, 1);
         assert_eq!(report.nests_permuted, 1);
@@ -519,32 +522,7 @@ mod tests {
     fn adi_fuse_all_then_permute() {
         // Figure 3(b): DO I { DO K {S1}; DO K2 {S2} } — fusion of the K
         // loops enables interchange to K-outer/I-inner.
-        let mut b = ProgramBuilder::new("adi");
-        let n = b.param("N");
-        let x = b.matrix("X", n);
-        let aa = b.matrix("A", n);
-        let bb = b.matrix("B", n);
-        b.loop_("I", 2, n, |b| {
-            let i = b.var("I");
-            b.loop_("K", 1, n, |b| {
-                let k = b.var("K");
-                let lhs = b.at(x, [i, k]);
-                let rhs = Expr::load(b.at(x, [i, k]))
-                    - Expr::load(b.at_vec(x, vec![Affine::var(i) - 1, Affine::var(k)]))
-                        * Expr::load(b.at(aa, [i, k]))
-                        / Expr::load(b.at_vec(bb, vec![Affine::var(i) - 1, Affine::var(k)]));
-                b.assign(lhs, rhs);
-            });
-            b.loop_("K2", 1, n, |b| {
-                let k2 = b.var("K2");
-                let lhs = b.at(bb, [i, k2]);
-                let rhs = Expr::load(b.at(bb, [i, k2]))
-                    - Expr::load(b.at(aa, [i, k2])) * Expr::load(b.at(aa, [i, k2]))
-                        / Expr::load(b.at_vec(bb, vec![Affine::var(i) - 1, Affine::var(k2)]));
-                b.assign(lhs, rhs);
-            });
-        });
-        let mut p = b.finish();
+        let mut p = adi();
         let report = compound(&mut p, &CostModel::new(4));
         assert_eq!(report.fusion_enabled_permutation, 1, "{report:#?}");
         validate(&p).unwrap();
@@ -558,37 +536,15 @@ mod tests {
 
     #[test]
     fn cholesky_distribution_in_compound() {
-        let mut b = ProgramBuilder::new("chol");
-        let n = b.param("N");
-        let a = b.matrix("A", n);
-        b.loop_("K", 1, n, |b| {
-            let k = b.var("K");
-            let akk = b.at(a, [k, k]);
-            let rhs = Expr::sqrt(Expr::load(b.at(a, [k, k])));
-            b.assign(akk, rhs);
-            b.loop_("I", Affine::var(k) + 1, n, |b| {
-                let i = b.var("I");
-                let lhs = b.at(a, [i, k]);
-                let rhs = Expr::load(b.at(a, [i, k])) / Expr::load(b.at(a, [k, k]));
-                b.assign(lhs, rhs);
-                b.loop_("J", Affine::var(k) + 1, i, |b| {
-                    let j = b.var("J");
-                    let lhs = b.at(a, [i, j]);
-                    let rhs = Expr::load(b.at(a, [i, j]))
-                        - Expr::load(b.at(a, [i, k])) * Expr::load(b.at(a, [j, k]));
-                    b.assign(lhs, rhs);
-                });
-            });
-        });
-        let mut p = b.finish();
+        let mut p = cholesky();
         let report = compound(&mut p, &CostModel::new(4));
         assert_eq!(report.distributions, 1, "{report:#?}");
         assert_eq!(report.nests_resulting, 2);
         validate(&p).unwrap();
     }
 
-    #[test]
-    fn program_already_optimal_is_untouched() {
+    /// A JI nest already in memory order.
+    fn already_optimal() -> Program {
         let mut b = ProgramBuilder::new("opt");
         let n = b.param("N");
         let a = b.matrix("A", n);
@@ -600,7 +556,12 @@ mod tests {
                 b.assign(lhs, rhs);
             });
         });
-        let mut p = b.finish();
+        b.finish()
+    }
+
+    #[test]
+    fn program_already_optimal_is_untouched() {
+        let mut p = already_optimal();
         let before = p.clone();
         let report = compound(&mut p, &CostModel::new(4));
         assert_eq!(report.nests_orig_memory_order, 1);
@@ -644,29 +605,7 @@ mod tests {
     fn provenance_captures_each_applied_step() {
         use crate::provenance::CollectProvenance;
         // Cholesky: distribution is the applied step.
-        let mut b = ProgramBuilder::new("chol");
-        let n = b.param("N");
-        let a = b.matrix("A", n);
-        b.loop_("K", 1, n, |b| {
-            let k = b.var("K");
-            let akk = b.at(a, [k, k]);
-            let rhs = Expr::sqrt(Expr::load(b.at(a, [k, k])));
-            b.assign(akk, rhs);
-            b.loop_("I", Affine::var(k) + 1, n, |b| {
-                let i = b.var("I");
-                let lhs = b.at(a, [i, k]);
-                let rhs = Expr::load(b.at(a, [i, k])) / Expr::load(b.at(a, [k, k]));
-                b.assign(lhs, rhs);
-                b.loop_("J", Affine::var(k) + 1, i, |b| {
-                    let j = b.var("J");
-                    let lhs = b.at(a, [i, j]);
-                    let rhs = Expr::load(b.at(a, [i, j]))
-                        - Expr::load(b.at(a, [i, k])) * Expr::load(b.at(a, [j, k]));
-                    b.assign(lhs, rhs);
-                });
-            });
-        });
-        let mut p = b.finish();
+        let mut p = cholesky();
         let orig = p.clone();
         let mut prov = CollectProvenance::default();
         let _ = compound_traced(
@@ -722,29 +661,7 @@ mod tests {
     fn compound_emits_decision_records() {
         // Cholesky drives distribute + permute; every decision the
         // driver makes must leave a provenance record in the sink.
-        let mut b = ProgramBuilder::new("chol");
-        let n = b.param("N");
-        let a = b.matrix("A", n);
-        b.loop_("K", 1, n, |b| {
-            let k = b.var("K");
-            let akk = b.at(a, [k, k]);
-            let rhs = Expr::sqrt(Expr::load(b.at(a, [k, k])));
-            b.assign(akk, rhs);
-            b.loop_("I", Affine::var(k) + 1, n, |b| {
-                let i = b.var("I");
-                let lhs = b.at(a, [i, k]);
-                let rhs = Expr::load(b.at(a, [i, k])) / Expr::load(b.at(a, [k, k]));
-                b.assign(lhs, rhs);
-                b.loop_("J", Affine::var(k) + 1, i, |b| {
-                    let j = b.var("J");
-                    let lhs = b.at(a, [i, j]);
-                    let rhs = Expr::load(b.at(a, [i, j]))
-                        - Expr::load(b.at(a, [i, k])) * Expr::load(b.at(a, [j, k]));
-                    b.assign(lhs, rhs);
-                });
-            });
-        });
-        let mut p = b.finish();
+        let mut p = cholesky();
         let mut sink = cmt_obs::CollectSink::new();
         let model = CostModel::new(4);
         let _ = compound_oracle(
@@ -767,6 +684,186 @@ mod tests {
             assert_eq!(d.oracle, "loopcost");
             assert!(cmt_obs::json::parse(&d.to_json()).is_ok());
         }
+    }
+
+    /// Runs the compound algorithm over a test-owned memo, with remarks
+    /// and decision records on or off, and returns the number of
+    /// analyses built after checking that no nest was built twice.
+    fn builds_of(program: &Program, observed: bool) -> usize {
+        let model = CostModel::new(4);
+        let memo = NestMemo::new(model);
+        let mut sink = cmt_obs::CollectSink::new();
+        let mut null = NullObs;
+        let obs: &mut dyn ObsSink = if observed { &mut sink } else { &mut null };
+        let mut p = program.clone();
+        let _ = run(
+            &mut p,
+            &memo,
+            &CompoundOptions::default(),
+            obs,
+            &mut NullProvenance,
+            &model,
+        );
+        let keys = memo.keys();
+        for (i, a) in keys.iter().enumerate() {
+            assert!(keys[i + 1..].iter().all(|b| a != b), "nest built twice");
+        }
+        assert_eq!(memo.builds(), keys.len());
+        assert_eq!(
+            p,
+            {
+                let mut q = program.clone();
+                compound(&mut q, &model);
+                q
+            },
+            "a test-owned memo must not change the result"
+        );
+        memo.builds()
+    }
+
+    fn matmul_ijk() -> Program {
+        let mut b = ProgramBuilder::new("mm");
+        let n = b.param("N");
+        let a = b.matrix("A", n);
+        let bb = b.matrix("B", n);
+        let c = b.matrix("C", n);
+        b.loop_("I", 1, n, |b| {
+            b.loop_("J", 1, n, |b| {
+                b.loop_("K", 1, n, |b| {
+                    let (i, j, k) = (b.var("I"), b.var("J"), b.var("K"));
+                    let lhs = b.at(c, [i, j]);
+                    let rhs = Expr::load(b.at(c, [i, j]))
+                        + Expr::load(b.at(a, [i, k])) * Expr::load(b.at(bb, [k, j]));
+                    b.assign(lhs, rhs);
+                });
+            });
+        });
+        b.finish()
+    }
+
+    fn adi() -> Program {
+        let mut b = ProgramBuilder::new("adi");
+        let n = b.param("N");
+        let x = b.matrix("X", n);
+        let aa = b.matrix("A", n);
+        let bb = b.matrix("B", n);
+        b.loop_("I", 2, n, |b| {
+            let i = b.var("I");
+            b.loop_("K", 1, n, |b| {
+                let k = b.var("K");
+                let lhs = b.at(x, [i, k]);
+                let rhs = Expr::load(b.at(x, [i, k]))
+                    - Expr::load(b.at_vec(x, vec![Affine::var(i) - 1, Affine::var(k)]))
+                        * Expr::load(b.at(aa, [i, k]))
+                        / Expr::load(b.at_vec(bb, vec![Affine::var(i) - 1, Affine::var(k)]));
+                b.assign(lhs, rhs);
+            });
+            b.loop_("K2", 1, n, |b| {
+                let k2 = b.var("K2");
+                let lhs = b.at(bb, [i, k2]);
+                let rhs = Expr::load(b.at(bb, [i, k2]))
+                    - Expr::load(b.at(aa, [i, k2])) * Expr::load(b.at(aa, [i, k2]))
+                        / Expr::load(b.at_vec(bb, vec![Affine::var(i) - 1, Affine::var(k2)]));
+                b.assign(lhs, rhs);
+            });
+        });
+        b.finish()
+    }
+
+    fn cholesky() -> Program {
+        let mut b = ProgramBuilder::new("chol");
+        let n = b.param("N");
+        let a = b.matrix("A", n);
+        b.loop_("K", 1, n, |b| {
+            let k = b.var("K");
+            let akk = b.at(a, [k, k]);
+            let rhs = Expr::sqrt(Expr::load(b.at(a, [k, k])));
+            b.assign(akk, rhs);
+            b.loop_("I", Affine::var(k) + 1, n, |b| {
+                let i = b.var("I");
+                let lhs = b.at(a, [i, k]);
+                let rhs = Expr::load(b.at(a, [i, k])) / Expr::load(b.at(a, [k, k]));
+                b.assign(lhs, rhs);
+                b.loop_("J", Affine::var(k) + 1, i, |b| {
+                    let j = b.var("J");
+                    let lhs = b.at(a, [i, j]);
+                    let rhs = Expr::load(b.at(a, [i, j]))
+                        - Expr::load(b.at(a, [i, k])) * Expr::load(b.at(a, [j, k]));
+                    b.assign(lhs, rhs);
+                });
+            });
+        });
+        b.finish()
+    }
+
+    /// Two nests in memory order over shared data, fused by the final
+    /// pass.
+    fn two_fusible_nests() -> Program {
+        let mut b = ProgramBuilder::new("two");
+        let n = b.param("N");
+        let a = b.matrix("A", n);
+        let c = b.matrix("C", n);
+        let d = b.matrix("D", n);
+        b.loop_("J", 1, n, |b| {
+            b.loop_("I", 1, n, |b| {
+                let (i, j) = (b.var("I"), b.var("J"));
+                let lhs = b.at(a, [i, j]);
+                b.assign(lhs, Expr::load(b.at(c, [i, j])));
+            });
+        });
+        b.loop_("J2", 1, n, |b| {
+            b.loop_("I2", 1, n, |b| {
+                let (i, j) = (b.var("I2"), b.var("J2"));
+                let lhs = b.at(d, [i, j]);
+                b.assign(lhs, Expr::load(b.at(a, [i, j])));
+            });
+        });
+        b.finish()
+    }
+
+    #[test]
+    fn nest_in_memory_order_is_analyzed_once() {
+        let p = already_optimal();
+        assert_eq!(builds_of(&p, false), 1);
+        assert_eq!(builds_of(&p, true), 1);
+    }
+
+    #[test]
+    fn matmul_permutation_builds_two_states() {
+        // IJK as written, JKI after the permutation.
+        let p = matmul_ijk();
+        assert_eq!(builds_of(&p, false), 2);
+        assert_eq!(builds_of(&p, true), 2);
+    }
+
+    #[test]
+    fn adi_fuse_all_path_builds_each_state_once() {
+        // The original imperfect nest, the fused I{K} nest, and the
+        // permuted K{I} nest.
+        let p = adi();
+        assert_eq!(builds_of(&p, false), 3);
+        assert_eq!(builds_of(&p, true), 3);
+    }
+
+    #[test]
+    fn cholesky_distribution_path_builds_each_state_once() {
+        // The original nest, the two distributed copies of the I loop
+        // (permutation ranks each), and the distributed, permuted nest.
+        let p = cholesky();
+        assert_eq!(builds_of(&p, false), 4);
+        assert_eq!(builds_of(&p, true), 4);
+    }
+
+    #[test]
+    fn two_nest_fusion_builds_each_state_once() {
+        // Both nests as written (already in memory order) and their
+        // fusion, which the benefit test analyzes before it is committed.
+        let p = two_fusible_nests();
+        assert_eq!(builds_of(&p, false), 3);
+        assert_eq!(builds_of(&p, true), 3);
+        let mut q = p.clone();
+        let report = compound(&mut q, &CostModel::new(4));
+        assert_eq!(report.nests_fused, 2, "{report:#?}");
     }
 
     #[test]

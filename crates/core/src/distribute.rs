@@ -7,14 +7,14 @@
 //! the smallest amount of distribution for which some resulting nest can
 //! be permuted into memory order.
 
-use crate::model::{CostModel, RankOracle};
-use crate::permute::permute_loop_in_place_with;
-use cmt_dependence::analyze_nest;
+use crate::model::{CostModel, NestMemo, RankOracle};
+use crate::permute::permute_loop_in_place_observed;
 use cmt_dependence::scc::partitions_at_level;
 use cmt_ir::ids::{LoopId, StmtId};
 use cmt_ir::node::{Loop, Node};
 use cmt_ir::program::Program;
 use cmt_ir::visit::all_loops;
+use cmt_obs::NullObs;
 use std::collections::HashSet;
 
 /// Outcome of a successful distribution.
@@ -44,33 +44,37 @@ pub fn distribute_nest(
     model: &CostModel,
     allow_reversal: bool,
 ) -> Option<DistributeOutcome> {
-    distribute_nest_with(program, nest_idx, allow_reversal, model)
+    let memo = NestMemo::new(*model);
+    distribute_nest_with(program, nest_idx, allow_reversal, &memo, &memo)
 }
 
 /// [`distribute_nest`] with an explicit [`RankOracle`] choosing the loop
-/// order the enabled permutations aim for.
+/// order the enabled permutations aim for, and the run's [`NestMemo`]
+/// supplying the dependence graphs of the nest and of its copies.
 pub fn distribute_nest_with(
     program: &mut Program,
     nest_idx: usize,
     allow_reversal: bool,
     oracle: &dyn RankOracle,
+    memo: &NestMemo,
 ) -> Option<DistributeOutcome> {
-    let root = program.body()[nest_idx].as_loop()?.clone();
-    let depth = Node::Loop(root.clone()).depth();
+    let node = &program.body()[nest_idx];
+    let depth = node.depth();
     if depth < 2 {
         return None;
     }
-    let graph = analyze_nest(program, &root);
+    let analysis = memo.analysis(program, node.as_loop()?);
+    let (root, graph) = (analysis.nest(), &analysis.graph);
 
     // Candidate loops by depth, deepest (m−1) outward to the root (0).
     for d in (0..depth - 1).rev() {
-        let targets: Vec<LoopId> = loops_at_depth(&root, d)
+        let targets: Vec<LoopId> = loops_at_depth(root, d)
             .into_iter()
             .filter(|l| Node::Loop((*l).clone()).statements().len() > 1)
             .map(|l| l.id())
             .collect();
         for target in targets {
-            let target_loop = all_loops(&root)
+            let target_loop = all_loops(root)
                 .into_iter()
                 .find(|l| l.id() == target)
                 .expect("target collected above")
@@ -82,7 +86,7 @@ pub fn distribute_nest_with(
                 .iter()
                 .map(|s| s.id())
                 .collect();
-            let parts = partitions_at_level(&graph, &stmts, d);
+            let parts = partitions_at_level(graph, &stmts, d);
             if parts.len() < 2 {
                 continue;
             }
@@ -131,8 +135,16 @@ pub fn distribute_nest_with(
                     .find(|l| l.id() == *id)
                     .expect("copy placed above")
                     .clone();
-                let (outcome, rewritten) =
-                    permute_loop_in_place_with(&work, &copy, allow_reversal, oracle);
+                let (outcome, rewritten) = permute_loop_in_place_observed(
+                    &work,
+                    &copy,
+                    allow_reversal,
+                    oracle,
+                    memo,
+                    &mut NullObs,
+                    "",
+                    "permute",
+                );
                 if outcome.changed && outcome.inner_in_position {
                     if let Some(new_loop) = rewritten {
                         let Node::Loop(holder) = &mut work.body_mut()[holder_idx] else {

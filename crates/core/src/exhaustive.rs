@@ -15,7 +15,7 @@
 
 use crate::model::CostModel;
 use crate::CostPoly;
-use cmt_dependence::{analyze_nest, DepVector};
+use cmt_dependence::DepVector;
 use cmt_ir::ids::LoopId;
 use cmt_ir::node::Loop;
 use cmt_ir::program::Program;
@@ -60,8 +60,8 @@ pub fn best_permutation_exhaustive(
     let cost_of =
         |id: LoopId| -> CostPoly { costs.cost_of(id).expect("chain loop analyzed").cost.clone() };
 
-    let graph = analyze_nest(program, nest);
-    let vectors: Vec<DepVector> = graph
+    let vectors: Vec<DepVector> = costs
+        .graph
         .constraining()
         .filter(|d| d.vector.len() == n && !d.vector.is_loop_independent())
         .map(|d| d.vector.clone())

@@ -49,7 +49,7 @@ pub fn cost_table(program: &Program, nest: &Loop, model: &CostModel) -> String {
         for (li, l) in loops.iter().enumerate() {
             // Find this group's representative cost under candidate li:
             // recompute the per-group contribution.
-            let trips = crate::model::trip_polys(program, stack);
+            let trips = crate::model::trip_polys(stack);
             let cand_trip = stack
                 .iter()
                 .position(|x| x.var() == l.var())

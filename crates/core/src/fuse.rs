@@ -7,7 +7,7 @@
 //! compatibility first, when it is legal (no dependence between the nests
 //! is reversed) and the cost model reports a locality benefit.
 
-use crate::model::CostModel;
+use crate::model::{CostModel, NestMemo};
 use cmt_dependence::analyze_fused_pair;
 use cmt_ir::ids::StmtId;
 use cmt_ir::node::{Loop, Node};
@@ -146,8 +146,9 @@ fn rename_vars_in_body(nodes: &mut [Node], map: &[(cmt_ir::ids::VarId, cmt_ir::i
 
 /// Locality benefit of fusing at the innermost compatible level: compares
 /// `LoopCost` of that loop in the fused nest against the sum over the two
-/// nests (paper §4.3.1). Positive means fusion reduces cache lines.
-pub fn fusion_benefit(program: &Program, model: &CostModel, a: &Loop, b: &Loop) -> Option<bool> {
+/// nests (paper §4.3.1), all three analyses taken from `memo`. Positive
+/// means fusion reduces cache lines.
+pub fn fusion_benefit(program: &Program, memo: &NestMemo, a: &Loop, b: &Loop) -> Option<bool> {
     let depth = compatible_depth(a, b);
     if depth == 0 {
         return None;
@@ -155,11 +156,14 @@ pub fn fusion_benefit(program: &Program, model: &CostModel, a: &Loop, b: &Loop) 
     let fused = fuse_pair(a, b, depth)?;
     let level_loop = perfect_chain(a)[depth - 1].id();
     let level_loop_b = perfect_chain(b)[depth - 1].id();
-    let fused_costs = model.analyze(program, &fused);
-    let fused_cost = fused_costs.cost_of(level_loop)?.cost.clone();
-    let cost_a = model.analyze(program, a).cost_of(level_loop)?.cost.clone();
-    let cost_b = model
-        .analyze(program, b)
+    let fused_cost = memo
+        .analysis(program, &fused)
+        .cost_of(level_loop)?
+        .cost
+        .clone();
+    let cost_a = memo.analysis(program, a).cost_of(level_loop)?.cost.clone();
+    let cost_b = memo
+        .analysis(program, b)
         .cost_of(level_loop_b)?
         .cost
         .clone();
@@ -172,16 +176,17 @@ pub fn fusion_benefit(program: &Program, model: &CostModel, a: &Loop, b: &Loop) 
 /// pair whenever it is legal and the cost model reports a benefit, until
 /// no pair qualifies. Returns Table-2 style statistics.
 pub fn fuse_adjacent(program: &mut Program, model: &CostModel) -> FuseStats {
-    fuse_adjacent_observed(program, model, &mut NullObs)
+    fuse_adjacent_observed(program, &NestMemo::new(*model), &mut NullObs)
 }
 
-/// [`fuse_adjacent`] plus optimization remarks: an `Applied` remark for
+/// [`fuse_adjacent`] with the run's [`NestMemo`] supplying every
+/// `LoopCost`, plus optimization remarks: an `Applied` remark for
 /// every pair actually fused, and after the greedy loop settles, one
 /// `Missed` remark per adjacent compatible pair left unfused explaining
 /// which test (legality, benefit, or renaming) blocked it.
 pub fn fuse_adjacent_observed(
     program: &mut Program,
-    model: &CostModel,
+    memo: &NestMemo,
     obs: &mut dyn ObsSink,
 ) -> FuseStats {
     // Candidate count: nests adjacent to a compatible nest, in the
@@ -203,9 +208,13 @@ pub fn fuse_adjacent_observed(
     // Weights: how many original nests each body entry contains.
     let mut weights: Vec<usize> = program.body().iter().map(|_| 1).collect();
 
+    // Legality and benefit are pure functions of the pair, so pairs left
+    // of a fusion keep their verdicts: after fusing at `i` the scan
+    // resumes at the first pair that changed, `i - 1`.
+    let mut start = 0;
     loop {
         let mut fused_at: Option<usize> = None;
-        for i in 0..program.body().len().saturating_sub(1) {
+        for i in start..program.body().len().saturating_sub(1) {
             let (Node::Loop(a), Node::Loop(b)) = (&program.body()[i], &program.body()[i + 1])
             else {
                 continue;
@@ -217,7 +226,7 @@ pub fn fuse_adjacent_observed(
             if !legal_to_fuse(program, a, b) {
                 continue;
             }
-            if fusion_benefit(program, model, a, b) != Some(true) {
+            if fusion_benefit(program, memo, a, b) != Some(true) {
                 continue;
             }
             let Some(fused) = fuse_pair(a, b, depth) else {
@@ -244,8 +253,9 @@ pub fn fuse_adjacent_observed(
             fused_at = Some(i);
             break;
         }
-        if fused_at.is_none() {
-            break;
+        match fused_at {
+            Some(i) => start = i.saturating_sub(1),
+            None => break,
         }
     }
 
@@ -263,7 +273,7 @@ pub fn fuse_adjacent_observed(
             }
             let reason = if !legal_to_fuse(program, a, b) {
                 "fusion would reverse a dependence between the nests"
-            } else if fusion_benefit(program, model, a, b) != Some(true) {
+            } else if fusion_benefit(program, memo, a, b) != Some(true) {
                 "cost model reports no locality benefit from fusing"
             } else {
                 "variable capture prevents renaming the second nest"
@@ -463,6 +473,59 @@ mod tests {
         assert_eq!(stats.candidates, 2);
         assert_eq!(stats.fused, 0);
         assert_eq!(p.nests().len(), 2);
+    }
+
+    /// Five adjacent compatible loops; the third reads `D` one element
+    /// ahead of the second's write, so no fusion may join them.
+    fn five_loops() -> Program {
+        let mut b = ProgramBuilder::new("five");
+        let n = b.param("N");
+        let arrays: Vec<_> = ["A", "C", "D", "E", "F", "G"]
+            .iter()
+            .map(|name| b.array(name, vec![n.into()]))
+            .collect();
+        let [a, c, d, e, f, g] = arrays[..] else {
+            unreachable!()
+        };
+        // (loop variable, written array, read array, read offset)
+        let loops = [
+            ("I1", a, c, 0),
+            ("I2", d, a, 0),
+            ("I3", e, d, 1),
+            ("I4", f, e, 0),
+            ("I5", g, f, 0),
+        ];
+        for (var, dst, src, shift) in loops {
+            b.loop_(var, 1, n, |b| {
+                let i = b.var(var);
+                let lhs = b.at(dst, [i]);
+                let rhs = Expr::load(b.at_vec(src, vec![Affine::var(i) + shift]));
+                b.assign(lhs, rhs);
+            });
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn greedy_fusion_resumes_after_each_fusion() {
+        let mut p = five_loops();
+        let stats = fuse_adjacent(&mut p, &CostModel::new(4));
+        assert_eq!(
+            stats,
+            FuseStats {
+                candidates: 5,
+                fused: 5
+            }
+        );
+        validate(&p).unwrap();
+        assert_eq!(
+            cmt_ir::pretty::program_to_source(&p),
+            "PROGRAM five\n\
+             PARAM N\n\
+             REAL A(N), C(N), D(N), E(N), F(N), G(N)\n\
+             DO I1 = 1, N\n  A(I1) = C(I1)\n  D(I1) = A(I1)\nENDDO\n\
+             DO I3 = 1, N\n  E(I3) = D(I3+1)\n  F(I3) = E(I3)\n  G(I3) = F(I3)\nENDDO\n"
+        );
     }
 
     #[test]

@@ -87,6 +87,6 @@ pub use compound::{
     compound, compound_observed, compound_oracle, compound_traced, CompoundOptions,
 };
 pub use cost::CostPoly;
-pub use model::{CostModel, LoopCostEntry, NestCosts, RankOracle, SelfReuse};
+pub use model::{CostModel, LoopCostEntry, NestAnalysis, NestMemo, RankOracle, SelfReuse};
 pub use provenance::{CollectProvenance, NullProvenance, ProvenanceSink, TransformStep};
 pub use report::TransformReport;

@@ -13,14 +13,16 @@
 //! permutation with the cheapest loop innermost.
 
 use crate::cost::CostPoly;
-use cmt_dependence::{analyze_nest, DepVector, DependenceGraph};
+use cmt_dependence::{analyze_nest, DepElem, DependenceGraph};
 use cmt_ir::affine::Affine;
 use cmt_ir::ids::{LoopId, StmtId, VarId};
 use cmt_ir::node::{Loop, Node};
 use cmt_ir::program::Program;
 use cmt_ir::stmt::ArrayRef;
 use cmt_ir::visit::{all_loops, stmts_with_context};
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Classification a representative reference receives from `RefCost`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -96,23 +98,14 @@ impl CostModel {
         self.cls
     }
 
-    /// Analyzes a nest once; the result answers all cost queries.
-    pub fn analyze<'p>(&self, program: &'p Program, nest: &'p Loop) -> NestCosts {
-        NestCosts::build(*self, program, nest)
-    }
-
-    /// `LoopCost` for every loop of the nest, preorder.
-    pub fn nest_costs(&self, program: &Program, nest: &Loop) -> Vec<LoopCostEntry> {
-        self.analyze(program, nest).entries
-    }
-
-    /// Memory order: the nest's loops sorted by descending `LoopCost`
-    /// (stable — ties keep their original relative order), so the last
-    /// element is the loop that should be innermost.
-    pub fn memory_order(&self, program: &Program, nest: &Loop) -> Vec<LoopId> {
-        let mut entries = self.nest_costs(program, nest);
-        entries.sort_by(|a, b| b.cost.dominating_cmp(&a.cost));
-        entries.into_iter().map(|e| e.loop_id).collect()
+    /// Analyzes a nest once; the result answers all cost, statistics and
+    /// legality queries about it.
+    ///
+    /// The result depends only on `(cls, nest)`: `program` is handed to
+    /// the dependence tester, which reads nothing from it. A
+    /// [`NestMemo`] relies on this to key its entries by the nest alone.
+    pub fn analyze(&self, program: &Program, nest: &Loop) -> NestAnalysis {
+        NestAnalysis::build(*self, program, nest)
     }
 }
 
@@ -149,6 +142,13 @@ pub trait RankOracle {
         let _ = (program, root);
         Vec::new()
     }
+
+    /// The `LoopCost` model this oracle ranks by, if it is one. The
+    /// compound driver then answers [`RankOracle::rank`] and
+    /// [`RankOracle::scores`] from its [`NestMemo`] instead.
+    fn loop_cost_model(&self) -> Option<CostModel> {
+        None
+    }
 }
 
 /// Uniform evaluation point for scalarizing a symbolic [`CostPoly`] in
@@ -158,7 +158,7 @@ pub const SCORE_EVAL_AT: f64 = 100.0;
 
 impl RankOracle for CostModel {
     fn rank(&self, program: &Program, root: &Loop) -> Vec<LoopId> {
-        self.memory_order(program, root)
+        self.analyze(program, root).memory_order()
     }
 
     fn name(&self) -> &'static str {
@@ -166,39 +166,46 @@ impl RankOracle for CostModel {
     }
 
     fn scores(&self, program: &Program, root: &Loop) -> Vec<(LoopId, f64)> {
-        self.analyze(program, root)
-            .entries
-            .iter()
-            .map(|e| (e.loop_id, e.cost.eval_uniform(SCORE_EVAL_AT)))
-            .collect()
+        self.analyze(program, root).scores()
+    }
+
+    fn loop_cost_model(&self) -> Option<CostModel> {
+        Some(*self)
     }
 }
 
-/// The per-nest analysis produced by [`CostModel::analyze`].
+/// Everything the compound algorithm asks about one nest, produced by
+/// [`CostModel::analyze`]: the dependence graph, the `RefGroup`
+/// partition and the `LoopCost` of every loop. The Table-2 statistics
+/// are methods on it (see [`crate::report`]).
 #[derive(Clone, Debug)]
-pub struct NestCosts {
+pub struct NestAnalysis {
+    nest: Loop,
+    /// Enclosing loop ids of each statement, outermost first, in source
+    /// order.
+    pub(crate) stacks: Vec<Vec<LoopId>>,
+    /// The nest's dependence graph.
+    pub graph: DependenceGraph,
     /// Cost per loop, preorder over the nest.
     pub entries: Vec<LoopCostEntry>,
     /// Reference-group partition per loop (parallel to `entries`).
     pub groups: Vec<Vec<RefGroup>>,
-    /// Total reference occurrences in the nest.
-    pub total_refs: usize,
 }
 
-impl NestCosts {
-    fn build(model: CostModel, program: &Program, nest: &Loop) -> NestCosts {
+impl NestAnalysis {
+    fn build(model: CostModel, program: &Program, nest: &Loop) -> NestAnalysis {
         let nodes = [Node::Loop(nest.clone())];
         let ctxs = stmts_with_context(&nodes);
         let graph = analyze_nest(program, nest);
+        let basis = RefGroupBasis::new(model.cls, &ctxs, &graph);
+        let trips: Vec<Vec<CostPoly>> = ctxs.iter().map(|(stack, _)| trip_polys(stack)).collect();
         let loops = all_loops(nest);
-
-        let total_refs = ctxs.iter().map(|(_, s)| s.refs().len()).sum();
 
         let mut entries = Vec::with_capacity(loops.len());
         let mut groups_per_loop = Vec::with_capacity(loops.len());
         for l in &loops {
-            let groups = ref_groups(model.cls, &ctxs, &graph, Some(l.var()));
-            let cost = loop_cost(model.cls, program, &ctxs, &groups, l);
+            let groups = basis.groups(Some(l.var()));
+            let cost = loop_cost(model.cls, &ctxs, &trips, &groups, l);
             entries.push(LoopCostEntry {
                 loop_id: l.id(),
                 var: l.var(),
@@ -206,11 +213,27 @@ impl NestCosts {
             });
             groups_per_loop.push(groups);
         }
-        NestCosts {
+        let stacks = ctxs
+            .iter()
+            .map(|(stack, _)| stack.iter().map(|l| l.id()).collect())
+            .collect();
+        drop(basis);
+        drop(ctxs);
+        let [Node::Loop(nest)] = nodes else {
+            unreachable!("built from one loop")
+        };
+        NestAnalysis {
+            nest,
+            stacks,
+            graph,
             entries,
             groups: groups_per_loop,
-            total_refs,
         }
+    }
+
+    /// The analyzed nest.
+    pub fn nest(&self) -> &Loop {
+        &self.nest
     }
 
     /// The cost entry for a given loop.
@@ -218,178 +241,302 @@ impl NestCosts {
         self.entries.iter().find(|e| e.loop_id == id)
     }
 
-    /// Loops sorted by descending cost (memory order).
+    /// Loops sorted by descending cost (memory order; stable — ties keep
+    /// their original relative order), so the last element is the loop
+    /// that should be innermost.
     pub fn memory_order(&self) -> Vec<LoopId> {
         let mut es: Vec<&LoopCostEntry> = self.entries.iter().collect();
         es.sort_by(|a, b| b.cost.dominating_cmp(&a.cost));
         es.into_iter().map(|e| e.loop_id).collect()
     }
+
+    /// Each loop's `LoopCost` evaluated at [`SCORE_EVAL_AT`], preorder —
+    /// the scores behind [`RankOracle::scores`].
+    pub fn scores(&self) -> Vec<(LoopId, f64)> {
+        self.entries
+            .iter()
+            .map(|e| (e.loop_id, e.cost.eval_uniform(SCORE_EVAL_AT)))
+            .collect()
+    }
+}
+
+/// The analyses of one compound run: at most one [`NestAnalysis`] per
+/// distinct nest state.
+///
+/// A key is the whole nest, compared with `==` (loop and statement ids
+/// included), never a hash alone. That is exact because
+/// [`CostModel::analyze`] depends only on `(cls, nest)`, and the memo
+/// holds a single model. Entries are shared as `Rc`s; the memo is a plain
+/// value that the run drops when it ends.
+///
+/// As a [`RankOracle`] it ranks by `LoopCost`, exactly like its
+/// [`CostModel`], answering from the memo.
+#[derive(Debug)]
+pub struct NestMemo {
+    model: CostModel,
+    analyses: RefCell<Vec<Rc<NestAnalysis>>>,
+    #[cfg(test)]
+    builds: std::cell::Cell<usize>,
+}
+
+impl NestMemo {
+    /// An empty memo for `model`.
+    pub fn new(model: CostModel) -> Self {
+        NestMemo {
+            model,
+            analyses: RefCell::new(Vec::new()),
+            #[cfg(test)]
+            builds: std::cell::Cell::new(0),
+        }
+    }
+
+    /// The model every entry is built with.
+    pub fn model(&self) -> CostModel {
+        self.model
+    }
+
+    /// The analysis of `nest`, built on first request.
+    pub fn analysis(&self, program: &Program, nest: &Loop) -> Rc<NestAnalysis> {
+        if let Some(hit) = self.analyses.borrow().iter().find(|a| a.nest == *nest) {
+            return Rc::clone(hit);
+        }
+        #[cfg(test)]
+        self.builds.set(self.builds.get() + 1);
+        let built = Rc::new(self.model.analyze(program, nest));
+        self.analyses.borrow_mut().push(Rc::clone(&built));
+        built
+    }
+
+    /// Analyses built so far.
+    #[cfg(test)]
+    pub(crate) fn builds(&self) -> usize {
+        self.builds.get()
+    }
+
+    /// The distinct nests analyzed so far.
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> Vec<Loop> {
+        self.analyses
+            .borrow()
+            .iter()
+            .map(|a| a.nest.clone())
+            .collect()
+    }
+}
+
+impl RankOracle for NestMemo {
+    fn rank(&self, program: &Program, root: &Loop) -> Vec<LoopId> {
+        self.analysis(program, root).memory_order()
+    }
+
+    fn name(&self) -> &'static str {
+        "loopcost"
+    }
+
+    fn scores(&self, program: &Program, root: &Loop) -> Vec<(LoopId, f64)> {
+        self.analysis(program, root).scores()
+    }
+
+    fn loop_cost_model(&self) -> Option<CostModel> {
+        Some(self.model)
+    }
 }
 
 type Ctx<'a> = (Vec<&'a Loop>, &'a cmt_ir::stmt::Stmt);
 
-/// Computes the `RefGroup` partition of all references in the nest with
-/// respect to candidate loop `l` (`None` groups only by loop-independent
-/// and spatial conditions — used for statistics).
-pub fn ref_groups(
-    cls: u32,
-    ctxs: &[Ctx<'_>],
-    graph: &DependenceGraph,
-    candidate: Option<VarId>,
-) -> Vec<RefGroup> {
-    // Occurrence table.
-    let mut occs: Vec<RefOcc> = Vec::new();
-    let mut occ_index: HashMap<(StmtId, usize), usize> = HashMap::new();
-    let mut stmt_pos: HashMap<StmtId, usize> = HashMap::new();
-    for (si, (_, s)) in ctxs.iter().enumerate() {
-        stmt_pos.insert(s.id(), si);
-        for ri in 0..s.refs().len() {
-            occ_index.insert((s.id(), ri), occs.len());
-            occs.push(RefOcc {
-                stmt_idx: si,
-                ref_idx: ri,
-            });
+/// The candidate-independent part of a nest's `RefGroup` partitions,
+/// computed once per nest: the occurrence table, the unions that hold for
+/// every candidate loop, the dependences that join two occurrences only
+/// for the loop that carries them, and the group-spatial pairs.
+/// [`RefGroupBasis::groups`] finishes the partition for one candidate.
+#[derive(Debug)]
+pub struct RefGroupBasis<'a> {
+    ctxs: &'a [Ctx<'a>],
+    occs: Vec<RefOcc>,
+    /// Textual-identity and loop-independent unions.
+    base: UnionFind,
+    /// `(a, b, carrier)`: condition 1 joins `a` and `b` when `carrier` is
+    /// the candidate loop's variable.
+    carried: Vec<(usize, usize, VarId)>,
+    /// Condition 2 candidates in scan order.
+    spatial_pairs: Vec<(usize, usize)>,
+}
+
+impl<'a> RefGroupBasis<'a> {
+    /// Precomputes the candidate-independent grouping work for the nest
+    /// whose statements are `ctxs` and dependences `graph`.
+    pub fn new(cls: u32, ctxs: &'a [Ctx<'a>], graph: &DependenceGraph) -> Self {
+        // Occurrence table.
+        let mut occs: Vec<RefOcc> = Vec::new();
+        let mut occ_index: HashMap<(StmtId, usize), usize> = HashMap::new();
+        let mut stmt_pos: HashMap<StmtId, usize> = HashMap::new();
+        let mut loop_var: HashMap<LoopId, VarId> = HashMap::new();
+        for (si, (stack, s)) in ctxs.iter().enumerate() {
+            stmt_pos.insert(s.id(), si);
+            for l in stack {
+                loop_var.insert(l.id(), l.var());
+            }
+            for ri in 0..s.refs().len() {
+                occ_index.insert((s.id(), ri), occs.len());
+                occs.push(RefOcc {
+                    stmt_idx: si,
+                    ref_idx: ri,
+                });
+            }
         }
-    }
 
-    let mut uf = UnionFind::new(occs.len());
-    let mut spatial = vec![false; occs.len()];
+        let mut base = UnionFind::new(occs.len());
 
-    // Textually identical references in one statement touch the same
-    // address in every iteration — trivially one group (e.g. the write
-    // and read of `C(I,J) = C(I,J) + …`). This also lets the value-based
-    // occurrence matching below stay unambiguous.
-    for (si, (_, s)) in ctxs.iter().enumerate() {
-        let refs = s.refs();
-        for a in 0..refs.len() {
-            for b in (a + 1)..refs.len() {
-                if refs[a] == refs[b] {
-                    let oa = occ_index[&(s.id(), a)];
-                    let ob = occ_index[&(s.id(), b)];
-                    uf.union(oa, ob);
+        // Textually identical references in one statement touch the same
+        // address in every iteration — trivially one group (e.g. the write
+        // and read of `C(I,J) = C(I,J) + …`). This also lets the value-based
+        // occurrence matching below stay unambiguous.
+        for (_, s) in ctxs {
+            let refs = s.refs();
+            for a in 0..refs.len() {
+                for b in (a + 1)..refs.len() {
+                    if refs[a] == refs[b] {
+                        base.union(occ_index[&(s.id(), a)], occ_index[&(s.id(), b)]);
+                    }
                 }
             }
         }
-        let _ = si;
+
+        // Condition 1: connected by a qualifying dependence. Following the
+        // paper (whose groups are "slightly more restrictive than uniformly
+        // generated references"), only uniformly generated pairs — same
+        // index-variable coefficients, constant subscript differences — are
+        // grouped; A(I,K) and A(K,K) stay apart even though a dependence may
+        // connect them. Every union keeps the smaller root, so a
+        // component's root is its first occurrence whatever the union
+        // order: applying the loop-independent unions here, ahead of the
+        // candidate's own, yields the same partition.
+        let mut carried = Vec::new();
+        for d in graph.deps() {
+            if !uniformly_generated(&d.src_ref, &d.dst_ref) {
+                continue;
+            }
+            let (Some(&si), Some(&di)) = (stmt_pos.get(&d.src), stmt_pos.get(&d.dst)) else {
+                continue;
+            };
+            let find_occ = |si: usize, r: &ArrayRef| -> Option<usize> {
+                let s = ctxs[si].1;
+                s.refs()
+                    .iter()
+                    .position(|q| *q == r)
+                    .and_then(|ri| occ_index.get(&(s.id(), ri)).copied())
+            };
+            let (Some(a), Some(b)) = (find_occ(si, &d.src_ref), find_occ(di, &d.dst_ref)) else {
+                continue;
+            };
+            if d.vector.is_loop_independent() {
+                base.union(a, b);
+            } else if let Some(v) = group_carrier(d.vector.elems(), &d.loops, &loop_var) {
+                carried.push((a, b, v));
+            }
+        }
+
+        // Condition 2: group-spatial — same array, first subscripts differ by
+        // at most the line size, remaining subscripts identical.
+        let mut spatial_pairs = Vec::new();
+        for a in 0..occs.len() {
+            for b in (a + 1)..occs.len() {
+                let ra = ref_of(ctxs, occs[a]);
+                let rb = ref_of(ctxs, occs[b]);
+                if ra.array() != rb.array() || ra == rb {
+                    continue;
+                }
+                let diff = ra.subscripts()[0].clone() - rb.subscripts()[0].clone();
+                if !diff.is_constant() || diff.constant_term().unsigned_abs() > u64::from(cls) {
+                    continue;
+                }
+                if ra.subscripts()[1..] != rb.subscripts()[1..] {
+                    continue;
+                }
+                spatial_pairs.push((a, b));
+            }
+        }
+
+        RefGroupBasis {
+            ctxs,
+            occs,
+            base,
+            carried,
+            spatial_pairs,
+        }
     }
 
-    // Condition 1: connected by a qualifying dependence. Following the
-    // paper (whose groups are "slightly more restrictive than uniformly
-    // generated references"), only uniformly generated pairs — same
-    // index-variable coefficients, constant subscript differences — are
-    // grouped; A(I,K) and A(K,K) stay apart even though a dependence may
-    // connect them.
-    for d in graph.deps() {
-        if !uniformly_generated(&d.src_ref, &d.dst_ref) {
-            continue;
-        }
-        if !qualifies_for_group(&d.vector, &d.loops, ctxs, candidate) {
-            continue;
-        }
-        let (Some(&si), Some(&di)) = (stmt_pos.get(&d.src), stmt_pos.get(&d.dst)) else {
-            continue;
-        };
-        let find_occ = |si: usize, r: &ArrayRef| -> Option<usize> {
-            let s = ctxs[si].1;
-            s.refs()
-                .iter()
-                .position(|q| *q == r)
-                .and_then(|ri| occ_index.get(&(s.id(), ri)).copied())
-        };
-        if let (Some(a), Some(b)) = (find_occ(si, &d.src_ref), find_occ(di, &d.dst_ref)) {
-            uf.union(a, b);
-        }
-    }
-
-    // Condition 2: group-spatial — same array, first subscripts differ by
-    // at most the line size, remaining subscripts identical.
-    for a in 0..occs.len() {
-        for b in (a + 1)..occs.len() {
-            let ra = ref_of(ctxs, occs[a]);
-            let rb = ref_of(ctxs, occs[b]);
-            if ra.array() != rb.array() || ra == rb {
-                continue;
+    /// The `RefGroup` partition of all references in the nest with
+    /// respect to candidate loop variable `candidate` (`None` groups only
+    /// by loop-independent and spatial conditions — used for statistics).
+    pub fn groups(&self, candidate: Option<VarId>) -> Vec<RefGroup> {
+        let mut uf = self.base.clone();
+        for &(a, b, carrier) in &self.carried {
+            if candidate == Some(carrier) {
+                uf.union(a, b);
             }
-            let diff = ra.subscripts()[0].clone() - rb.subscripts()[0].clone();
-            if !diff.is_constant() || diff.constant_term().unsigned_abs() > u64::from(cls) {
-                continue;
-            }
-            if ra.subscripts()[1..] != rb.subscripts()[1..] {
-                continue;
-            }
+        }
+        let mut spatial = vec![false; self.occs.len()];
+        for &(a, b) in &self.spatial_pairs {
             if uf.find(a) != uf.find(b) {
                 uf.union(a, b);
                 spatial[a] = true;
                 spatial[b] = true;
             }
         }
-    }
 
-    // Materialize groups; representative = deepest nesting (most enclosing
-    // loops), ties to the first occurrence.
-    let mut by_root: HashMap<usize, Vec<usize>> = HashMap::new();
-    for i in 0..occs.len() {
-        by_root.entry(uf.find(i)).or_default().push(i);
-    }
-    let mut roots: Vec<usize> = by_root.keys().copied().collect();
-    roots.sort_unstable();
-    roots
-        .into_iter()
-        .map(|r| {
-            let members_idx = &by_root[&r];
-            let rep = *members_idx
-                .iter()
-                .max_by_key(|&&i| ctxs[occs[i].stmt_idx].0.len())
-                .expect("groups are nonempty");
-            RefGroup {
-                members: members_idx.iter().map(|&i| occs[i]).collect(),
-                representative: occs[rep],
-                spatial_merge: members_idx.iter().any(|&i| spatial[i]),
+        // Materialize groups in root order (a root is its component's
+        // first occurrence); representative = deepest nesting (most
+        // enclosing loops), ties to the last occurrence.
+        let mut group_of: Vec<usize> = vec![usize::MAX; self.occs.len()];
+        let mut members: Vec<Vec<usize>> = Vec::new();
+        for i in 0..self.occs.len() {
+            let r = uf.find(i);
+            if r == i {
+                group_of[i] = members.len();
+                members.push(vec![i]);
+            } else {
+                members[group_of[r]].push(i);
             }
-        })
-        .collect()
+        }
+        members
+            .into_iter()
+            .map(|members_idx| {
+                let rep = *members_idx
+                    .iter()
+                    .max_by_key(|&&i| self.ctxs[self.occs[i].stmt_idx].0.len())
+                    .expect("groups are nonempty");
+                RefGroup {
+                    members: members_idx.iter().map(|&i| self.occs[i]).collect(),
+                    representative: self.occs[rep],
+                    spatial_merge: members_idx.iter().any(|&i| spatial[i]),
+                }
+            })
+            .collect()
+    }
 }
 
-/// Condition 1 of `RefGroup`: the dependence is loop-independent, or its
-/// entry for the candidate loop is a small constant (|d| ≤ 2) and every
-/// other entry is zero.
-fn qualifies_for_group(
-    vector: &DepVector,
+/// Condition 1 of `RefGroup` for a loop-carried dependence: the variable
+/// of the one candidate loop that may group its endpoints. That is the
+/// loop whose entry is a small constant (|d| ≤ 2) while every other entry
+/// is zero; `None` when no candidate qualifies. The candidate is located
+/// among the dependence's common loops by variable (sibling copies share
+/// the variable), first match.
+fn group_carrier(
+    elems: &[DepElem],
     dep_loops: &[LoopId],
-    ctxs: &[Ctx<'_>],
-    candidate: Option<VarId>,
-) -> bool {
-    if vector.is_loop_independent() {
-        return true;
+    loop_var: &HashMap<LoopId, VarId>,
+) -> Option<VarId> {
+    let mut non_eq = elems.iter().enumerate().filter(|(_, e)| !e.is_eq());
+    let (pos, elem) = non_eq.next()?;
+    if non_eq.next().is_some() || !matches!(elem, DepElem::Dist(d) if d.abs() <= 2) {
+        return None;
     }
-    let Some(cand) = candidate else {
-        return false;
-    };
-    // Locate the candidate loop among the dependence's common loops by
-    // variable (sibling copies share the variable).
-    let mut loop_var = HashMap::new();
-    for (stack, _) in ctxs {
-        for l in stack {
-            loop_var.insert(l.id(), l.var());
-        }
-    }
-    let Some(pos) = dep_loops
+    let var = *loop_var.get(dep_loops.get(pos)?)?;
+    let first = dep_loops
         .iter()
-        .position(|id| loop_var.get(id) == Some(&cand))
-    else {
-        return false;
-    };
-    for (k, e) in vector.elems().iter().enumerate() {
-        if k == pos {
-            match e {
-                cmt_dependence::DepElem::Dist(d) if d.abs() <= 2 => {}
-                _ => return false,
-            }
-        } else if !e.is_eq() {
-            return false;
-        }
-    }
-    true
+        .position(|id| loop_var.get(id) == Some(&var))?;
+    (first == pos).then_some(var)
 }
 
 /// True when two references are *uniformly generated*: same array, and
@@ -430,28 +577,29 @@ pub fn ref_cost(
 }
 
 /// `LoopCost`: total cache lines for the nest with `cand` innermost.
+/// `trips[s]` are the [`trip_polys`] of statement `s`'s loop stack.
 fn loop_cost(
     cls: u32,
-    program: &Program,
     ctxs: &[Ctx<'_>],
+    trips: &[Vec<CostPoly>],
     groups: &[RefGroup],
     cand: &Loop,
 ) -> CostPoly {
+    let mut standalone: Option<CostPoly> = None;
     let mut total = CostPoly::zero();
     for g in groups {
         let rep = g.representative;
         let (stack, stmt) = &ctxs[rep.stmt_idx];
         let r = stmt.refs()[rep.ref_idx];
-        let trips = trip_polys(program, stack);
+        let trips = &trips[rep.stmt_idx];
         // Trip of the candidate loop: from the statement's own stack when
         // the candidate encloses it, else resolved from the candidate's
         // header directly.
-        let cand_trip = stack
-            .iter()
-            .position(|l| l.var() == cand.var())
-            .map(|k| trips[k].clone())
-            .unwrap_or_else(|| trip_poly_standalone(program, cand));
-        let (rc, _) = ref_cost(cls, r, cand.var(), cand.step(), &cand_trip);
+        let cand_trip = match stack.iter().position(|l| l.var() == cand.var()) {
+            Some(k) => &trips[k],
+            None => &*standalone.get_or_insert_with(|| trip_poly_standalone(cand)),
+        };
+        let (rc, _) = ref_cost(cls, r, cand.var(), cand.step(), cand_trip);
         let mut product = rc;
         for (k, l) in stack.iter().enumerate() {
             if l.var() != cand.var() {
@@ -468,11 +616,11 @@ fn loop_cost(
 /// loops' dominating extents; lower-bound variable terms are dropped (a
 /// triangular `K+1 .. N` loop counts as `n`, exactly as in the paper's
 /// tables).
-pub fn trip_polys(program: &Program, stack: &[&Loop]) -> Vec<CostPoly> {
+pub fn trip_polys(stack: &[&Loop]) -> Vec<CostPoly> {
     let mut dom: HashMap<VarId, CostPoly> = HashMap::new();
     let mut out = Vec::with_capacity(stack.len());
     for l in stack {
-        let t = trip_poly(program, l, &dom);
+        let t = trip_poly(l, &dom);
         let ub_dom = affine_poly(l.upper(), &dom);
         dom.insert(l.var(), ub_dom);
         out.push(t);
@@ -483,11 +631,11 @@ pub fn trip_polys(program: &Program, stack: &[&Loop]) -> Vec<CostPoly> {
 /// Trip polynomial for one loop given dominating extents of outer
 /// variables (standalone variant used for candidate loops outside the
 /// representative's stack).
-fn trip_poly_standalone(program: &Program, l: &Loop) -> CostPoly {
-    trip_poly(program, l, &HashMap::new())
+fn trip_poly_standalone(l: &Loop) -> CostPoly {
+    trip_poly(l, &HashMap::new())
 }
 
-fn trip_poly(_program: &Program, l: &Loop, dom: &HashMap<VarId, CostPoly>) -> CostPoly {
+fn trip_poly(l: &Loop, dom: &HashMap<VarId, CostPoly>) -> CostPoly {
     let (hi, lo) = if l.step() > 0 {
         (l.upper(), l.lower())
     } else {
@@ -639,7 +787,7 @@ mod tests {
         let p = matmul();
         let nest = p.nests()[0];
         let model = CostModel::new(4);
-        let order = model.memory_order(&p, nest);
+        let order = model.analyze(&p, nest).memory_order();
         let names: Vec<&str> = order
             .iter()
             .map(|id| {
@@ -804,7 +952,7 @@ mod tests {
         let p = b.finish();
         let outer = p.nests()[0];
         let inner = outer.only_loop_child().unwrap();
-        let trips = trip_polys(&p, &[outer, inner]);
+        let trips = trip_polys(&[outer, inner]);
         // I: 1..N → n. J: I+1..N → n (lower-bound var terms dropped,
         // constant +1 kept: N − 1 + 1).
         assert_eq!(trips[0], n_poly());

@@ -11,8 +11,8 @@
 //! triangular nests of §4.5.1 (bound exchange à la Cholesky's
 //! `DO I=K+1,N / DO J=K+1,I` → `DO J=K+1,N / DO I=J,N`).
 
-use crate::model::{CostModel, RankOracle};
-use cmt_dependence::{analyze_nest, DepVector, Direction};
+use crate::model::{CostModel, NestMemo, RankOracle};
+use cmt_dependence::{DepVector, Direction};
 use cmt_ir::affine::Affine;
 use cmt_ir::ids::LoopId;
 use cmt_ir::node::{Loop, Node};
@@ -80,45 +80,45 @@ pub fn permute_nest(
     model: &CostModel,
     allow_reversal: bool,
 ) -> PermuteOutcome {
-    permute_nest_with(program, nest_idx, allow_reversal, model)
+    let memo = NestMemo::new(*model);
+    permute_nest_observed(
+        program,
+        nest_idx,
+        allow_reversal,
+        &memo,
+        &memo,
+        &mut NullObs,
+        "",
+    )
 }
 
 /// [`permute_nest`] with an explicit [`RankOracle`] choosing the desired
-/// loop order. `permute_nest` delegates here with the `CostModel` as the
-/// oracle, so the default pipeline is unchanged; alternative oracles
-/// (e.g. `cmt-analytic`'s predicted-miss ranking) reuse the same legality
-/// machinery.
-pub fn permute_nest_with(
-    program: &mut Program,
-    nest_idx: usize,
-    allow_reversal: bool,
-    oracle: &dyn RankOracle,
-) -> PermuteOutcome {
-    permute_nest_observed(program, nest_idx, allow_reversal, oracle, &mut NullObs, "")
-}
-
-/// [`permute_nest_with`] plus decision provenance: one
+/// loop order (alternative oracles such as `cmt-analytic`'s
+/// predicted-miss ranking reuse the same legality machinery), the run's
+/// [`NestMemo`] supplying dependence graphs, and decision provenance: one
 /// [`DecisionRecord`] is emitted into `obs` for the permutation
 /// decision (candidates with per-oracle costs, the desired order, the
 /// legality verdict with the constraining dependence vector on
 /// rejection, the achieved order, and the win margin). `nest` is the
 /// stable label to stamp on the record; with a disabled sink no record
-/// is constructed and this is exactly `permute_nest_with`.
+/// is constructed.
 pub fn permute_nest_observed(
     program: &mut Program,
     nest_idx: usize,
     allow_reversal: bool,
     oracle: &dyn RankOracle,
+    memo: &NestMemo,
     obs: &mut dyn ObsSink,
     nest: &str,
 ) -> PermuteOutcome {
     let root = program.body()[nest_idx]
         .as_loop()
-        .expect("permute_nest requires a loop node")
-        .clone();
-    if !is_perfect(&root) {
-        let order = oracle.rank(program, &root);
-        let chain_ids: Vec<LoopId> = perfect_chain(&root).iter().map(|l| l.id()).collect();
+        .expect("permute_nest requires a loop node");
+    let analysis = memo.analysis(program, root);
+    let root = analysis.nest();
+    if !is_perfect(root) {
+        let order = oracle.rank(program, root);
+        let chain_ids: Vec<LoopId> = perfect_chain(root).iter().map(|l| l.id()).collect();
         let in_order = is_prefix_consistent(&chain_ids, &order);
         if obs.enabled() {
             let desired: Vec<LoopId> = order
@@ -126,7 +126,7 @@ pub fn permute_nest_observed(
                 .filter(|id| chain_ids.contains(id))
                 .copied()
                 .collect();
-            let mut rec = decision_skeleton(program, &root, oracle, &desired, nest, "permute");
+            let mut rec = decision_skeleton(program, root, oracle, &desired, nest, "permute");
             rec.outcome = "imperfect";
             obs.decision(rec);
         }
@@ -143,9 +143,10 @@ pub fn permute_nest_observed(
 
     let outcome = permute_loop_in_place_observed(
         program,
-        &root,
+        root,
         allow_reversal,
         oracle,
+        memo,
         obs,
         nest,
         "permute",
@@ -157,50 +158,25 @@ pub fn permute_nest_observed(
 }
 
 /// Permutes the perfect chain of `root` (any loop — possibly a subtree of
-/// a larger nest) into memory order. Returns the outcome and, when the IR
+/// a larger nest) into the order `oracle` ranks best, taking the
+/// dependence graph from `memo`. Returns the outcome and, when the IR
 /// changed, the rewritten loop.
 ///
 /// Dependences are analyzed on the subtree alone: variables of enclosing
 /// loops are fixed symbols for every iteration pair the subtree can
 /// generate, which the dependence tester models exactly.
-pub fn permute_loop_in_place(
-    program: &Program,
-    root: &Loop,
-    model: &CostModel,
-    allow_reversal: bool,
-) -> (PermuteOutcome, Option<Loop>) {
-    permute_loop_in_place_with(program, root, allow_reversal, model)
-}
-
-/// [`permute_loop_in_place`] with an explicit [`RankOracle`] choosing the
-/// desired loop order.
-pub fn permute_loop_in_place_with(
-    program: &Program,
-    root: &Loop,
-    allow_reversal: bool,
-    oracle: &dyn RankOracle,
-) -> (PermuteOutcome, Option<Loop>) {
-    permute_loop_in_place_observed(
-        program,
-        root,
-        allow_reversal,
-        oracle,
-        &mut NullObs,
-        "",
-        "permute",
-    )
-}
-
-/// [`permute_loop_in_place_with`] plus decision provenance: every return
-/// path emits one [`DecisionRecord`] into `obs` (guarded by
+///
+/// Every return path emits one [`DecisionRecord`] into `obs` (guarded by
 /// [`ObsSink::enabled`], so [`NullObs`] runs are byte-identical).
 /// `nest` labels the record; `action` distinguishes the driver step that
 /// asked for the permutation (`"permute"`, `"fuse.permute"`, …).
+#[allow(clippy::too_many_arguments)]
 pub fn permute_loop_in_place_observed(
     program: &Program,
     root: &Loop,
     allow_reversal: bool,
     oracle: &dyn RankOracle,
+    memo: &NestMemo,
     obs: &mut dyn ObsSink,
     nest: &str,
     action: &'static str,
@@ -236,8 +212,9 @@ pub fn permute_loop_in_place_observed(
     }
 
     // Dependence vectors over the chain.
-    let graph = analyze_nest(program, root);
-    let mut vectors: Vec<DepVector> = graph
+    let analysis = memo.analysis(program, root);
+    let mut vectors: Vec<DepVector> = analysis
+        .graph
         .constraining()
         .filter(|d| d.vector.len() == depth && !d.vector.is_loop_independent())
         .map(|d| d.vector.clone())
@@ -963,9 +940,9 @@ mod tests {
             });
         });
         let mut p = b.finish();
-        let model = CostModel::new(4);
+        let memo = NestMemo::new(CostModel::new(4));
         let mut sink = cmt_obs::CollectSink::new();
-        let out = permute_nest_observed(&mut p, 0, true, &model, &mut sink, "mm/nest0:I.J.K");
+        let out = permute_nest_observed(&mut p, 0, true, &memo, &memo, &mut sink, "mm/nest0:I.J.K");
         assert!(out.memory_order);
         assert_eq!(sink.decisions.len(), 1);
         let rec = &sink.decisions[0];
@@ -1002,9 +979,9 @@ mod tests {
             });
         });
         let mut p = b.finish();
-        let model = CostModel::new(4);
+        let memo = NestMemo::new(CostModel::new(4));
         let mut sink = cmt_obs::CollectSink::new();
-        let out = permute_nest_observed(&mut p, 0, false, &model, &mut sink, "blocked/nest0");
+        let out = permute_nest_observed(&mut p, 0, false, &memo, &memo, &mut sink, "blocked/nest0");
         assert!(!out.memory_order);
         assert_eq!(sink.decisions.len(), 1);
         let rec = &sink.decisions[0];
@@ -1033,8 +1010,8 @@ mod tests {
             });
             let mut p = b.finish();
             let mut sink = cmt_obs::CollectSink::new();
-            let out =
-                permute_nest_observed(&mut p, 0, true, &CostModel::new(4), &mut sink, "nest0");
+            let memo = NestMemo::new(CostModel::new(4));
+            let out = permute_nest_observed(&mut p, 0, true, &memo, &memo, &mut sink, "nest0");
             assert!(out.memory_order, "{name}: depth-1 is trivially in order");
             assert_eq!(sink.decisions.len(), 1, "{name}");
             let rec = &sink.decisions[0];
@@ -1062,7 +1039,8 @@ mod tests {
         });
         let mut p = b.finish();
         let mut sink = cmt_obs::CollectSink::new();
-        let out = permute_nest_observed(&mut p, 0, true, &CostModel::new(4), &mut sink, "imp/0");
+        let memo = NestMemo::new(CostModel::new(4));
+        let out = permute_nest_observed(&mut p, 0, true, &memo, &memo, &mut sink, "imp/0");
         assert_eq!(out.failure, Some(PermuteFailure::Imperfect));
         assert_eq!(sink.decisions.len(), 1);
         assert_eq!(sink.decisions[0].outcome, "imperfect");

@@ -2,8 +2,9 @@
 //! paper's Tables 2 and 5 and Figures 8/9.
 
 use crate::cost::CostPoly;
-use crate::model::{ref_groups, CostModel, SelfReuse};
+use crate::model::{CostModel, NestAnalysis, RefGroupBasis, SelfReuse};
 use cmt_dependence::analyze_nest;
+use cmt_ir::ids::LoopId;
 use cmt_ir::node::{Loop, Node};
 use cmt_ir::program::Program;
 use cmt_ir::visit::{all_loops, stmts_with_context};
@@ -91,88 +92,81 @@ fn percent(n: usize, d: usize) -> f64 {
     }
 }
 
-/// True when every statement of the nest sees its enclosing loops in
-/// non-increasing `LoopCost` order (the nest is *in memory order*).
-pub fn nest_in_memory_order(program: &Program, nest: &Loop, model: &CostModel) -> bool {
-    let costs = model.analyze(program, nest);
-    let nodes = [Node::Loop(nest.clone())];
-    let ctxs = stmts_with_context(&nodes);
-    ctxs.iter().all(|(stack, _)| {
-        stack.windows(2).all(|w| {
-            let a = &costs.cost_of(w[0].id()).expect("loop analyzed").cost;
-            let b = &costs.cost_of(w[1].id()).expect("loop analyzed").cost;
-            !b.dominates(a)
+/// The Table-2 statistics of one nest state, answered from its analysis.
+impl NestAnalysis {
+    /// True when every statement of the nest sees its enclosing loops in
+    /// non-increasing `LoopCost` order (the nest is *in memory order*).
+    pub fn in_memory_order(&self) -> bool {
+        self.stacks.iter().all(|stack| {
+            stack.windows(2).all(|w| {
+                let a = &self.cost_of(w[0]).expect("loop analyzed").cost;
+                let b = &self.cost_of(w[1]).expect("loop analyzed").cost;
+                !b.dominates(a)
+            })
         })
-    })
-}
-
-/// True when, for every statement nested at depth ≥ 2, the innermost
-/// enclosing loop carries the most reuse (least `LoopCost`) among that
-/// statement's enclosing loops.
-pub fn inner_loop_in_position(program: &Program, nest: &Loop, model: &CostModel) -> bool {
-    let costs = model.analyze(program, nest);
-    let nodes = [Node::Loop(nest.clone())];
-    let ctxs = stmts_with_context(&nodes);
-    ctxs.iter().all(|(stack, _)| {
-        if stack.len() < 2 {
-            return true;
-        }
-        let inner = &costs
-            .cost_of(stack.last().expect("nonempty").id())
-            .expect("loop analyzed")
-            .cost;
-        stack
-            .iter()
-            .all(|l| !inner.dominates(&costs.cost_of(l.id()).expect("loop analyzed").cost))
-    })
-}
-
-/// The realized cost of a nest: the sum of `LoopCost` over its leaf loops
-/// (for a perfect nest, simply the cost of the actual innermost loop).
-pub fn realized_cost(program: &Program, nest: &Loop, model: &CostModel) -> CostPoly {
-    let costs = model.analyze(program, nest);
-    let mut total = CostPoly::zero();
-    for l in all_loops(nest) {
-        let is_leaf = !l.body().iter().any(|n| matches!(n, Node::Loop(_)));
-        if is_leaf {
-            total += costs.cost_of(l.id()).expect("loop analyzed").cost.clone();
-        }
     }
-    total
-}
 
-/// The ideal cost of a nest: for each leaf, the cheapest loop on its
-/// root-to-leaf path made innermost, ignoring legality — the paper's
-/// "Ideal" program.
-pub fn ideal_cost(program: &Program, nest: &Loop, model: &CostModel) -> CostPoly {
-    let costs = model.analyze(program, nest);
-    let mut total = CostPoly::zero();
-    fn walk(
-        l: &Loop,
-        path: &mut Vec<cmt_ir::ids::LoopId>,
-        costs: &crate::model::NestCosts,
-        total: &mut CostPoly,
-    ) {
-        path.push(l.id());
-        let is_leaf = !l.body().iter().any(|n| matches!(n, Node::Loop(_)));
-        if is_leaf {
-            let best = path
+    /// True when, for every statement nested at depth ≥ 2, the innermost
+    /// enclosing loop carries the most reuse (least `LoopCost`) among that
+    /// statement's enclosing loops.
+    pub fn inner_loop_in_position(&self) -> bool {
+        self.stacks.iter().all(|stack| {
+            if stack.len() < 2 {
+                return true;
+            }
+            let inner = &self
+                .cost_of(*stack.last().expect("nonempty"))
+                .expect("loop analyzed")
+                .cost;
+            stack
                 .iter()
-                .map(|id| costs.cost_of(*id).expect("loop analyzed").cost.clone())
-                .min_by(|a, b| a.dominating_cmp(b))
-                .expect("path nonempty");
-            *total += best;
-        } else {
-            for n in l.body() {
-                if let Node::Loop(inner) = n {
-                    walk(inner, path, costs, total);
-                }
+                .all(|&id| !inner.dominates(&self.cost_of(id).expect("loop analyzed").cost))
+        })
+    }
+
+    /// The realized cost of the nest: the sum of `LoopCost` over its leaf
+    /// loops (for a perfect nest, simply the cost of the actual innermost
+    /// loop).
+    pub fn realized_cost(&self) -> CostPoly {
+        let mut total = CostPoly::zero();
+        for l in all_loops(self.nest()) {
+            if is_leaf(l) {
+                total += self.cost_of(l.id()).expect("loop analyzed").cost.clone();
             }
         }
-        path.pop();
+        total
     }
-    walk(nest, &mut Vec::new(), &costs, &mut total);
-    total
+
+    /// The ideal cost of the nest: for each leaf, the cheapest loop on its
+    /// root-to-leaf path made innermost, ignoring legality — the paper's
+    /// "Ideal" program.
+    pub fn ideal_cost(&self) -> CostPoly {
+        fn walk(l: &Loop, path: &mut Vec<LoopId>, costs: &NestAnalysis, total: &mut CostPoly) {
+            path.push(l.id());
+            if is_leaf(l) {
+                let best = path
+                    .iter()
+                    .map(|id| costs.cost_of(*id).expect("loop analyzed").cost.clone())
+                    .min_by(|a, b| a.dominating_cmp(b))
+                    .expect("path nonempty");
+                *total += best;
+            } else {
+                for n in l.body() {
+                    if let Node::Loop(inner) = n {
+                        walk(inner, path, costs, total);
+                    }
+                }
+            }
+            path.pop();
+        }
+        let mut total = CostPoly::zero();
+        walk(self.nest(), &mut Vec::new(), self, &mut total);
+        total
+    }
+}
+
+fn is_leaf(l: &Loop) -> bool {
+    !l.body().iter().any(|n| matches!(n, Node::Loop(_)))
 }
 
 /// Locality classification of the reference groups of a whole program —
@@ -273,7 +267,7 @@ pub fn locality_stats(program: &Program, model: &CostModel) -> LocalityStats {
         };
         let inner_var = inner.var();
         let inner_step = inner.step();
-        let groups = ref_groups(model.cls(), &ctxs, &graph, Some(inner_var));
+        let groups = RefGroupBasis::new(model.cls(), &ctxs, &graph).groups(Some(inner_var));
         for g in &groups {
             let rep = g.representative;
             let (stack, stmt) = &ctxs[rep.stmt_idx];
@@ -341,23 +335,27 @@ mod tests {
     fn memory_order_predicates() {
         let model = CostModel::new(4);
         let bad = strided_copy(true);
-        assert!(!nest_in_memory_order(&bad, bad.nests()[0], &model));
-        assert!(!inner_loop_in_position(&bad, bad.nests()[0], &model));
+        let bad = model.analyze(&bad, bad.nests()[0]);
+        assert!(!bad.in_memory_order());
+        assert!(!bad.inner_loop_in_position());
         let good = strided_copy(false);
-        assert!(nest_in_memory_order(&good, good.nests()[0], &model));
-        assert!(inner_loop_in_position(&good, good.nests()[0], &model));
+        let good = model.analyze(&good, good.nests()[0]);
+        assert!(good.in_memory_order());
+        assert!(good.inner_loop_in_position());
     }
 
     #[test]
     fn realized_vs_ideal_cost() {
         let model = CostModel::new(4);
         let bad = strided_copy(true);
-        let r = realized_cost(&bad, bad.nests()[0], &model);
-        let i = ideal_cost(&bad, bad.nests()[0], &model);
+        let bad = model.analyze(&bad, bad.nests()[0]);
+        let r = bad.realized_cost();
+        let i = bad.ideal_cost();
         assert!(r.dominates(&i), "realized {r} should exceed ideal {i}");
         let good = strided_copy(false);
-        let r2 = realized_cost(&good, good.nests()[0], &model);
-        let i2 = ideal_cost(&good, good.nests()[0], &model);
+        let good = model.analyze(&good, good.nests()[0]);
+        let r2 = good.realized_cost();
+        let i2 = good.ideal_cost();
         assert_eq!(r2.dominating_cmp(&i2), std::cmp::Ordering::Equal);
     }
 

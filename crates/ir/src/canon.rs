@@ -31,7 +31,7 @@ use crate::ids::{ArrayId, VarId};
 use crate::node::{Loop, Node};
 use crate::program::Program;
 use crate::stmt::ArrayRef;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A 128-bit structural hash of a program (see module docs for the
 /// invariances). Ordered and hashable so it can key any map.
@@ -56,11 +56,13 @@ const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 // Second stream: FNV-1a from an independent, odd offset basis.
 const FNV_BASIS2: u64 = FNV_BASIS ^ 0x9e37_79b9_7f4a_7c15;
 
-fn fnv1a(basis: u64, bytes: &[u8]) -> u64 {
-    let mut h = basis;
+/// Both FNV-1a streams over `bytes`, advanced together in one pass.
+fn fnv1a_pair(bytes: &[u8]) -> [u64; 2] {
+    let mut h = [FNV_BASIS, FNV_BASIS2];
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+        for s in &mut h {
+            *s = (*s ^ b as u64).wrapping_mul(FNV_PRIME);
+        }
     }
     h
 }
@@ -74,11 +76,7 @@ pub fn canonical_source(p: &Program) -> String {
 
 /// Computes the canonical structural key of `p`.
 pub fn nest_key(p: &Program) -> NestKey {
-    let src = canonical_source(p);
-    NestKey([
-        fnv1a(FNV_BASIS, src.as_bytes()),
-        fnv1a(FNV_BASIS2, src.as_bytes()),
-    ])
+    NestKey(fnv1a_pair(canonical_source(p).as_bytes()))
 }
 
 struct Canon<'p> {
@@ -89,9 +87,10 @@ struct Canon<'p> {
     array_sigs: Vec<String>,
     /// Innermost-last stack of bound loop variables.
     scope: Vec<VarId>,
-    body: String,
 }
 
+// The renderers append to one output string; writing to a `String`
+// cannot fail, so their `fmt::Result`s are discarded.
 impl<'p> Canon<'p> {
     fn new(p: &'p Program) -> Self {
         Canon {
@@ -99,13 +98,13 @@ impl<'p> Canon<'p> {
             array_slot: vec![None; p.arrays().len()],
             array_sigs: Vec::new(),
             scope: Vec::new(),
-            body: String::new(),
         }
     }
 
     fn render(mut self) -> String {
+        let mut body = String::new();
         for node in self.p.body() {
-            self.node(node);
+            self.node(node, &mut body);
         }
         // Arrays the body never references cannot influence the
         // optimizer; fold them in by shape only, order-free.
@@ -116,51 +115,55 @@ impl<'p> Canon<'p> {
         unused.sort();
         let mut out = format!("params:{}\n", self.p.params().len());
         for (i, sig) in self.array_sigs.iter().enumerate() {
-            out.push_str(&format!("array a{i}:{sig}\n"));
+            let _ = writeln!(out, "array a{i}:{sig}");
         }
         for sig in unused {
-            out.push_str(&format!("array _:{sig}\n"));
+            let _ = writeln!(out, "array _:{sig}");
         }
-        out.push_str(&self.body);
+        out.push_str(&body);
         out
     }
 
     fn array_sig(&self, id: ArrayId) -> String {
         let info = &self.p.arrays()[id.0 as usize];
-        let dims: Vec<String> = info
-            .dims()
-            .iter()
-            .map(|d| self.affine(d.as_affine()))
-            .collect();
-        format!("[{}]", dims.join(","))
+        let mut out = String::from("[");
+        for (i, d) in info.dims().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            self.affine(d.as_affine(), &mut out);
+        }
+        out.push(']');
+        out
     }
 
-    fn node(&mut self, n: &Node) {
+    fn node(&mut self, n: &Node, out: &mut String) {
         match n {
-            Node::Loop(l) => self.loop_(l),
+            Node::Loop(l) => self.loop_(l, out),
             Node::Stmt(s) => {
-                let lhs = self.array_ref(s.lhs());
-                let rhs = self.expr(s.rhs());
-                self.body.push_str(&format!("{lhs}={rhs};\n"));
+                self.array_ref(s.lhs(), out);
+                out.push('=');
+                self.expr(s.rhs(), out);
+                out.push_str(";\n");
             }
         }
     }
 
-    fn loop_(&mut self, l: &Loop) {
-        let lo = self.affine(l.lower());
-        let hi = self.affine(l.upper());
-        let depth = self.scope.len();
-        self.body
-            .push_str(&format!("do v{depth}=({lo})..({hi})step{}{{\n", l.step()));
+    fn loop_(&mut self, l: &Loop, out: &mut String) {
+        let _ = write!(out, "do v{}=(", self.scope.len());
+        self.affine(l.lower(), out);
+        out.push_str(")..(");
+        self.affine(l.upper(), out);
+        let _ = writeln!(out, ")step{}{{", l.step());
         self.scope.push(l.var());
         for child in l.body() {
-            self.node(child);
+            self.node(child, out);
         }
         self.scope.pop();
-        self.body.push_str("}\n");
+        out.push_str("}\n");
     }
 
-    fn array_ref(&mut self, r: &ArrayRef) -> String {
+    fn array_ref(&mut self, r: &ArrayRef, out: &mut String) {
         let k = r.array().0 as usize;
         let slot = match self.array_slot.get(k).copied().flatten() {
             Some(s) => s,
@@ -174,65 +177,74 @@ impl<'p> Canon<'p> {
                 s
             }
         };
-        let subs: Vec<String> = r.subscripts().iter().map(|a| self.affine(a)).collect();
-        format!("a{slot}({})", subs.join(","))
+        let _ = write!(out, "a{slot}(");
+        for (i, a) in r.subscripts().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            self.affine(a, out);
+        }
+        out.push(')');
+    }
+
+    /// Binding depth of `v`: the innermost binding wins, matching
+    /// variable shadowing. A free variable cannot be alpha-renamed; it
+    /// keeps its raw id, offset past any real depth.
+    fn depth_of(&self, v: VarId) -> i64 {
+        self.scope
+            .iter()
+            .rposition(|&b| b == v)
+            .map(|d| d as i64)
+            .unwrap_or(v.0 as i64 + 1_000_000)
     }
 
     /// Renders an affine form with variable terms sorted by binding
     /// depth and parameter terms by parameter index — the bound
-    /// normalization.
-    fn affine(&self, a: &Affine) -> String {
-        let mut vars: Vec<(i64, i64)> = a
+    /// normalization. Distinct variables have distinct depths, so the
+    /// variable terms are emitted by repeatedly taking the shallowest one
+    /// not yet written; parameter terms are stored in index order.
+    fn affine(&self, a: &Affine, out: &mut String) {
+        let _ = write!(out, "{}", a.constant_term());
+        let mut written = -1;
+        while let Some((d, c)) = a
             .var_terms()
-            .map(|(v, c)| {
-                // Innermost binding wins, matching variable shadowing.
-                let depth = self
-                    .scope
-                    .iter()
-                    .rposition(|&b| b == v)
-                    .map(|d| d as i64)
-                    // A free variable cannot be alpha-renamed; keep its
-                    // raw id, offset past any real depth.
-                    .unwrap_or(v.0 as i64 + 1_000_000);
-                (depth, c)
-            })
             .filter(|&(_, c)| c != 0)
-            .collect();
-        vars.sort_unstable();
-        let mut params: Vec<(u32, i64)> = a
-            .param_terms()
-            .filter(|&(_, c)| c != 0)
-            .map(|(p, c)| (p.0, c))
-            .collect();
-        params.sort_unstable();
-        let mut s = format!("{}", a.constant_term());
-        for (d, c) in vars {
-            s.push_str(&format!("{c:+}v{d}"));
+            .map(|(v, c)| (self.depth_of(v), c))
+            .filter(|&(d, _)| d > written)
+            .min()
+        {
+            let _ = write!(out, "{c:+}v{d}");
+            written = d;
         }
-        for (p, c) in params {
-            s.push_str(&format!("{c:+}p{p}"));
+        for (p, c) in a.param_terms().filter(|&(_, c)| c != 0) {
+            let _ = write!(out, "{c:+}p{}", p.0);
         }
-        s
     }
 
-    fn expr(&mut self, e: &Expr) -> String {
+    fn expr(&mut self, e: &Expr, out: &mut String) {
         match e {
             // Bit-exact constants: formatting must not lose precision.
-            Expr::Const(c) => format!("c{:016x}", c.to_bits()),
-            Expr::Index(v) => {
-                let depth = self
-                    .scope
-                    .iter()
-                    .rposition(|&b| b == *v)
-                    .map(|d| d as i64)
-                    .unwrap_or(v.0 as i64 + 1_000_000);
-                format!("v{depth}")
+            Expr::Const(c) => {
+                let _ = write!(out, "c{:016x}", c.to_bits());
             }
-            Expr::Param(p) => format!("p{}", p.0),
-            Expr::Load(r) => self.array_ref(r),
-            Expr::Unary(op, inner) => format!("{op:?}({})", self.expr(inner)),
+            Expr::Index(v) => {
+                let _ = write!(out, "v{}", self.depth_of(*v));
+            }
+            Expr::Param(p) => {
+                let _ = write!(out, "p{}", p.0);
+            }
+            Expr::Load(r) => self.array_ref(r, out),
+            Expr::Unary(op, inner) => {
+                let _ = write!(out, "{op:?}(");
+                self.expr(inner, out);
+                out.push(')');
+            }
             Expr::Binary(op, a, b) => {
-                format!("{op:?}({},{})", self.expr(a), self.expr(b))
+                let _ = write!(out, "{op:?}(");
+                self.expr(a, out);
+                out.push(',');
+                self.expr(b, out);
+                out.push(')');
             }
         }
     }

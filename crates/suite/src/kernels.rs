@@ -317,7 +317,6 @@ mod tests {
     use super::*;
     use cmt_ir::validate::validate;
     use cmt_locality::model::CostModel;
-    use cmt_locality::report::nest_in_memory_order;
 
     #[test]
     fn all_kernels_validate() {
@@ -338,9 +337,9 @@ mod tests {
     fn matmul_jki_is_memory_order() {
         let model = CostModel::new(4);
         let p = matmul("JKI");
-        assert!(nest_in_memory_order(&p, p.nests()[0], &model));
+        assert!(model.analyze(&p, p.nests()[0]).in_memory_order());
         let p = matmul("IJK");
-        assert!(!nest_in_memory_order(&p, p.nests()[0], &model));
+        assert!(!model.analyze(&p, p.nests()[0]).in_memory_order());
     }
 
     #[test]

@@ -221,7 +221,6 @@ mod tests {
     use cmt_ir::validate::validate;
     use cmt_locality::compound::compound;
     use cmt_locality::model::CostModel;
-    use cmt_locality::report::{inner_loop_in_position, nest_in_memory_order};
 
     #[test]
     fn all_stencil_kernels_validate() {
@@ -251,7 +250,7 @@ mod tests {
         assert_eq!(r.nests_permuted, 1, "{r:#?}");
         cmt_interp::assert_equivalent(&orig, &bad, &[12]);
         let good = jacobi2d("JI");
-        assert!(nest_in_memory_order(&good, good.nests()[0], &model));
+        assert!(model.analyze(&good, good.nests()[0]).in_memory_order());
     }
 
     #[test]
@@ -271,7 +270,7 @@ mod tests {
         // Neither order wins: LoopCost(I) == LoopCost(J).
         let model = CostModel::new(4);
         let p = transpose();
-        let costs = model.nest_costs(&p, p.nests()[0]);
+        let costs = model.analyze(&p, p.nests()[0]).entries;
         assert_eq!(
             costs[0].cost.dominating_cmp(&costs[1].cost),
             std::cmp::Ordering::Equal
@@ -300,7 +299,7 @@ mod tests {
         let orig = p.clone();
         let r = compound(&mut p, &model);
         assert!(r.inner_permuted >= 1, "{r:#?}");
-        assert!(inner_loop_in_position(&p, p.nests()[0], &model));
+        assert!(model.analyze(&p, p.nests()[0]).inner_loop_in_position());
         cmt_interp::assert_equivalent(&orig, &p, &[14]);
     }
 
@@ -318,11 +317,12 @@ mod tests {
     fn syr2k_triangular_analysis_runs() {
         let model = CostModel::new(4);
         let p = syr2k();
-        let costs = model.nest_costs(&p, p.nests()[0]);
+        let analysis = model.analyze(&p, p.nests()[0]);
+        let costs = &analysis.entries;
         assert_eq!(costs.len(), 3);
         // K must NOT be the cheapest innermost (it touches new lines of
         // every operand).
-        let order = model.memory_order(&p, p.nests()[0]);
+        let order = analysis.memory_order();
         let innermost = *order.last().unwrap();
         let k = p.find_var("K").unwrap();
         let inner_var = costs.iter().find(|e| e.loop_id == innermost).unwrap().var;

@@ -27,7 +27,7 @@ fn main() {
 
     let model = CostModel::new(4);
     let nest = original.nests()[0];
-    for e in model.nest_costs(&original, nest) {
+    for e in model.analyze(&original, nest).entries {
         println!("LoopCost({}) = {}", original.var_name(e.var), e.cost);
     }
 

@@ -9,7 +9,6 @@
 use cmt_locality_repro::cache::{CacheConfig, CycleModel, ShardedCache};
 use cmt_locality_repro::interp::{Machine, TeeSink};
 use cmt_locality_repro::locality::model::CostModel;
-use cmt_locality_repro::locality::report::realized_cost;
 use cmt_locality_repro::suite::kernels::matmul_orders;
 
 fn main() {
@@ -28,7 +27,7 @@ fn main() {
 
     let mut results = Vec::new();
     for (name, p) in matmul_orders() {
-        let cost = realized_cost(&p, p.nests()[0], &model);
+        let cost = model.analyze(&p, p.nests()[0]).realized_cost();
         let mut m = Machine::new(&p, &[n]).expect("allocation");
         let mut caches = TeeSink(
             ShardedCache::new(CacheConfig::rs6000()),

@@ -36,7 +36,7 @@ fn main() {
     // were innermost (cls = 4 elements, as in the paper's figures).
     let model = CostModel::new(4);
     let nest = original.nests()[0];
-    for entry in model.nest_costs(&original, nest) {
+    for entry in model.analyze(&original, nest).entries {
         println!(
             "LoopCost({}) = {}",
             original.var_name(entry.var),

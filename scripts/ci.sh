@@ -133,6 +133,11 @@ test -s "$SMOKE_DIR/explain_corpus.explain.json" || { echo "missing explain arti
 cargo run --release -q -p cmt-bench --bin cmt-report -- explain_corpus --dir "$SMOKE_DIR"
 grep -q '## Decisions' "$SMOKE_DIR/explain_corpus.report.md" \
   || { echo "report missing decisions section" >&2; exit 1; }
+# Pin every compound decision of the sweep byte for byte against the
+# committed baseline: candidate costs, margins, desired and achieved
+# orders, remarks and counters. A speed-up of the optimizer must not
+# move any of them.
+cargo run --release -q -p cmt-bench --bin obs_diff -- results/baseline "$SMOKE_DIR" explain_corpus
 
 echo ">>> clippy unwrap gate (bench + resilience + serve failure paths stay panic-free)"
 cargo clippy -q --no-deps -p cmt-bench -p cmt-resilience -p cmt-serve -- -D clippy::unwrap_used

@@ -73,6 +73,5 @@ fn gmtry_gets_unit_stride_innermost() {
     // in position (the paper's gmtry win is exactly the unit-stride
     // innermost loop).
     assert!(report.inner_permuted >= 1, "{report:#?}");
-    use cmt_locality_repro::locality::report::inner_loop_in_position;
-    assert!(inner_loop_in_position(&p, p.nests()[0], &model));
+    assert!(model.analyze(&p, p.nests()[0]).inner_loop_in_position());
 }

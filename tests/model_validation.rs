@@ -15,7 +15,6 @@ use cmt_locality_repro::ir::build::ProgramBuilder;
 use cmt_locality_repro::ir::expr::Expr;
 use cmt_locality_repro::ir::Program;
 use cmt_locality_repro::locality::model::CostModel;
-use cmt_locality_repro::locality::report::realized_cost;
 
 /// One statement: each of three refs picks a subscript pattern.
 #[derive(Clone, Debug)]
@@ -78,8 +77,14 @@ fn cost_ranking_predicts_simulated_ranking() {
         let ij = build(&spec, false);
         let ji = build(&spec, true);
 
-        let cost_ij = realized_cost(&ij, ij.nests()[0], &model).eval_uniform(N as f64);
-        let cost_ji = realized_cost(&ji, ji.nests()[0], &model).eval_uniform(N as f64);
+        let cost_ij = model
+            .analyze(&ij, ij.nests()[0])
+            .realized_cost()
+            .eval_uniform(N as f64);
+        let cost_ji = model
+            .analyze(&ji, ji.nests()[0])
+            .realized_cost()
+            .eval_uniform(N as f64);
 
         // Only judge decisive predictions (≥ 1.5× apart): near-ties are
         // legitimately noise (conflict misses the model ignores).

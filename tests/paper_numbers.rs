@@ -82,7 +82,7 @@ fn fig7_cholesky_memory_order() {
     let p = kernels::cholesky_kij();
     let model = CostModel::new(4);
     let nest = p.nests()[0];
-    let order = model.memory_order(&p, nest);
+    let order = model.analyze(&p, nest).memory_order();
     let names: Vec<&str> = order
         .iter()
         .map(|id| {
