@@ -8,8 +8,9 @@
 //! engine for the nest's *predicted miss count* with each loop rotated
 //! innermost ([`candidate_misses`]) and sorts:
 //! most misses outermost, fewest innermost. Plugged into the compound
-//! driver through `cmt_locality::RankOracle` (the `CMT_COST=analytic`
-//! switch in `cmt-bench`), every legality check stays exactly as before —
+//! driver through `cmt_locality::RankOracle` (the `oracle` argument
+//! of `cmt_locality::compound_with`; `cmt-explain` runs it beside the
+//! paper's ranking), every legality check stays exactly as before —
 //! only the *desired* order changes.
 
 use crate::reuse::candidate_misses;
@@ -130,7 +131,7 @@ mod tests {
     use cmt_ir::build::ProgramBuilder;
     use cmt_ir::expr::Expr;
     use cmt_ir::visit::perfect_chain;
-    use cmt_locality::{compound_oracle, CompoundOptions, CostModel, NullProvenance};
+    use cmt_locality::{compound_with, CompoundOptions, CostModel, NullProvenance};
     use cmt_obs::NullObs;
 
     #[test]
@@ -179,7 +180,7 @@ mod tests {
         let mut p = b.finish();
         let oracle = AnalyticCost::new(CacheConfig::i860(), 64);
         let model = CostModel::new(CacheConfig::i860().cls_elements());
-        let _ = compound_oracle(
+        let _ = compound_with(
             &mut p,
             &model,
             &CompoundOptions::default(),

@@ -15,7 +15,7 @@
 //!   per-array and per-nest [`CacheStats`](cmt_cache::CacheStats)
 //!   compatible with the simulator's, plus [`cost`]'s [`AnalyticCost`]
 //!   oracle that lets the compound driver rank permutations by predicted
-//!   misses (`CMT_COST=analytic` in `cmt-bench`).
+//!   misses (`cmt-explain` compares it with the paper's ranking).
 //!
 //! Accuracy against the sharded simulator is measured continuously: see
 //! `docs/ANALYTIC_MODEL.md` and the committed `BENCH_analytic.json`.

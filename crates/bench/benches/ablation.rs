@@ -5,6 +5,8 @@
 use cmt_bench::timing::bench;
 use cmt_locality::compound::{compound_with, CompoundOptions};
 use cmt_locality::model::CostModel;
+use cmt_locality::NullProvenance;
+use cmt_obs::NullObs;
 use cmt_suite::suite;
 use std::hint::black_box;
 
@@ -42,7 +44,14 @@ fn main() {
             let mut total = 0usize;
             for m in &models {
                 let mut p = m.optimized.clone();
-                let r = compound_with(&mut p, &model, &opts);
+                let r = compound_with(
+                    &mut p,
+                    &model,
+                    &opts,
+                    &mut NullObs,
+                    &mut NullProvenance,
+                    &model,
+                );
                 total += r.nests_permuted + r.nests_fused;
             }
             black_box(total);

@@ -14,9 +14,7 @@ fn main() -> ExitCode {
         .into_iter()
         .map(|m| m.optimized)
         .collect();
-    if let Err(e) =
-        cmt_bench::emit_observed_compound("ablation_table", &programs, &Default::default())
-    {
+    if let Err(e) = cmt_bench::emit_observed_compound("ablation_table", &programs) {
         eprintln!("ablation_table: {e}");
         return ExitCode::FAILURE;
     }

@@ -14,9 +14,7 @@ fn main() -> ExitCode {
         .into_iter()
         .map(|m| m.optimized)
         .collect();
-    if let Err(e) =
-        cmt_bench::emit_observed_compound("fig8_9_histograms", &programs, &Default::default())
-    {
+    if let Err(e) = cmt_bench::emit_observed_compound("fig8_9_histograms", &programs) {
         eprintln!("fig8_9_histograms: {e}");
         return ExitCode::FAILURE;
     }

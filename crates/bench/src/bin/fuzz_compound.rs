@@ -8,6 +8,8 @@
 use cmt_interp::equivalent;
 use cmt_locality::compound::{compound_with, CompoundOptions};
 use cmt_locality::model::CostModel;
+use cmt_locality::NullProvenance;
+use cmt_obs::NullObs;
 use cmt_suite::generator::{generate, GenConfig};
 
 fn main() {
@@ -39,7 +41,14 @@ fn main() {
         let original = generate(seed, &cfg);
         for (vi, opts) in variants.iter().enumerate() {
             let mut p = original.clone();
-            let _ = compound_with(&mut p, &model, opts);
+            let _ = compound_with(
+                &mut p,
+                &model,
+                opts,
+                &mut NullObs,
+                &mut NullProvenance,
+                &model,
+            );
             if let Err(e) = cmt_ir::validate::validate(&p) {
                 eprintln!("seed {seed} variant {vi}: INVALID PROGRAM: {e}");
                 failures += 1;

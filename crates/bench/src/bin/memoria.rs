@@ -18,6 +18,7 @@ use cmt_ir::parse::parse_program;
 use cmt_ir::pretty::program_to_source;
 use cmt_locality::compound::{compound_with, CompoundOptions};
 use cmt_locality::model::CostModel;
+use cmt_locality::NullProvenance;
 use cmt_obs::NullObs;
 use cmt_verify::{verify_compound, VerifyOptions};
 use std::process::ExitCode;
@@ -164,7 +165,14 @@ fn main() -> ExitCode {
         );
         report
     } else {
-        compound_with(&mut optimized, &model, &args.opts)
+        compound_with(
+            &mut optimized,
+            &model,
+            &args.opts,
+            &mut NullObs,
+            &mut NullProvenance,
+            &model,
+        )
     };
 
     if let Some(n) = args.verify {

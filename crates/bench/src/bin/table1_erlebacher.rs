@@ -19,9 +19,7 @@ fn main() -> ExitCode {
     // fusion run the table measures (compound on the distributed
     // version), plus a Chrome Trace under CMT_TRACE.
     let programs = [cmt_suite::kernels::erlebacher_distributed(stages)];
-    if let Err(e) =
-        cmt_bench::emit_observed_compound("table1_erlebacher", &programs, &Default::default())
-    {
+    if let Err(e) = cmt_bench::emit_observed_compound("table1_erlebacher", &programs) {
         eprintln!("table1_erlebacher: {e}");
         return ExitCode::FAILURE;
     }

@@ -13,9 +13,7 @@ fn main() -> ExitCode {
         .into_iter()
         .map(|m| m.optimized)
         .collect();
-    if let Err(e) =
-        cmt_bench::emit_observed_compound("table2_memory_order", &programs, &Default::default())
-    {
+    if let Err(e) = cmt_bench::emit_observed_compound("table2_memory_order", &programs) {
         eprintln!("table2_memory_order: {e}");
         return ExitCode::FAILURE;
     }

@@ -24,9 +24,7 @@ fn main() -> ExitCode {
         .map(|m| m.optimized)
         .collect();
     programs.push(cmt_suite::kernels::gmtry_rowwise());
-    if let Err(e) =
-        cmt_bench::emit_observed_compound("table3_performance", &programs, &Default::default())
-    {
+    if let Err(e) = cmt_bench::emit_observed_compound("table3_performance", &programs) {
         eprintln!("table3_performance: {e}");
         return ExitCode::FAILURE;
     }

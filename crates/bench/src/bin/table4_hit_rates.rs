@@ -1,7 +1,7 @@
 //! Regenerates Table 4: simulated cache hit rates for the whole suite.
 
-use cmt_locality::compound_observed;
 use cmt_locality::model::CostModel;
+use cmt_locality::{compound_with, NullProvenance};
 use cmt_obs::{CollectSink, TraceSession, Tracing};
 use std::process::ExitCode;
 
@@ -27,7 +27,14 @@ fn main() -> ExitCode {
         Some(session) => cmt_bench::par_map_traced(&models, session, |m, track| {
             let mut traced = Tracing::new(CollectSink::new(), &mut *track);
             let mut p = m.optimized.clone();
-            let _ = compound_observed(&mut p, &model, &Default::default(), &mut traced);
+            let _ = compound_with(
+                &mut p,
+                &model,
+                &Default::default(),
+                &mut traced,
+                &mut NullProvenance,
+                &model,
+            );
             let mut local = traced.inner;
             let mut sim = cmt_bench::simulate_observed(&p, 64, 1, 10_000, Some(track));
             sim.export_metrics(&mut local.metrics, &format!("table4.{}", m.spec.name));
@@ -36,7 +43,14 @@ fn main() -> ExitCode {
         None => cmt_bench::par_map(&models, |m| {
             let mut local = CollectSink::new();
             let mut p = m.optimized.clone();
-            let _ = compound_observed(&mut p, &model, &Default::default(), &mut local);
+            let _ = compound_with(
+                &mut p,
+                &model,
+                &Default::default(),
+                &mut local,
+                &mut NullProvenance,
+                &model,
+            );
             let mut sim = cmt_bench::simulate_observed(&p, 64, 1, 10_000, None);
             sim.export_metrics(&mut local.metrics, &format!("table4.{}", m.spec.name));
             local

@@ -14,11 +14,7 @@ fn main() -> ExitCode {
         .into_iter()
         .map(|m| m.optimized)
         .collect();
-    if let Err(e) = cmt_bench::emit_observed_compound(
-        "table5_access_properties",
-        &programs,
-        &Default::default(),
-    ) {
+    if let Err(e) = cmt_bench::emit_observed_compound("table5_access_properties", &programs) {
         eprintln!("table5_access_properties: {e}");
         return ExitCode::FAILURE;
     }

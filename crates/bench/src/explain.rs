@@ -32,7 +32,7 @@ use crate::runner::{par_map, par_map_traced};
 use cmt_analytic::{nest_reuse, AnalyticCost, MissModel};
 use cmt_cache::CacheConfig;
 use cmt_ir::program::Program;
-use cmt_locality::{compound_oracle, CompoundOptions, CostModel, NullProvenance, RankOracle};
+use cmt_locality::{compound_with, CompoundOptions, CostModel, NullProvenance, RankOracle};
 use cmt_obs::json::{self, ObjectWriter, Value};
 use cmt_obs::{
     Artifact, CollectSink, DecisionRecord, Findings, NullObs, ObsSink, TraceSession, Tracing,
@@ -606,7 +606,7 @@ fn run_oracle(
     obs: &mut dyn ObsSink,
 ) -> Program {
     let mut p = program.clone();
-    let _ = compound_oracle(
+    let _ = compound_with(
         &mut p,
         model,
         &CompoundOptions::default(),

@@ -5,8 +5,12 @@ use cmt_cache::{CacheConfig, CacheStats, ShardedCache};
 use cmt_interp::{CacheSink, Machine, MeteredSink, TraceSink, TracedSink};
 use cmt_ir::ids::ArrayId;
 use cmt_ir::program::Program;
-use cmt_locality::{compound::compound, model::CostModel};
-use cmt_obs::{MetricsRegistry, TraceArg, TraceTrack};
+use cmt_ir::validate::validate;
+use cmt_locality::compound::{compound, compound_with};
+use cmt_locality::model::CostModel;
+use cmt_locality::scalar::scalar_replace_observed;
+use cmt_locality::NullProvenance;
+use cmt_obs::{MetricsRegistry, ObsSink, SpanTimer, TraceArg, TraceTrack};
 use cmt_suite::BenchmarkModel;
 
 // The deterministic worker pool moved down to `cmt-obs` so the
@@ -325,11 +329,11 @@ pub fn simulate_versions(model: &BenchmarkModel, cost_model: &CostModel, n: i64)
 }
 
 /// Shared observability companion of the table/figure binaries: runs
-/// the observed compound driver over `programs` (one clone each) and
-/// writes the `{name}.remarks.jsonl` / `{name}.metrics.json` artifacts,
-/// plus a validated Chrome Trace under `CMT_TRACE`. Workers collect
-/// into per-item sinks absorbed in item order, so every artifact is
-/// byte-identical for any `CMT_JOBS`.
+/// the observed compound driver (default options) over `programs` (one
+/// clone each) and writes the `{name}.remarks.jsonl` /
+/// `{name}.metrics.json` artifacts, plus a validated Chrome Trace under
+/// `CMT_TRACE`. Workers collect into per-item sinks absorbed in item
+/// order, so every artifact is byte-identical for any `CMT_JOBS`.
 ///
 /// # Errors
 ///
@@ -338,24 +342,31 @@ pub fn simulate_versions(model: &BenchmarkModel, cost_model: &CostModel, n: i64)
 pub fn emit_observed_compound(
     name: &str,
     programs: &[Program],
-    opts: &cmt_locality::CompoundOptions,
 ) -> Result<(), crate::ArtifactError> {
-    use cmt_locality::compound_observed;
     use cmt_obs::{CollectSink, TraceSession, Tracing};
 
     let model = CostModel::new(4);
+    let run = |p: &Program, obs: &mut dyn ObsSink| {
+        let mut q = p.clone();
+        let _ = compound_with(
+            &mut q,
+            &model,
+            &Default::default(),
+            obs,
+            &mut NullProvenance,
+            &model,
+        );
+    };
     let mut session = crate::trace_enabled().then(TraceSession::new);
     let parts = match session.as_mut() {
         Some(session) => par_map_traced(programs, session, |p, track| {
             let mut traced = Tracing::new(CollectSink::new(), track);
-            let mut q = p.clone();
-            let _ = compound_observed(&mut q, &model, opts, &mut traced);
+            run(p, &mut traced);
             traced.inner
         }),
         None => par_map(programs, |p| {
             let mut local = CollectSink::new();
-            let mut q = p.clone();
-            let _ = compound_observed(&mut q, &model, opts, &mut local);
+            run(p, &mut local);
             local
         }),
     };
@@ -367,11 +378,13 @@ pub fn emit_observed_compound(
 }
 
 /// Shared observability companion of the figure binaries: runs the
-/// paper pipeline over `program` (printing one `[pass]` line per pass),
-/// simulates the result at `n` on `shards` shards with per-array
-/// attribution, exports that simulation's metrics under `prefix`, and
-/// writes the `{name}` artifacts. Under `CMT_TRACE` the passes record on
-/// the main track and the simulation on its own `sim` track.
+/// paper's compile path over `program` — compound, then scalar
+/// replacement, each a traced, timed and validated stage printing one
+/// `[pass]` line — simulates the result at `n` on `shards` shards with
+/// per-array attribution, exports that simulation's metrics under
+/// `prefix`, and writes the `{name}` artifacts. Under `CMT_TRACE` the
+/// stages record on the main track and the simulation on its own `sim`
+/// track.
 ///
 /// # Errors
 ///
@@ -384,26 +397,47 @@ pub fn emit_observed_pipeline(
     shards: usize,
     prefix: &str,
 ) -> Result<(), crate::ArtifactError> {
-    use cmt_locality::pass::Pipeline;
     use cmt_obs::{CollectSink, TraceSession, Tracing};
 
-    let pipeline = Pipeline::paper_default(4);
+    let model = CostModel::new(4);
+    let stages = |program: &mut Program, obs: &mut dyn ObsSink| {
+        observed_stage("compound", program, obs, |p, obs| {
+            let r = compound_with(
+                p,
+                &model,
+                &Default::default(),
+                obs,
+                &mut NullProvenance,
+                &model,
+            );
+            format!(
+                "{} nests: {} orig / {} permuted / {} failed; fused {}, distributed {}",
+                r.nests_total,
+                r.nests_orig_memory_order,
+                r.nests_permuted,
+                r.nests_failed,
+                r.nests_fused,
+                r.distributions
+            )
+        });
+        observed_stage("scalar-replace", program, obs, |p, obs| {
+            let s = scalar_replace_observed(p, obs);
+            format!("hoisted {} invariant load(s)", s.replaced)
+        });
+    };
     let mut session = crate::trace_enabled().then(TraceSession::new);
-    let (mut sink, reports) = match session.as_mut() {
+    let mut sink = match session.as_mut() {
         Some(session) => {
             let mut traced = Tracing::new(CollectSink::new(), session.main());
-            let reports = pipeline.run_observed(&mut program, &mut traced);
-            (traced.inner, reports)
+            stages(&mut program, &mut traced);
+            traced.inner
         }
         None => {
             let mut sink = CollectSink::new();
-            let reports = pipeline.run_observed(&mut program, &mut sink);
-            (sink, reports)
+            stages(&mut program, &mut sink);
+            sink
         }
     };
-    for r in &reports {
-        println!("[pass] {}: {}", r.name, r.summary);
-    }
     let mut track = session.as_mut().map(|s| s.track("sim"));
     let mut sim = simulate_observed(&program, n, shards, 10_000, track.as_mut());
     if let (Some(session), Some(track)) = (session.as_mut(), track) {
@@ -411,6 +445,38 @@ pub fn emit_observed_pipeline(
     }
     sim.export_metrics(&mut sink.metrics, prefix);
     crate::emit(name, &sink.remarks, &sink.metrics, session.as_ref())
+}
+
+/// Runs one stage of [`emit_observed_pipeline`] inside a `pass.{name}`
+/// trace span, records its wall time (`pass.{name}.ns` histogram) and
+/// whether it changed the program (`pass.{name}.changed` counter), and
+/// prints `[pass] {name}: {summary}` with the summary `stage` returns.
+///
+/// # Panics
+///
+/// Panics if the stage produces an invalid program — that is a bug in
+/// the transformation, not a user error.
+fn observed_stage(
+    name: &str,
+    program: &mut Program,
+    obs: &mut dyn ObsSink,
+    stage: impl FnOnce(&mut Program, &mut dyn ObsSink) -> String,
+) {
+    let span = format!("pass.{name}");
+    let before = program.clone();
+    obs.trace_begin(&span, &[("program", TraceArg::Str(program.name()))]);
+    let timer = SpanTimer::start();
+    let summary = stage(program, obs);
+    let nanos = timer.elapsed_ns();
+    assert!(
+        validate(program).is_ok(),
+        "pass {name} produced an invalid program"
+    );
+    let changed = *program != before;
+    obs.trace_end(&span, &[("changed", TraceArg::U64(changed as u64))]);
+    obs.span_ns(&format!("{span}.ns"), nanos);
+    obs.counter(&format!("{span}.changed"), changed as u64);
+    println!("[pass] {name}: {summary}");
 }
 
 #[cfg(test)]

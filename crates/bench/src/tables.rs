@@ -8,10 +8,9 @@
 
 use crate::fmt::{bar, pct, render_table};
 use crate::runner::{par_map, simulate_program, simulate_versions};
-use cmt_analytic::AnalyticCost;
-use cmt_cache::{CacheConfig, CycleModel};
+use cmt_cache::CycleModel;
 use cmt_ir::program::Program;
-use cmt_locality::compound::{compound_oracle, compound_with, CompoundOptions};
+use cmt_locality::compound::{compound, compound_with, CompoundOptions};
 use cmt_locality::model::CostModel;
 use cmt_locality::permute::force_memory_order;
 use cmt_locality::report::{locality_stats, LocalityStats, TransformReport};
@@ -19,39 +18,6 @@ use cmt_locality::{NullProvenance, SelfReuse};
 use cmt_obs::NullObs;
 use cmt_suite::kernels;
 use cmt_suite::{suite, BenchmarkModel};
-
-/// The rank oracle selected by `CMT_COST`, read per call so tests can
-/// flip it: `analytic` ranks loops by the analytic engine's predicted
-/// misses (i860 geometry at n=64, matching the differential harness);
-/// anything else — including unset and `refcost` — is the paper's
-/// `LoopCost` ranking and leaves every artifact byte-identical to a
-/// build without the analytic crate.
-pub fn cost_oracle() -> Option<AnalyticCost> {
-    match std::env::var("CMT_COST") {
-        Ok(v) if v == "analytic" => Some(AnalyticCost::new(CacheConfig::i860(), 64)),
-        _ => None,
-    }
-}
-
-/// [`compound_with`] under the `CMT_COST` switch: the default path calls
-/// the paper's driver untouched; `CMT_COST=analytic` routes the same
-/// driver through [`AnalyticCost`], so legality decisions are identical
-/// and only the desired loop order can differ.
-pub fn bench_compound_with(
-    p: &mut Program,
-    model: &CostModel,
-    opts: &CompoundOptions,
-) -> TransformReport {
-    match cost_oracle() {
-        Some(oracle) => compound_oracle(p, model, opts, &mut NullObs, &mut NullProvenance, &oracle),
-        None => compound_with(p, model, opts),
-    }
-}
-
-/// [`bench_compound_with`] with default [`CompoundOptions`].
-pub fn bench_compound(p: &mut Program, model: &CostModel) -> TransformReport {
-    bench_compound_with(p, model, &CompoundOptions::default())
-}
 
 /// One row of the Figure 2 / Figure 7 ranking studies.
 #[derive(Clone, Debug)]
@@ -216,7 +182,7 @@ pub fn table1_erlebacher(n: i64, stages: usize) -> (String, Vec<RankRow>) {
     let hand = kernels::erlebacher_hand(stages);
     let distributed = kernels::erlebacher_distributed(stages);
     let mut fused = distributed.clone();
-    let report = bench_compound(&mut fused, &model);
+    let report = compound(&mut fused, &model);
 
     let versions = [
         ("Hand", &hand),
@@ -266,7 +232,7 @@ pub fn table2() -> (String, Vec<Table2Row>) {
     let models = suite();
     let rows: Vec<Table2Row> = par_map(&models, |m| {
         let mut p = m.optimized.clone();
-        let report = bench_compound(&mut p, &model);
+        let report = compound(&mut p, &model);
         Table2Row {
             name: m.spec.name,
             group: m.spec.group.label(),
@@ -379,7 +345,7 @@ pub fn table3(n: i64) -> (String, Vec<Table3Row>) {
     {
         let p = kernels::gmtry_rowwise();
         let mut t = p.clone();
-        let _ = bench_compound(&mut t, &model);
+        let _ = compound(&mut t, &model);
         let so = simulate_program(&p, n.min(320));
         let st = simulate_program(&t, n.min(320));
         let original = cyc.cycles(&so.cache1);
@@ -508,7 +474,7 @@ pub fn table5() -> (String, Vec<Table5Row>) {
     let per_model: Vec<(&'static str, [LocalityStats; 3])> = par_map(&models, |m| {
         let original = m.optimized.clone();
         let mut fin = m.optimized.clone();
-        let _ = bench_compound(&mut fin, &model);
+        let _ = compound(&mut fin, &model);
         let mut ideal = m.optimized.clone();
         let _ = force_memory_order(&mut ideal, &model);
         (
@@ -673,7 +639,14 @@ pub fn ablation() -> (String, Vec<AblationRow>) {
     for (name, opts) in &variants {
         let reports = par_map(&models, |m| {
             let mut p = m.optimized.clone();
-            bench_compound_with(&mut p, &model, opts)
+            compound_with(
+                &mut p,
+                &model,
+                opts,
+                &mut NullObs,
+                &mut NullProvenance,
+                &model,
+            )
         });
         // Fold sequentially in suite order for stable float sums.
         let mut ratio_sum = 0.0;

@@ -39,10 +39,17 @@ impl Default for CompoundOptions {
     }
 }
 
-/// Runs the compound algorithm with default options. See
+/// Runs the compound algorithm with default options, unobserved. See
 /// [`compound_with`].
 pub fn compound(program: &mut Program, model: &CostModel) -> TransformReport {
-    compound_with(program, model, &CompoundOptions::default())
+    compound_with(
+        program,
+        model,
+        &CompoundOptions::default(),
+        &mut NullObs,
+        &mut NullProvenance,
+        model,
+    )
 }
 
 /// Runs the compound algorithm, returning per-program Table-2 statistics.
@@ -50,63 +57,31 @@ pub fn compound(program: &mut Program, model: &CostModel) -> TransformReport {
 /// Only nests of depth ≥ 2 are considered for transformation (as in the
 /// paper); depth-1 loops still participate in the final cross-nest fusion
 /// pass.
-pub fn compound_with(
-    program: &mut Program,
-    model: &CostModel,
-    opts: &CompoundOptions,
-) -> TransformReport {
-    compound_observed(program, model, opts, &mut NullObs)
-}
-
-/// [`compound_with`] plus an optimization-remark stream: every
-/// accept/reject decision (permutation, fusion-enabled permutation,
-/// distribution, cross-nest fusion) emits a [`Remark`] into `obs`, and
-/// the report's headline numbers are mirrored as `compound.*` counters.
 ///
-/// With a disabled sink (e.g. [`NullObs`]) this is exactly
-/// `compound_with`: remark construction is skipped and the transformed
-/// program and report are byte-identical.
-pub fn compound_observed(
-    program: &mut Program,
-    model: &CostModel,
-    opts: &CompoundOptions,
-    obs: &mut dyn ObsSink,
-) -> TransformReport {
-    compound_traced(program, model, opts, obs, &mut NullProvenance)
-}
-
-/// [`compound_observed`] plus per-pass provenance: every step that
-/// rewrites the program (permutation, fusion-enabled permutation,
-/// distribution, cross-nest fusion) hands a before/after snapshot pair
-/// to `prov`. This is the hook the `cmt-verify` differential checker
-/// attaches to; with [`NullProvenance`] no snapshot is ever cloned and
-/// the function is exactly `compound_observed`.
-pub fn compound_traced(
-    program: &mut Program,
-    model: &CostModel,
-    opts: &CompoundOptions,
-    obs: &mut dyn ObsSink,
-    prov: &mut dyn ProvenanceSink,
-) -> TransformReport {
-    compound_oracle(program, model, opts, obs, prov, model)
-}
-
-/// [`compound_traced`] with an explicit [`RankOracle`] choosing the loop
-/// order every permutation step aims for. `compound_traced` delegates here
-/// with `oracle = model`, so the default pipeline is byte-identical by
-/// construction.
-///
-/// The `model` is still used for the Table-2 statistics
-/// ([`crate::model::NestAnalysis::in_memory_order`], cost ratios): those
-/// measure attainment of the *paper's* memory order, while the oracle only
-/// decides which permutation the driver tries to reach. With
-/// `oracle = model` the two coincide.
+/// * `opts` switches individual transformations off for ablations.
+/// * `obs` receives the optimization-remark stream: every accept/reject
+///   decision (permutation, fusion-enabled permutation, distribution,
+///   cross-nest fusion) emits a [`Remark`], and the report's headline
+///   numbers are mirrored as `compound.*` counters. With a disabled sink
+///   (e.g. [`NullObs`]) remark construction is skipped and the
+///   transformed program and report are byte-identical.
+/// * `prov` receives a before/after snapshot pair for every step that
+///   rewrites the program. This is the hook the `cmt-verify`
+///   differential checker attaches to; with [`NullProvenance`] no
+///   snapshot is ever cloned.
+/// * `oracle` chooses the loop order every permutation step aims for;
+///   pass `model` for the paper's `LoopCost` ranking. The `model` is
+///   still used for the Table-2 statistics
+///   ([`crate::model::NestAnalysis::in_memory_order`], cost ratios):
+///   those measure attainment of the *paper's* memory order, while the
+///   oracle only decides which permutation the driver tries to reach.
+///   With `oracle = model` the two coincide.
 ///
 /// The run analyzes each distinct nest state once: one [`NestMemo`] serves
 /// the statistics, the dependence graphs of permutation and distribution,
 /// fusion's costs, and — when the oracle ranks by this `model`'s
 /// `LoopCost` — the ranking itself. The memo is dropped when the run ends.
-pub fn compound_oracle(
+pub fn compound_with(
     program: &mut Program,
     model: &CostModel,
     opts: &CompoundOptions,
@@ -117,7 +92,7 @@ pub fn compound_oracle(
     run(program, &NestMemo::new(*model), opts, obs, prov, oracle)
 }
 
-/// [`compound_oracle`] over a caller-owned memo.
+/// [`compound_with`] over a caller-owned memo.
 fn run(
     program: &mut Program,
     memo: &NestMemo,
@@ -596,7 +571,15 @@ mod tests {
             fusion: false,
             ..Default::default()
         };
-        let report = compound_with(&mut p, &CostModel::new(4), &opts);
+        let model = CostModel::new(4);
+        let report = compound_with(
+            &mut p,
+            &model,
+            &opts,
+            &mut NullObs,
+            &mut NullProvenance,
+            &model,
+        );
         assert_eq!(report.fusion_enabled_permutation, 0);
         assert_eq!(report.nests_fused, 0);
     }
@@ -608,12 +591,14 @@ mod tests {
         let mut p = cholesky();
         let orig = p.clone();
         let mut prov = CollectProvenance::default();
-        let _ = compound_traced(
+        let model = CostModel::new(4);
+        let _ = compound_with(
             &mut p,
-            &CostModel::new(4),
+            &model,
             &CompoundOptions::default(),
-            &mut cmt_obs::NullObs,
+            &mut NullObs,
             &mut prov,
+            &model,
         );
         assert!(!prov.steps.is_empty());
         assert_eq!(prov.steps[0].0, "distribute");
@@ -630,7 +615,7 @@ mod tests {
     }
 
     #[test]
-    fn null_provenance_changes_nothing() {
+    fn collecting_provenance_changes_nothing() {
         let mut b = ProgramBuilder::new("mm");
         let n = b.param("N");
         let a = b.matrix("A", n);
@@ -645,13 +630,16 @@ mod tests {
         let p0 = b.finish();
         let mut p1 = p0.clone();
         let mut p2 = p0.clone();
-        let r1 = compound(&mut p1, &CostModel::new(4));
-        let r2 = compound_traced(
+        let model = CostModel::new(4);
+        let r1 = compound(&mut p1, &model);
+        let mut prov = crate::provenance::CollectProvenance::default();
+        let r2 = compound_with(
             &mut p2,
-            &CostModel::new(4),
+            &model,
             &CompoundOptions::default(),
-            &mut cmt_obs::NullObs,
-            &mut crate::provenance::NullProvenance,
+            &mut NullObs,
+            &mut prov,
+            &model,
         );
         assert_eq!(p1, p2);
         assert_eq!(r1, r2);
@@ -664,12 +652,12 @@ mod tests {
         let mut p = cholesky();
         let mut sink = cmt_obs::CollectSink::new();
         let model = CostModel::new(4);
-        let _ = compound_oracle(
+        let _ = compound_with(
             &mut p,
             &model,
             &CompoundOptions::default(),
             &mut sink,
-            &mut crate::provenance::NullProvenance,
+            &mut NullProvenance,
             &model,
         );
         assert!(!sink.decisions.is_empty());

@@ -14,7 +14,10 @@
 //! * [`fuse`] — profitability-weighted greedy fusion of compatible nests;
 //! * [`distribute`] — finest-partition distribution that enables
 //!   permutation;
-//! * [`mod@compound`] — the driver combining all of the above (Figure 6);
+//! * [`mod@compound`] — the driver combining all of the above (Figure 6):
+//!   [`compound()`] runs it with the paper's defaults, [`compound_with`]
+//!   with ablation switches, a remark sink, a provenance sink and a rank
+//!   oracle;
 //! * [`exhaustive`] — the n!-evaluation baseline of prior work (§2),
 //!   kept for validation and compile-time comparison;
 //! * [`provenance`] — per-pass before/after snapshots of every applied
@@ -24,8 +27,7 @@
 //! * [`skew`] — loop skewing (implemented-but-unused in the paper, §2);
 //! * [`tiling`] — the §6 advisory pass identifying tiling candidates;
 //! * [`tile`] — the §6 transformation itself (strip-mine + interchange);
-//! * [`unroll`] — unroll-and-jam, step 3's register tiling (extension);
-//! * [`pass`] — a composable pass manager over all of the above.
+//! * [`unroll`] — unroll-and-jam, step 3's register tiling (extension).
 //!
 //! # Example
 //!
@@ -73,7 +75,6 @@ pub mod exhaustive;
 pub mod figures;
 pub mod fuse;
 pub mod model;
-pub mod pass;
 pub mod permute;
 pub mod provenance;
 pub mod report;
@@ -83,9 +84,7 @@ pub mod tile;
 pub mod tiling;
 pub mod unroll;
 
-pub use compound::{
-    compound, compound_observed, compound_oracle, compound_traced, CompoundOptions,
-};
+pub use compound::{compound, compound_with, CompoundOptions};
 pub use cost::CostPoly;
 pub use model::{CostModel, LoopCostEntry, NestAnalysis, NestMemo, RankOracle, SelfReuse};
 pub use provenance::{CollectProvenance, NullProvenance, ProvenanceSink, TransformStep};

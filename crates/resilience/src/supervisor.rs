@@ -34,7 +34,7 @@ use cmt_ir::node::Node;
 use cmt_ir::program::Program;
 use cmt_ir::stmt::{ArrayRef, Stmt};
 use cmt_ir::validate::validate;
-use cmt_locality::compound::{compound_traced, CompoundOptions};
+use cmt_locality::compound::{compound_with, CompoundOptions};
 use cmt_locality::model::CostModel;
 use cmt_locality::provenance::{ProvenanceSink, TransformStep};
 use cmt_locality::report::TransformReport;
@@ -689,7 +689,7 @@ pub fn supervise(
     let mut null = NullObs;
     let result = catch_unwind(AssertUnwindSafe(|| {
         let inner: &mut dyn ObsSink = if observed { &mut buf } else { &mut null };
-        compound_traced(&mut work, model, &spec.compound, inner, &mut sup)
+        compound_with(&mut work, model, &spec.compound, inner, &mut sup, model)
     }));
     let mut fuel = sup.fuel_total;
     let mut spent = sup.fuel_spent;

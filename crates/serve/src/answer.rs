@@ -12,7 +12,7 @@
 use crate::protocol::{Answer, CompileRequest, Fidelity};
 use cmt_analytic::{predict_program, MissModel};
 use cmt_cache::{CacheConfig, ShardedCache};
-use cmt_interp::{Machine, TraceSink};
+use cmt_interp::Machine;
 use cmt_ir::canon::nest_key;
 use cmt_ir::ids::ArrayId;
 use cmt_ir::parse::parse_program;
@@ -25,48 +25,23 @@ use cmt_resilience::{
 use cmt_verify::VerifyMode;
 use std::time::Duration;
 
-struct Into2<'a> {
-    caches: &'a mut [ShardedCache; 2],
-}
-
-impl TraceSink for Into2<'_> {
-    fn access(&mut self, addr: u64, is_write: bool) {
-        self.caches[0].access(addr, is_write);
-        self.caches[1].access(addr, is_write);
-    }
-
-    fn access_batch(&mut self, batch: &[u64]) {
-        self.caches[0].access_batch(batch);
-        self.caches[1].access_batch(batch);
-    }
-}
-
 /// Simulates every access of `program` at size `n` through the paper's
-/// primary geometry (`rs6000`; the secondary `i860` stream feeds the
-/// same sink so counters stay comparable with the bench harness).
+/// primary geometry (`rs6000`), the one the analytic rung also folds.
 /// Execution failures (e.g. out-of-bounds at this `n`) are structured
 /// errors, never panics.
 pub fn simulate(program: &Program, n: i64) -> Result<(u64, u64), String> {
     let params = vec![n; program.params().len()];
     let mut m = Machine::new(program, &params).map_err(|e| format!("allocation: {e}"))?;
-    let mut caches = [
-        ShardedCache::new(CacheConfig::rs6000()),
-        ShardedCache::new(CacheConfig::i860()),
-    ];
+    let mut cache = ShardedCache::new(CacheConfig::rs6000());
     for (k, _) in program.arrays().iter().enumerate() {
         let id = ArrayId(k as u32);
         let start = m.storage(id).address_of(0);
         let bytes = m.array_data(id).len() as u64 * 8;
-        for c in &mut caches {
-            c.reserve_region(start, bytes);
-        }
+        cache.reserve_region(start, bytes);
     }
-    let mut sink = Into2 {
-        caches: &mut caches,
-    };
-    m.run(program, &mut sink)
+    m.run(program, &mut cache)
         .map_err(|e| format!("execution: {e}"))?;
-    let stats = caches[0].stats();
+    let stats = cache.stats();
     Ok((stats.accesses, stats.misses))
 }
 

@@ -2,22 +2,22 @@
 //! differential checker attached to its provenance hooks.
 //!
 //! [`verify_compound`] is a drop-in replacement for
-//! [`cmt_locality::compound_observed`] that additionally executes every
+//! [`cmt_locality::compound_with`] that additionally executes every
 //! applied transformation step's before/after snapshots through the
 //! interpreter and cross-checks permutations against the dependence
-//! legality predicate. [`VerifyMode`] makes it opt-in for callers that
-//! own both configurations: tests and CI run `On`, benchmarks run `Off`
-//! (where the driver is byte-identical to the unverified one).
+//! legality predicate. [`VerifyMode`] makes it opt-in for the
+//! supervised pipeline (`cmt-resilience`): tests and CI run `On`,
+//! benchmarks and the compile server run `Off`.
 
 use crate::differential::{compare, fingerprint, Divergence, DivergenceKind};
 use crate::gen::generate;
 use crate::legality::check_permutation;
 use cmt_ir::program::Program;
-use cmt_locality::compound::{compound_traced, CompoundOptions};
+use cmt_locality::compound::{compound_with, CompoundOptions};
 use cmt_locality::model::CostModel;
 use cmt_locality::provenance::{ProvenanceSink, TransformStep};
 use cmt_locality::report::TransformReport;
-use cmt_obs::{NullObs, ObsSink, Remark, RemarkKind, TraceArg, TraceSession, TraceTrack};
+use cmt_obs::{NullObs, ObsSink, Remark, RemarkKind};
 
 /// Tuning knobs for the differential verifier.
 #[derive(Clone, Debug)]
@@ -40,13 +40,14 @@ impl Default for VerifyOptions {
     }
 }
 
-/// Whether a compound run verifies its own transformation steps.
+/// Whether a supervised compound run differentially verifies its own
+/// transformation steps.
 ///
-/// Benchmarks use [`VerifyMode::Off`] (zero overhead: the provenance
-/// hooks never clone a snapshot); tests and CI use [`VerifyMode::On`].
+/// Benchmarks and the compile server use [`VerifyMode::Off`]; tests and
+/// CI use [`VerifyMode::On`].
 #[derive(Clone, Debug, Default)]
 pub enum VerifyMode {
-    /// No verification: exactly `compound_observed`.
+    /// No differential verification.
     #[default]
     Off,
     /// Differentially verify every applied step with these options.
@@ -84,10 +85,6 @@ pub struct DiffVerifier {
     pub report: VerifyReport,
     /// Buffered verdict remarks, flushed by the caller.
     pub remarks: Vec<Remark>,
-    /// Optional trace track: one `verify.step` complete-span per
-    /// checked step (args: pass, nest index, verdict). Hand it back to
-    /// the owning [`TraceSession`] after the run.
-    pub trace: Option<TraceTrack>,
 }
 
 impl DiffVerifier {
@@ -97,49 +94,13 @@ impl DiffVerifier {
             opts,
             report: VerifyReport::default(),
             remarks: Vec::new(),
-            trace: None,
         }
-    }
-
-    /// Attaches a trace track recording per-step spans.
-    pub fn with_trace(mut self, track: TraceTrack) -> DiffVerifier {
-        self.trace = Some(track);
-        self
     }
 
     /// Checks one step; public so tests can inject hand-built
     /// (including deliberately illegal) steps without a full compound
     /// run.
     pub fn check_step(
-        &mut self,
-        pass: &'static str,
-        nest_index: usize,
-        reversed: &[cmt_ir::ids::LoopId],
-        before: &Program,
-        after: &Program,
-    ) {
-        let span_start = self.trace.as_ref().map(|t| t.now_us());
-        let divergences_before = self.report.divergences.len();
-        self.check_step_inner(pass, nest_index, reversed, before, after);
-        if let (Some(start), Some(track)) = (span_start, self.trace.as_mut()) {
-            let verdict = if self.report.divergences.len() > divergences_before {
-                "diverged"
-            } else {
-                "verified"
-            };
-            track.complete_since(
-                start,
-                "verify.step",
-                &[
-                    ("pass", TraceArg::Str(pass)),
-                    ("nest", TraceArg::U64(nest_index as u64)),
-                    ("verdict", TraceArg::Str(verdict)),
-                ],
-            );
-        }
-    }
-
-    fn check_step_inner(
         &mut self,
         pass: &'static str,
         nest_index: usize,
@@ -255,37 +216,8 @@ pub fn verify_compound(
     vopts: &VerifyOptions,
     obs: &mut dyn ObsSink,
 ) -> (TransformReport, VerifyReport) {
-    run_verified(program, model, copts, DiffVerifier::new(vopts.clone()), obs).0
-}
-
-/// [`verify_compound`] plus self-profiling: verifier step spans land on
-/// a dedicated `verify` track of `session` (absorbed before returning),
-/// and the optimizer's own spans flow through `obs` — pair it with a
-/// [`cmt_obs::Tracing`] adapter to capture both sides of the run.
-pub fn verify_compound_traced(
-    program: &mut Program,
-    model: &CostModel,
-    copts: &CompoundOptions,
-    vopts: &VerifyOptions,
-    obs: &mut dyn ObsSink,
-    session: &mut TraceSession,
-) -> (TransformReport, VerifyReport) {
-    let verifier = DiffVerifier::new(vopts.clone()).with_trace(session.track("verify"));
-    let (out, track) = run_verified(program, model, copts, verifier, obs);
-    if let Some(track) = track {
-        session.absorb(track);
-    }
-    out
-}
-
-fn run_verified(
-    program: &mut Program,
-    model: &CostModel,
-    copts: &CompoundOptions,
-    mut verifier: DiffVerifier,
-    obs: &mut dyn ObsSink,
-) -> ((TransformReport, VerifyReport), Option<TraceTrack>) {
-    let report = compound_traced(program, model, copts, obs, &mut verifier);
+    let mut verifier = DiffVerifier::new(vopts.clone());
+    let report = compound_with(program, model, copts, obs, &mut verifier, model);
     if obs.enabled() {
         obs.counter("verify.steps_checked", verifier.report.steps_checked as u64);
         obs.counter(
@@ -296,29 +228,7 @@ fn run_verified(
             obs.remark(r);
         }
     }
-    ((report, verifier.report), verifier.trace.take())
-}
-
-/// Runs the compound transformation under the given [`VerifyMode`]:
-/// `Off` is exactly [`cmt_locality::compound_observed`] (and returns
-/// `None`), `On` is [`verify_compound`].
-pub fn compound_with_mode(
-    program: &mut Program,
-    model: &CostModel,
-    copts: &CompoundOptions,
-    mode: &VerifyMode,
-    obs: &mut dyn ObsSink,
-) -> (TransformReport, Option<VerifyReport>) {
-    match mode {
-        VerifyMode::Off => {
-            let r = cmt_locality::compound_observed(program, model, copts, obs);
-            (r, None)
-        }
-        VerifyMode::On(vopts) => {
-            let (r, v) = verify_compound(program, model, copts, vopts, obs);
-            (r, Some(v))
-        }
-    }
+    (report, verifier.report)
 }
 
 /// Aggregate outcome of replaying a seed corpus through the verifier.
@@ -417,54 +327,23 @@ mod tests {
     }
 
     #[test]
-    fn traced_verification_spans_each_step() {
-        let mut session = TraceSession::new();
-        let mut p = col_copy();
-        let mut sink = CollectSink::new();
-        let (_, vreport) = verify_compound_traced(
-            &mut p,
-            &CostModel::new(4),
+    fn verification_matches_plain_compound() {
+        let model = CostModel::new(4);
+        let mut plain = col_copy();
+        let r_plain = cmt_locality::compound(&mut plain, &model);
+        let mut verified = col_copy();
+        let (r_verified, v) = verify_compound(
+            &mut verified,
+            &model,
             &CompoundOptions::default(),
             &VerifyOptions::default(),
-            &mut sink,
-            &mut session,
-        );
-        assert!(vreport.is_clean());
-        session.validate().unwrap();
-        let json = session.to_chrome_json();
-        assert!(json.contains("\"verified\""), "{json}");
-        let summary = cmt_obs::validate_chrome_trace(&json).unwrap();
-        assert_eq!(
-            summary.by_name.get("verify.step"),
-            Some(&vreport.steps_checked),
-            "one complete-span per checked step"
-        );
-    }
-
-    #[test]
-    fn off_mode_is_plain_compound_and_matches_on_mode_output() {
-        let mut off = col_copy();
-        let (r_off, v_off) = compound_with_mode(
-            &mut off,
-            &CostModel::new(4),
-            &CompoundOptions::default(),
-            &VerifyMode::Off,
             &mut NullObs,
         );
-        assert!(v_off.is_none());
-        let mut on = col_copy();
-        let (r_on, v_on) = compound_with_mode(
-            &mut on,
-            &CostModel::new(4),
-            &CompoundOptions::default(),
-            &VerifyMode::On(VerifyOptions::default()),
-            &mut NullObs,
-        );
-        assert_eq!(r_off.nests_permuted, r_on.nests_permuted);
-        assert!(v_on.unwrap().is_clean());
+        assert_eq!(r_plain, r_verified);
+        assert!(v.is_clean());
         assert_eq!(
-            cmt_ir::pretty::program_to_source(&off),
-            cmt_ir::pretty::program_to_source(&on),
+            cmt_ir::pretty::program_to_source(&plain),
+            cmt_ir::pretty::program_to_source(&verified),
             "verification must not change the transformation result"
         );
     }

@@ -72,8 +72,8 @@ pub mod repro;
 
 pub use differential::{compare, fingerprint, Divergence, DivergenceKind, ExecFingerprint};
 pub use driver::{
-    compound_with_mode, corpus_seeds, run_corpus, verify_compound, CorpusReport, DiffVerifier,
-    VerifyMode, VerifyOptions, VerifyReport,
+    corpus_seeds, run_corpus, verify_compound, CorpusReport, DiffVerifier, VerifyMode,
+    VerifyOptions, VerifyReport,
 };
 pub use gen::generate;
 pub use legality::check_permutation;

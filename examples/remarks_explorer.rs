@@ -1,7 +1,8 @@
 //! Explore the optimizer's decisions as an LLVM-`-Rpass`-style remark
-//! stream: parse each Fortran-like corpus file, run the paper pipeline
-//! with an observing sink, and print every Applied / Missed / Analysis
-//! remark with its reason and LoopCost evidence.
+//! stream: parse each Fortran-like corpus file, run the paper's compile
+//! path (compound, then scalar replacement) with an observing sink, and
+//! print every Applied / Missed / Analysis remark with its reason and
+//! LoopCost evidence.
 //!
 //! ```text
 //! cargo run --release --example remarks_explorer [file.f ...]
@@ -23,8 +24,9 @@
 use cmt_locality_repro::analytic::{predict_program, MissModel};
 use cmt_locality_repro::cache::CacheConfig;
 use cmt_locality_repro::ir::parse::parse_program;
-use cmt_locality_repro::locality::pass::Pipeline;
-use cmt_locality_repro::obs::CollectSink;
+use cmt_locality_repro::locality::scalar::scalar_replace_observed;
+use cmt_locality_repro::locality::{compound_with, CostModel, NullProvenance};
+use cmt_locality_repro::obs::{CollectSink, SpanTimer};
 use cmt_locality_repro::profile::{profile_program, rank_hotspots, ProfileOptions};
 use std::path::PathBuf;
 
@@ -98,7 +100,7 @@ fn main() {
         // pipeline did about them.
         if let Some(n) = profile_n {
             let opts = ProfileOptions::default();
-            match profile_program(&program, n, &opts, &mut sink) {
+            match profile_program(&program, n, &Default::default(), &mut sink) {
                 Ok(profile) => {
                     rank_hotspots(&[profile], &opts.policy.describe(), "i860", n)
                         .emit_remarks(&mut sink);
@@ -113,7 +115,20 @@ fn main() {
             let model = MissModel::new(CacheConfig::i860());
             let _ = predict_program(&program, n, &model, &mut sink);
         }
-        let reports = Pipeline::paper_default(4).run_observed(&mut program, &mut sink);
+        let model = CostModel::new(4);
+        let timer = SpanTimer::start();
+        let r = compound_with(
+            &mut program,
+            &model,
+            &Default::default(),
+            &mut sink,
+            &mut NullProvenance,
+            &model,
+        );
+        let compound_ns = timer.elapsed_ns();
+        let timer = SpanTimer::start();
+        let s = scalar_replace_observed(&mut program, &mut sink);
+        let scalar_ns = timer.elapsed_ns();
 
         if jsonl {
             print!("{}", sink.remarks_jsonl());
@@ -124,9 +139,20 @@ fn main() {
         }
 
         println!("=== {} ({})", path.display(), program.name());
-        for r in &reports {
-            println!("  pass {:<15} {:>9} ns  {}", r.name, r.nanos, r.summary);
-        }
+        println!(
+            "  pass compound       {compound_ns:>9} ns  {} nests: {} orig / {} permuted / {} failed; \
+             fused {}, distributed {}",
+            r.nests_total,
+            r.nests_orig_memory_order,
+            r.nests_permuted,
+            r.nests_failed,
+            r.nests_fused,
+            r.distributions
+        );
+        println!(
+            "  pass scalar-replace {scalar_ns:>9} ns  hoisted {} invariant load(s)",
+            s.replaced
+        );
         for remark in &sink.remarks {
             println!("  {remark}");
         }

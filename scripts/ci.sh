@@ -76,6 +76,14 @@ grep -q '"traceEvents"' "$SMOKE_DIR/fig2_matmul.trace.json"
 cargo run --release -q -p cmt-bench --bin cmt-report -- fig2_matmul --dir "$SMOKE_DIR"
 test -s "$SMOKE_DIR/fig2_matmul.report.md" || { echo "missing report" >&2; exit 1; }
 cargo run --release -q -p cmt-bench --bin obs_diff -- results/baseline "$SMOKE_DIR" fig2_matmul
+# The other users of the observed compound runs: fig3/fig7 run compound
+# then scalar replacement (pass counters, remarks, attributed
+# simulation of the result), table2 runs compound alone over every
+# suite model. Their deterministic fields are pinned the same way.
+for b in fig3_adi fig7_cholesky table2_memory_order; do
+  CMT_OBS_DIR="$SMOKE_DIR" cargo run --release -q -p cmt-bench --bin "$b" > /dev/null
+  cargo run --release -q -p cmt-bench --bin obs_diff -- results/baseline "$SMOKE_DIR" "$b"
+done
 
 echo ">>> profiling smoke (sampled sweep, escalation, agreement + cost gates)"
 # Sampled cache-simulation profiling over the first 32 verify-corpus

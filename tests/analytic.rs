@@ -1,16 +1,16 @@
 //! Integration tests for the analytic locality engine: corpus
 //! equivalence against the sharded simulator on every geometry,
 //! byte-identical output across `CMT_JOBS`, degenerate nests, and the
-//! `CMT_COST=analytic` oracle's legality.
+//! `AnalyticCost` rank oracle's legality.
 
-use cmt_locality_repro::analytic::{predict_program, MissModel};
-use cmt_locality_repro::bench::tables::{bench_compound, cost_oracle};
+use cmt_locality_repro::analytic::{predict_program, AnalyticCost, MissModel};
 use cmt_locality_repro::bench::{analytic_corpus, analytic_sweep, AnalyticSweepConfig};
 use cmt_locality_repro::cache::CacheConfig;
 use cmt_locality_repro::ir::build::ProgramBuilder;
 use cmt_locality_repro::ir::expr::Expr;
 use cmt_locality_repro::ir::program::Program;
 use cmt_locality_repro::locality::model::CostModel;
+use cmt_locality_repro::locality::{compound_with, CompoundOptions, NullProvenance};
 use cmt_locality_repro::obs::{Artifact, CollectSink, NullObs};
 use cmt_locality_repro::profile::{profile_program, ProfileOptions, SamplePolicy};
 use cmt_locality_repro::suite::kernels::paper_kernels;
@@ -186,19 +186,23 @@ fn loop_free_statement_predicts_cold_footprint() {
     assert_eq!(preds[0].stats.cold_misses, 1);
 }
 
-/// `CMT_COST=analytic` must only change *which* legal order the driver
-/// prefers — every transformed kernel still computes the same values.
+/// Ranking by the analytic oracle must only change *which* legal order
+/// the driver prefers — every transformed kernel still computes the same
+/// values.
 #[test]
 fn analytic_cost_oracle_preserves_semantics() {
-    std::env::set_var("CMT_COST", "analytic");
-    assert!(
-        cost_oracle().is_some(),
-        "CMT_COST=analytic must select the oracle"
-    );
+    let oracle = AnalyticCost::new(CacheConfig::i860(), 64);
     let model = CostModel::new(4);
     for kernel in paper_kernels() {
         let mut transformed = kernel.clone();
-        let _ = bench_compound(&mut transformed, &model);
+        let _ = compound_with(
+            &mut transformed,
+            &model,
+            &CompoundOptions::default(),
+            &mut NullObs,
+            &mut NullProvenance,
+            &oracle,
+        );
         cmt_locality_repro::ir::validate::validate(&transformed)
             .unwrap_or_else(|e| panic!("{}: invalid after compound: {e}", kernel.name()));
         for v in [3i64, 5] {
@@ -212,5 +216,4 @@ fn analytic_cost_oracle_preserves_semantics() {
             );
         }
     }
-    std::env::remove_var("CMT_COST");
 }

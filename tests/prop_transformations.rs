@@ -9,10 +9,10 @@ use cmt_locality_repro::ir::affine::Affine;
 use cmt_locality_repro::ir::build::ProgramBuilder;
 use cmt_locality_repro::ir::expr::{BinOp, Expr};
 use cmt_locality_repro::ir::program::Program;
-use cmt_locality_repro::locality::compound::{compound_with, CompoundOptions};
+use cmt_locality_repro::locality::compound::{compound, compound_with, CompoundOptions};
 use cmt_locality_repro::locality::model::CostModel;
-use cmt_locality_repro::locality::CostPoly;
-use cmt_locality_repro::obs::SplitMix64;
+use cmt_locality_repro::locality::{CostPoly, NullProvenance};
+use cmt_locality_repro::obs::{NullObs, SplitMix64};
 
 /// A randomized reference: which array, subscript order, and offsets.
 #[derive(Clone, Debug)]
@@ -123,7 +123,7 @@ fn compound_preserves_semantics() {
         let original = build_program(&nests);
         let mut transformed = original.clone();
         let model = CostModel::new(4);
-        let _ = compound_with(&mut transformed, &model, &CompoundOptions::default());
+        let _ = compound(&mut transformed, &model);
         cmt_locality_repro::ir::validate::validate(&transformed).expect("valid after compound");
         let report = equivalent(&original, &transformed, &[9]).expect("executes");
         assert!(report.equivalent, "diff: {:?}", report.first_diff);
@@ -144,7 +144,14 @@ fn ablated_compound_preserves_semantics() {
             distribution: rng.gen_bool(0.5),
             reversal: rng.gen_bool(0.5),
         };
-        let _ = compound_with(&mut transformed, &model, &opts);
+        let _ = compound_with(
+            &mut transformed,
+            &model,
+            &opts,
+            &mut NullObs,
+            &mut NullProvenance,
+            &model,
+        );
         let report = equivalent(&original, &transformed, &[8]).expect("executes");
         assert!(
             report.equivalent,
