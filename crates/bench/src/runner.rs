@@ -273,7 +273,6 @@ pub fn simulate_observed(
 /// model: optimized procedures alone, and the whole program (optimized +
 /// background `rest`, sharing one cache with disjoint address ranges).
 pub fn simulate_versions(model: &BenchmarkModel, cost_model: &CostModel, n: i64) -> VersionPair {
-    let orig = model.optimized.clone();
     let mut transformed = model.optimized.clone();
     let _ = compound(&mut transformed, cost_model);
 
@@ -318,7 +317,7 @@ pub fn simulate_versions(model: &BenchmarkModel, cost_model: &CostModel, n: i64)
         (opt_stats, whole)
     };
 
-    let (opt_orig, whole_orig) = run_whole(&orig);
+    let (opt_orig, whole_orig) = run_whole(&model.optimized);
     let (opt_final, whole_final) = run_whole(&transformed);
     VersionPair {
         opt_orig,

@@ -1,11 +1,9 @@
-//! The interpreter proper.
+//! The executor: runs a program's lowered form (see the crate docs).
 
-use crate::machine::Machine;
+use crate::lower::{lower, Bound, Innermost, Lowered, LoweredLoop, LoweredNode, Op};
+use crate::machine::{Machine, ELEMENT_BYTES};
 use crate::sink::{pack_access, TraceSink, BATCH_LEN};
-use cmt_ir::expr::Expr;
-use cmt_ir::node::{Loop, Node};
 use cmt_ir::program::Program;
-use cmt_ir::stmt::{ArrayRef, Stmt};
 use std::fmt;
 
 /// Runtime failure during execution.
@@ -63,20 +61,32 @@ pub struct ExecSummary {
     pub stmt_executions: u64,
 }
 
-struct Exec<'m, 's> {
-    machine: &'m mut Machine,
-    sink: &'s mut dyn TraceSink,
+struct Exec<'r> {
+    machine: &'r mut Machine,
+    program: &'r Program,
+    code: &'r Lowered,
+    sink: &'r mut dyn TraceSink,
     summary: ExecSummary,
-    program: &'m Program,
     /// Packed-access buffer; flushed through [`TraceSink::access_batch`]
     /// when full, so the virtual dispatch to the sink is paid once per
     /// [`BATCH_LEN`] accesses instead of once per access.
     buf: Vec<u64>,
+    /// Current value of each loop slot.
+    slots: Vec<i64>,
+    /// In a proven innermost loop, each reference's current linear
+    /// element index and its per-iteration increment.
+    cur: Vec<i64>,
+    delta: Vec<i64>,
+    /// Value stack for the postfix ops.
+    stack: Vec<f64>,
 }
 
 impl Machine {
     /// Executes `program` against this machine's arrays, emitting every
     /// access to `sink` (batched — see [`TraceSink::access_batch`]).
+    ///
+    /// The program is lowered once against this machine's parameters
+    /// and layout, then executed; see the crate docs.
     ///
     /// # Errors
     ///
@@ -89,26 +99,41 @@ impl Machine {
         program: &Program,
         sink: &mut dyn TraceSink,
     ) -> Result<ExecSummary, ExecError> {
+        let code = lower(program, self);
         let mut exec = Exec {
             machine: self,
+            program,
             sink,
             summary: ExecSummary::default(),
-            program,
             buf: Vec::with_capacity(BATCH_LEN),
+            slots: vec![0; code.slots],
+            cur: vec![0; code.refs.len()],
+            delta: vec![0; code.refs.len()],
+            stack: vec![0.0; code.stack],
+            code: &code,
         };
-        let mut result = Ok(());
-        for n in program.body() {
-            if let Err(e) = exec.node(n) {
-                result = Err(e);
-                break;
-            }
-        }
+        let result = exec.nodes(&code.body);
         exec.flush();
         result.map(|()| exec.summary)
     }
 }
 
-impl Exec<'_, '_> {
+/// Iterations of `lo..=hi` by `step` (`hi..=lo` when `step < 0`).
+fn trip_count(lo: i64, hi: i64, step: i64) -> i64 {
+    if step > 0 {
+        if lo > hi {
+            0
+        } else {
+            (hi - lo) / step + 1
+        }
+    } else if lo < hi {
+        0
+    } else {
+        (lo - hi) / -step + 1
+    }
+}
+
+impl Exec<'_> {
     #[inline]
     fn emit(&mut self, addr: u64, is_write: bool) {
         self.buf.push(pack_access(addr, is_write));
@@ -124,129 +149,151 @@ impl Exec<'_, '_> {
         }
     }
 
-    fn node(&mut self, n: &Node) -> Result<(), ExecError> {
-        match n {
-            Node::Stmt(s) => self.stmt(s),
-            Node::Loop(l) => self.loop_(l),
+    fn nodes(&mut self, nodes: &[LoweredNode]) -> Result<(), ExecError> {
+        let code = self.code;
+        for n in nodes {
+            match n {
+                LoweredNode::Stmt(ops) => self.ops::<true>(&code.ops[ops.clone()])?,
+                LoweredNode::Loop(l) => self.loop_(l)?,
+            }
+        }
+        Ok(())
+    }
+
+    fn bound(&self, b: &Bound) -> Result<i64, ExecError> {
+        match b {
+            Ok(a) => Ok(a.eval(&self.slots)),
+            Err(e) => Err(ExecError::Eval(e.clone())),
         }
     }
 
-    fn loop_(&mut self, l: &Loop) -> Result<(), ExecError> {
-        let lo = l
-            .lower()
-            .eval(self.machine.env())
-            .map_err(|e| ExecError::Eval(e.to_string()))?;
-        let hi = l
-            .upper()
-            .eval(self.machine.env())
-            .map_err(|e| ExecError::Eval(e.to_string()))?;
-        let step = l.step();
-        let var = l.var();
+    fn loop_(&mut self, l: &LoweredLoop) -> Result<(), ExecError> {
+        let lo = self.bound(&l.lower)?;
+        let hi = self.bound(&l.upper)?;
+        let step = l.step;
+        if let Some(inner) = &l.innermost {
+            let trip = trip_count(lo, hi, step);
+            if trip == 0 {
+                return Ok(());
+            }
+            // Every subscript is affine in this loop's variable, so if
+            // each is in bounds at the first and the last iteration it
+            // is in bounds at every iteration between.
+            if self.proven(inner, l.slot, lo) && self.proven(inner, l.slot, lo + (trip - 1) * step)
+            {
+                self.run_proven(inner, l.slot, lo, step, trip);
+                return Ok(());
+            }
+        }
         let mut v = lo;
-        loop {
-            if step > 0 {
-                if v > hi {
-                    break;
-                }
-            } else if v < hi {
-                break;
-            }
-            self.machine.env_mut().bind_var(var, v);
-            for n in l.body() {
-                self.node(n)?;
-            }
+        while if step > 0 { v <= hi } else { v >= hi } {
+            self.slots[l.slot] = v;
+            self.nodes(&l.body)?;
             v += step;
         }
-        self.machine.env_mut().unbind_var(var);
         Ok(())
     }
 
-    fn stmt(&mut self, s: &Stmt) -> Result<(), ExecError> {
-        let value = self.eval(s.rhs())?;
-        let (addr, idx) = self.locate(s.lhs())?;
-        self.machine.storage_mut(s.lhs().array()).data[idx] = value;
-        self.emit(addr, true);
-        self.summary.stores += 1;
-        self.summary.stmt_executions += 1;
-        Ok(())
+    /// Whether every reference of `inner` is in bounds with `slot` at `v`.
+    fn proven(&mut self, inner: &Innermost, slot: usize, v: i64) -> bool {
+        self.slots[slot] = v;
+        let slots = &self.slots;
+        self.code.refs[inner.refs.clone()]
+            .iter()
+            .all(|r| r.in_bounds(slots))
     }
 
-    fn locate(&self, r: &ArrayRef) -> Result<(u64, usize), ExecError> {
-        // Hot path: avoid a heap allocation per access for the common
-        // ranks.
-        let mut buf = [0i64; 8];
-        let rank = r.rank();
-        let subs: &mut [i64] = if rank <= buf.len() {
-            &mut buf[..rank]
+    /// Runs `trip` iterations of a proven innermost loop from `first`: no
+    /// bounds checks, and each reference's linear index strength-reduced
+    /// to one add per iteration.
+    fn run_proven(&mut self, inner: &Innermost, slot: usize, first: i64, step: i64, trip: i64) {
+        let code = self.code;
+        self.slots[slot] = first;
+        for k in inner.refs.clone() {
+            let linear = &code.refs[k].linear;
+            self.cur[k] = linear.eval(&self.slots);
+            self.delta[k] = linear.coeff(slot) * step;
+        }
+        let ops = &code.ops[inner.ops.clone()];
+        for _ in 0..trip {
+            // Unchecked ops cannot fail.
+            let _ = self.ops::<false>(ops);
+            for k in inner.refs.clone() {
+                self.cur[k] += self.delta[k];
+            }
+            self.slots[slot] += step;
+        }
+        let trip = trip as u64;
+        self.summary.loads += trip * inner.loads;
+        self.summary.stores += trip * inner.stmts;
+        self.summary.stmt_executions += trip * inner.stmts;
+    }
+
+    /// The linear element index of reference `r`: checked against the
+    /// extents in a `CHECKED` run, the strength-reduced index otherwise.
+    #[inline]
+    fn locate<const CHECKED: bool>(&self, r: usize) -> Result<usize, ExecError> {
+        if !CHECKED {
+            return Ok(self.cur[r] as usize);
+        }
+        let r = &self.code.refs[r];
+        if r.in_bounds(&self.slots) {
+            Ok(r.linear.eval(&self.slots) as usize)
         } else {
-            // Exotic ranks fall back to the slow path.
-            return self.locate_slow(r);
-        };
-        for (slot, s) in subs.iter_mut().zip(r.subscripts()) {
-            *slot = s
-                .eval(self.machine.env())
-                .map_err(|e| ExecError::Eval(e.to_string()))?;
-        }
-        let st = self.machine.storage(r.array());
-        match st.linear_index(subs) {
-            Some(idx) => Ok((st.address_of(idx), idx)),
-            None => Err(ExecError::OutOfBounds {
-                array: self.program.array(r.array()).name().to_string(),
-                subscripts: subs.to_vec(),
-                dims: st.dims.clone(),
-            }),
+            Err(ExecError::OutOfBounds {
+                array: self.program.array(r.array).name().to_string(),
+                subscripts: r.subs.iter().map(|s| s.eval(&self.slots)).collect(),
+                dims: r.dims.clone(),
+            })
         }
     }
 
-    #[cold]
-    fn locate_slow(&self, r: &ArrayRef) -> Result<(u64, usize), ExecError> {
-        let mut subs = Vec::with_capacity(r.rank());
-        for s in r.subscripts() {
-            subs.push(
-                s.eval(self.machine.env())
-                    .map_err(|e| ExecError::Eval(e.to_string()))?,
-            );
-        }
-        let st = self.machine.storage(r.array());
-        match st.linear_index(&subs) {
-            Some(idx) => Ok((st.address_of(idx), idx)),
-            None => Err(ExecError::OutOfBounds {
-                array: self.program.array(r.array()).name().to_string(),
-                subscripts: subs,
-                dims: st.dims.clone(),
-            }),
-        }
-    }
-
-    fn eval(&mut self, e: &Expr) -> Result<f64, ExecError> {
-        match e {
-            Expr::Const(c) => Ok(*c),
-            Expr::Index(v) => self
-                .machine
-                .env()
-                .var(*v)
-                .map(|x| x as f64)
-                .ok_or_else(|| ExecError::Eval(format!("unbound index {v}"))),
-            Expr::Param(p) => self
-                .machine
-                .env()
-                .param(*p)
-                .map(|x| x as f64)
-                .ok_or_else(|| ExecError::Eval(format!("unbound parameter {p}"))),
-            Expr::Load(r) => {
-                let (addr, idx) = self.locate(r)?;
-                let v = self.machine.storage(r.array()).data[idx];
-                self.emit(addr, false);
-                self.summary.loads += 1;
-                Ok(v)
-            }
-            Expr::Unary(op, inner) => Ok(op.apply(self.eval(inner)?)),
-            Expr::Binary(op, a, b) => {
-                let x = self.eval(a)?;
-                let y = self.eval(b)?;
-                Ok(op.apply(x, y))
+    /// Executes postfix ops. A `CHECKED` run bounds-checks every access
+    /// and counts it; an unchecked one (a proven innermost loop) does
+    /// neither and never fails.
+    fn ops<const CHECKED: bool>(&mut self, ops: &[Op]) -> Result<(), ExecError> {
+        let code = self.code;
+        let mut sp = 0;
+        for op in ops {
+            match *op {
+                Op::Const(c) => {
+                    self.stack[sp] = c;
+                    sp += 1;
+                }
+                Op::Var(s) => {
+                    self.stack[sp] = self.slots[s] as f64;
+                    sp += 1;
+                }
+                Op::Load(r) => {
+                    let idx = self.locate::<CHECKED>(r)?;
+                    let r = &code.refs[r];
+                    self.stack[sp] = self.machine.storage(r.array).data[idx];
+                    sp += 1;
+                    self.emit(r.base + idx as u64 * ELEMENT_BYTES, false);
+                    if CHECKED {
+                        self.summary.loads += 1;
+                    }
+                }
+                Op::Unary(u) => self.stack[sp - 1] = u.apply(self.stack[sp - 1]),
+                Op::Binary(b) => {
+                    sp -= 1;
+                    self.stack[sp - 1] = b.apply(self.stack[sp - 1], self.stack[sp]);
+                }
+                Op::Store(r) => {
+                    let idx = self.locate::<CHECKED>(r)?;
+                    let r = &code.refs[r];
+                    sp -= 1;
+                    self.machine.storage_mut(r.array).data[idx] = self.stack[sp];
+                    self.emit(r.base + idx as u64 * ELEMENT_BYTES, true);
+                    if CHECKED {
+                        self.summary.stores += 1;
+                        self.summary.stmt_executions += 1;
+                    }
+                }
+                Op::Fail(m) => return Err(ExecError::Eval(code.messages[m].clone())),
             }
         }
+        Ok(())
     }
 }
 
@@ -256,6 +303,7 @@ mod tests {
     use crate::sink::{CountingSink, NullSink};
     use cmt_ir::affine::Affine;
     use cmt_ir::build::ProgramBuilder;
+    use cmt_ir::expr::Expr;
     use cmt_ir::ids::ArrayId;
 
     #[test]

@@ -10,6 +10,28 @@
 //!   compare final array contents bit-exactly, validating every
 //!   transformation end-to-end.
 //!
+//! # How a run executes
+//!
+//! [`Machine::run`] lowers the program once against the machine's
+//! parameter values and array layout, then executes the lowered form.
+//! Loop variables become dense slots; bounds and subscripts become
+//! affines over slots with the parameters folded in; each array
+//! reference carries its base address, per-dimension affines and one
+//! column-major linear-index affine; each statement becomes a postfix op
+//! list in the tree's left-to-right load order, followed by its store.
+//!
+//! On entry to an innermost loop (a body of statements only) every
+//! reference's subscripts are evaluated at the first and the last
+//! iteration. Subscripts are affine in the loop variable, so if both
+//! endpoints are in bounds every iteration is: the loop then runs with
+//! no per-access checks, each reference's linear index advancing by one
+//! precomputed increment per iteration. Otherwise — and for statements
+//! directly under a non-innermost loop — each access is checked, so an
+//! out-of-bounds error surfaces at the same access, with the same trace
+//! prefix flushed and the same array contents, as a direct tree walk of
+//! the IR would give. Values are always computed: there is one
+//! execution mode.
+//!
 //! # Example
 //!
 //! ```
@@ -35,6 +57,7 @@
 //! ```
 
 pub mod exec;
+mod lower;
 pub mod machine;
 pub mod sink;
 pub mod verify;

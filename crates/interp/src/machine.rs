@@ -71,7 +71,7 @@ impl Machine {
         let env = program.param_env(param_values);
         let mut arrays = Vec::with_capacity(program.arrays().len());
         let mut next_base: u64 = BASE_ALIGN;
-        for (k, info) in program.arrays().iter().enumerate() {
+        for info in program.arrays() {
             let mut dims = Vec::with_capacity(info.rank());
             for e in info.dims() {
                 let v = e.eval(&env).map_err(|e| ExecError::Eval(e.to_string()))?;
@@ -93,22 +93,10 @@ impl Machine {
             // Guard gap + realignment.
             next_base = (next_base + BASE_ALIGN) / BASE_ALIGN * BASE_ALIGN + BASE_ALIGN;
             arrays.push(storage);
-            let _ = k;
         }
         let mut m = Machine { env, arrays };
         m.init_default();
         Ok(m)
-    }
-
-    /// The parameter environment (loop variables are bound during
-    /// execution only).
-    pub fn env(&self) -> &Env {
-        &self.env
-    }
-
-    /// Mutable environment, used by the executor.
-    pub(crate) fn env_mut(&mut self) -> &mut Env {
-        &mut self.env
     }
 
     /// Parameter value lookup.

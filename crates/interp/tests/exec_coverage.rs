@@ -164,3 +164,308 @@ fn triangular_bounds_reevaluated_per_outer_iteration() {
     m.run(&p, &mut sink).unwrap();
     assert_eq!(sink.stores, 21);
 }
+
+// ---------------------------------------------------------------------
+// Error paths and edge cases of the lowered executor. Each run is
+// compared with the reference tree walker: the same result or error,
+// the same flushed trace prefix and the same array contents.
+// ---------------------------------------------------------------------
+
+#[path = "../../../tests/support/tree_walker.rs"]
+mod tree_walker;
+
+use cmt_ir::array::{ArrayInfo, Extent};
+use cmt_ir::ids::{ParamId, VarId};
+use cmt_ir::node::{Loop, Node};
+use cmt_ir::program::Program;
+use cmt_ir::stmt::{ArrayRef, Stmt};
+
+/// Runs `p` from a distinctive initial state under both executors and
+/// returns the (asserted identical) outcome.
+fn check(p: &Program, params: &[i64]) -> tree_walker::Outcome {
+    let mut m = Machine::new(p, params).unwrap();
+    m.init_with(|a, k| (a.index() * 1000 + k) as f64 + 0.5);
+    tree_walker::assert_same(p.name(), p, &m)
+}
+
+fn oob(array: &str, subscripts: Vec<i64>, dims: Vec<i64>) -> ExecError {
+    ExecError::OutOfBounds {
+        array: array.into(),
+        subscripts,
+        dims,
+    }
+}
+
+/// An unvalidated loop node, for programs the builder would reject.
+fn raw_loop(p: &mut Program, var: VarId, lo: Affine, hi: Affine, body: Vec<Node>) -> Node {
+    Node::Loop(Loop::new(p.fresh_loop_id(), var, lo, hi, 1, body))
+}
+
+/// An unvalidated statement node.
+fn raw_stmt(p: &mut Program, lhs: ArrayRef, rhs: Expr) -> Node {
+    Node::Stmt(Stmt::new(p.fresh_stmt_id(), lhs, rhs))
+}
+
+/// `DO I = 1, N: A(I + off) = B(I) + 1` over `A(N)`, `B(N)`.
+fn shifted_store(off: i64) -> Program {
+    let mut b = ProgramBuilder::new("shift");
+    let n = b.param("N");
+    let a = b.array("A", vec![n.into()]);
+    let bb = b.array("B", vec![n.into()]);
+    b.loop_("I", 1, n, |b| {
+        let i = b.var("I");
+        let lhs = b.at_vec(a, vec![Affine::var(i) + off]);
+        b.assign(lhs, Expr::load(b.at(bb, [i])) + Expr::Const(1.0));
+    });
+    b.finish()
+}
+
+#[test]
+fn oob_on_first_middle_and_last_iteration_of_an_innermost_loop() {
+    // (offset, failing subscript, accesses flushed before the failure).
+    for (off, at, prefix) in [(-1, 0, 1), (2, 9, 6 * 2 + 1), (1, 9, 7 * 2 + 1)] {
+        let out = check(&shifted_store(off), &[8]);
+        assert_eq!(out.result, Err(oob("A", vec![at], vec![8])), "offset {off}");
+        assert_eq!(out.trace.len(), prefix, "offset {off}");
+    }
+    assert_eq!(check(&shifted_store(0), &[8]).result.unwrap().stores, 8);
+}
+
+#[test]
+fn oob_in_a_statement_directly_under_a_non_innermost_loop() {
+    // DO I = 1, N { A(I+1) = B(I); DO J = 1, N { C(J,I) = A(I) } }
+    let mut b = ProgramBuilder::new("imperfect");
+    let n = b.param("N");
+    let a = b.array("A", vec![n.into()]);
+    let bb = b.array("B", vec![n.into()]);
+    let c = b.matrix("C", n);
+    b.loop_("I", 1, n, |b| {
+        let i = b.var("I");
+        let lhs = b.at_vec(a, vec![Affine::var(i) + 1]);
+        b.assign(lhs, Expr::load(b.at(bb, [i])));
+        b.loop_("J", 1, n, |b| {
+            let j = b.var("J");
+            let lhs = b.at(c, [j, i]);
+            b.assign(lhs, Expr::load(b.at(a, [i])));
+        });
+    });
+    let out = check(&b.finish(), &[6]);
+    assert_eq!(out.result, Err(oob("A", vec![7], vec![6])));
+    assert_eq!(out.trace.len(), 5 * (2 + 6 * 2) + 1);
+}
+
+#[test]
+fn triangular_nest_leaves_the_bounds_on_later_outer_iterations() {
+    // DO I = 1, N { DO J = 1, 2*I { A(J,I) = B(J,I) * 2 } }: in bounds
+    // for I <= N/2, then the load of B(N+1, I) fails mid-loop.
+    let mut b = ProgramBuilder::new("tri");
+    let n = b.param("N");
+    let a = b.matrix("A", n);
+    let bb = b.matrix("B", n);
+    b.loop_("I", 1, n, |b| {
+        let i = b.var("I");
+        b.loop_("J", 1, Affine::var(i) * 2, |b| {
+            let j = b.var("J");
+            let lhs = b.at(a, [j, i]);
+            b.assign(lhs, Expr::load(b.at(bb, [j, i])) * Expr::Const(2.0));
+        });
+    });
+    let out = check(&b.finish(), &[6]);
+    assert_eq!(out.result, Err(oob("B", vec![7, 4], vec![6, 6])));
+    assert_eq!(out.trace.len(), (2 + 4 + 6 + 6) * 2);
+}
+
+/// `DO I = lo, hi, step: A(I + off) = A(I + off) + 1` over `A(N)`
+/// (`N` is parameter 0).
+fn stepped(lo: Affine, hi: Affine, step: i64, off: i64) -> Program {
+    let mut b = ProgramBuilder::new("stepped");
+    let n = b.param("N");
+    let a = b.array("A", vec![n.into()]);
+    b.loop_step("I", lo, hi, step, |b| {
+        let i = b.var("I");
+        let r = b.at_vec(a, vec![Affine::var(i) + off]);
+        b.assign(r.clone(), Expr::load(r) + Expr::Const(1.0));
+    });
+    b.finish()
+}
+
+#[test]
+fn non_unit_steps_whose_last_iteration_falls_short_of_the_bound() {
+    let n = || Affine::param(ParamId(0));
+    // DO I = 1, 9, 3 runs 1, 4, 7: A(I+2) reaches 9, never 11.
+    let out = check(&stepped(1.into(), n(), 3, 2), &[9]);
+    assert_eq!(out.result.unwrap().stores, 3);
+    // DO I = 9, 1, -3 runs 9, 6, 3: A(I-2) reaches 1, never -1.
+    let out = check(&stepped(n(), 1.into(), -3, -2), &[9]);
+    assert_eq!(out.result.unwrap().stores, 3);
+    // DO I = 1, 9, 4 runs 1, 5, 9: A(I+2) leaves the array at 11.
+    let out = check(&stepped(1.into(), n(), 4, 2), &[9]);
+    assert_eq!(out.result, Err(oob("A", vec![11], vec![9])));
+    // DO I = 9, 2, -4 runs 9, 5: A(I-5) leaves the array at 0.
+    let out = check(&stepped(n(), 2.into(), -4, -5), &[9]);
+    assert_eq!(out.result, Err(oob("A", vec![0], vec![9])));
+}
+
+/// `A(N)`, `B(N)`, parameter `N` and variables `I`, `K`, with the body
+/// `f` builds.
+fn raw_program(f: impl FnOnce(&mut Program, [VarId; 2]) -> Vec<Node>) -> Program {
+    let mut p = Program::new("raw");
+    let n = p.declare_param("N");
+    p.declare_array(ArrayInfo::new("A", vec![Extent::param(n)]));
+    p.declare_array(ArrayInfo::new("B", vec![Extent::param(n)]));
+    let vars = [p.declare_var("I"), p.declare_var("K")];
+    let body = f(&mut p, vars);
+    *p.body_mut() = body;
+    p
+}
+
+fn at(array: u32, sub: impl Into<Affine>) -> ArrayRef {
+    ArrayRef::new(cmt_ir::ids::ArrayId(array), vec![sub.into()])
+}
+
+#[test]
+fn unbound_index_in_a_subscript_an_index_expression_and_a_loop_bound() {
+    let n = || Affine::param(ParamId(0));
+    // DO I = 1, N { A(I) = B(I); A(K) = 1 }
+    let p = raw_program(|p, [i, k]| {
+        let body = vec![
+            raw_stmt(p, at(0, i), Expr::load(at(1, i))),
+            raw_stmt(p, at(0, k), Expr::Const(1.0)),
+        ];
+        vec![raw_loop(p, i, 1.into(), n(), body)]
+    });
+    let out = check(&p, &[4]);
+    assert_eq!(
+        out.result,
+        Err(ExecError::Eval("unbound index variable i1".into()))
+    );
+    assert_eq!(out.trace.len(), 2);
+    // DO I = 1, N { A(I) = B(I) + K }
+    let p = raw_program(|p, [i, k]| {
+        let body = vec![raw_stmt(p, at(0, i), Expr::load(at(1, i)) + Expr::Index(k))];
+        vec![raw_loop(p, i, 1.into(), n(), body)]
+    });
+    let out = check(&p, &[4]);
+    assert_eq!(out.result, Err(ExecError::Eval("unbound index i1".into())));
+    assert_eq!(out.trace.len(), 1);
+    // DO I = 1, N { A(I) = 1; DO K = 1, K { B(K) = 2 } }
+    let p = raw_program(|p, [i, k]| {
+        let inner = vec![raw_stmt(p, at(1, k), Expr::Const(2.0))];
+        let body = vec![
+            raw_stmt(p, at(0, i), Expr::Const(1.0)),
+            raw_loop(p, k, 1.into(), k.into(), inner),
+        ];
+        vec![raw_loop(p, i, 1.into(), n(), body)]
+    });
+    let out = check(&p, &[4]);
+    assert_eq!(
+        out.result,
+        Err(ExecError::Eval("unbound index variable i1".into()))
+    );
+    assert_eq!(out.trace.len(), 1);
+    // An unbound parameter: A(I) = P3.
+    let p = raw_program(|p, [i, _]| {
+        let body = vec![raw_stmt(p, at(0, i), Expr::Param(ParamId(3)))];
+        vec![raw_loop(p, i, 1.into(), n(), body)]
+    });
+    let out = check(&p, &[4]);
+    assert_eq!(
+        out.result,
+        Err(ExecError::Eval("unbound parameter p3".into()))
+    );
+    // An unbound parameter in a subscript: A(I) = B(I + P3); with an
+    // unbound index as well, the index is reported: A(K + P3) = 1.
+    let p3 = || Affine::param(ParamId(3));
+    let p = raw_program(|p, [i, _]| {
+        let rhs = Expr::load(at(1, Affine::var(i) + p3()));
+        let body = vec![raw_stmt(p, at(0, i), rhs)];
+        vec![raw_loop(p, i, 1.into(), n(), body)]
+    });
+    let out = check(&p, &[4]);
+    assert_eq!(
+        out.result,
+        Err(ExecError::Eval("unbound parameter p3".into()))
+    );
+    let p = raw_program(|p, [i, k]| {
+        let body = vec![raw_stmt(p, at(0, Affine::var(k) + p3()), Expr::Const(1.0))];
+        vec![raw_loop(p, i, 1.into(), n(), body)]
+    });
+    let out = check(&p, &[4]);
+    assert_eq!(
+        out.result,
+        Err(ExecError::Eval("unbound index variable i1".into()))
+    );
+}
+
+#[test]
+fn an_inner_loop_reusing_a_name_unbinds_it_on_exit() {
+    // DO I = 1, N { DO I = 1, 2 { A(I) = 1 }; B(I) = 2 }
+    let n = || Affine::param(ParamId(0));
+    let p = raw_program(|p, [i, _]| {
+        let inner = vec![raw_stmt(p, at(0, i), Expr::Const(1.0))];
+        let body = vec![
+            raw_loop(p, i, 1.into(), 2.into(), inner),
+            raw_stmt(p, at(1, i), Expr::Const(2.0)),
+        ];
+        vec![raw_loop(p, i, 1.into(), n(), body)]
+    });
+    let out = check(&p, &[4]);
+    assert_eq!(
+        out.result,
+        Err(ExecError::Eval("unbound index variable i0".into()))
+    );
+    assert_eq!(out.trace.len(), 2);
+}
+
+#[test]
+fn unbound_index_in_a_zero_iteration_loop_does_not_raise() {
+    // DO I = 5, 4 { A(K) = K + B(K) }
+    let p = raw_program(|p, [i, k]| {
+        let body = vec![raw_stmt(p, at(0, k), Expr::Index(k) + Expr::load(at(1, k)))];
+        vec![raw_loop(p, i, 5.into(), 4.into(), body)]
+    });
+    let out = check(&p, &[4]);
+    assert_eq!(out.result, Ok(Default::default()));
+    assert!(out.trace.is_empty());
+}
+
+#[test]
+fn reference_rank_differs_from_its_array() {
+    // DO I = 1, N { B(I) = I; A(I, 1) = B(I) }: A is rank 1.
+    let n = || Affine::param(ParamId(0));
+    let p = raw_program(|p, [i, _]| {
+        let two = ArrayRef::new(cmt_ir::ids::ArrayId(0), vec![i.into(), 1.into()]);
+        let body = vec![
+            raw_stmt(p, at(1, i), Expr::Index(i)),
+            raw_stmt(p, two, Expr::load(at(1, i))),
+        ];
+        vec![raw_loop(p, i, 1.into(), n(), body)]
+    });
+    let out = check(&p, &[4]);
+    assert_eq!(out.result, Err(oob("A", vec![1, 1], vec![4])));
+    assert_eq!(out.trace.len(), 2);
+}
+
+#[test]
+fn references_of_rank_greater_than_eight() {
+    // A(2,2,…,2) (rank 9): DO I = 1, N { A(I,1,…,1) = A(1,…,1,I) + 1 }
+    let mut b = ProgramBuilder::new("rank9");
+    let n = b.param("N");
+    let a = b.array("A", vec![Extent::constant(2); 9]);
+    b.loop_("I", 1, n, |b| {
+        let i = b.var("I");
+        let mut first = vec![Affine::constant(1); 9];
+        first[0] = Affine::var(i);
+        let mut last = vec![Affine::constant(1); 9];
+        last[8] = Affine::var(i);
+        let lhs = b.at_vec(a, first);
+        b.assign(lhs, Expr::load(b.at_vec(a, last)) + Expr::Const(1.0));
+    });
+    let p = b.finish();
+    assert_eq!(check(&p, &[2]).result.unwrap().loads, 2);
+    let out = check(&p, &[3]);
+    let mut subs = vec![1; 9];
+    subs[8] = 3;
+    assert_eq!(out.result, Err(oob("A", subs, vec![2; 9])));
+    assert_eq!(out.trace.len(), 4);
+}

@@ -106,6 +106,11 @@ grep -q '"profile.escalated":5' "$SMOKE_DIR/profile_corpus.metrics.json" \
   || { echo "expected 5 escalated nests" >&2; exit 1; }
 cargo run --release -q -p cmt-bench --bin cmt-report -- profile_corpus --dir "$SMOKE_DIR"
 test -s "$SMOKE_DIR/profile_corpus.report.md" || { echo "missing profile report" >&2; exit 1; }
+# The sweep interprets every corpus program and kernel in full: pin
+# its deterministic fields (access, window and sampling counters, the
+# hotspot ranking, remarks) against the committed baseline, so an
+# interpreter change that moves a single access fails here.
+cargo run --release -q -p cmt-bench --bin obs_diff -- results/baseline "$SMOKE_DIR" profile_corpus
 
 echo ">>> smoke-analytic (analytic model vs simulator, live gate)"
 # The committed full-corpus report (BENCH_analytic.json) is gated by
@@ -124,6 +129,10 @@ test -s "$SMOKE_DIR/analytic_corpus.analytic.json" || { echo "missing analytic a
 cargo run --release -q -p cmt-bench --bin cmt-report -- analytic_corpus --dir "$SMOKE_DIR"
 grep -q '## Analytic vs simulated' "$SMOKE_DIR/analytic_corpus.report.md" \
   || { echo "report missing analytic section" >&2; exit 1; }
+# Its simulated side interprets the same corpus: pin the simulated
+# misses, the predictions and the remarks against the committed
+# baseline too.
+cargo run --release -q -p cmt-bench --bin obs_diff -- results/baseline "$SMOKE_DIR" analytic_corpus
 
 echo ">>> smoke-explain (decision provenance, oracle disagreement + regret gates)"
 # The committed full-corpus summary (BENCH_explain.json) is gated by
