@@ -39,6 +39,12 @@ use std::fmt::{self, Write as _};
 pub struct NestKey(pub [u64; 2]);
 
 impl NestKey {
+    /// The key of an already rendered [`canonical_source`], so a caller
+    /// that keeps the rendering need not render it twice.
+    pub fn of_canonical(source: &str) -> NestKey {
+        NestKey(fnv1a_pair(source.as_bytes()))
+    }
+
     /// Lower-case 32-character hex rendering, the wire format.
     pub fn to_hex(&self) -> String {
         format!("{:016x}{:016x}", self.0[0], self.0[1])
@@ -76,7 +82,7 @@ pub fn canonical_source(p: &Program) -> String {
 
 /// Computes the canonical structural key of `p`.
 pub fn nest_key(p: &Program) -> NestKey {
-    NestKey(fnv1a_pair(canonical_source(p).as_bytes()))
+    NestKey::of_canonical(&canonical_source(p))
 }
 
 struct Canon<'p> {

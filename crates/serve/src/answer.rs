@@ -13,9 +13,8 @@ use crate::protocol::{Answer, CompileRequest, Fidelity};
 use cmt_analytic::{predict_program, MissModel};
 use cmt_cache::{CacheConfig, ShardedCache};
 use cmt_interp::Machine;
-use cmt_ir::canon::nest_key;
+use cmt_ir::canon::NestKey;
 use cmt_ir::ids::ArrayId;
-use cmt_ir::parse::parse_program;
 use cmt_ir::program::Program;
 use cmt_locality::model::CostModel;
 use cmt_obs::{CollectSink, ObsSink};
@@ -69,12 +68,15 @@ pub struct ColdOutcome {
 
 /// Runs the full cold path for one parsed request: supervised
 /// optimization under the request's deadline and fault plan, then the
-/// fidelity-appropriate cost evaluation. `pressure` selects the
-/// analytic rung up front; an expired deadline after the supervised
-/// stage also degrades to analytic (never skipping the answer).
+/// fidelity-appropriate cost evaluation. `key` is the program's
+/// [`cmt_ir::canon::nest_key`], which the caller has already rendered.
+/// `pressure` selects the analytic rung up front; an expired deadline
+/// after the supervised stage also degrades to analytic (never skipping
+/// the answer).
 pub fn compute_cold(
     req: &CompileRequest,
     program: &Program,
+    key: NestKey,
     n: i64,
     default_deadline_ms: u64,
     pressure: bool,
@@ -116,7 +118,7 @@ pub fn compute_cold(
     };
 
     let answer = Answer {
-        key: nest_key(program).to_hex(),
+        key: key.to_hex(),
         n,
         computed: fidelity,
         degraded: run.degraded(),
@@ -126,10 +128,4 @@ pub fn compute_cold(
         misses,
     };
     Ok(ColdOutcome { answer, run })
-}
-
-/// Parses the request's program source; the error string carries the
-/// parser's line-numbered message.
-pub fn parse_request_program(req: &CompileRequest) -> Result<Program, String> {
-    parse_program(&req.program).map_err(|e| format!("parse: {e}"))
 }

@@ -3,8 +3,9 @@
 //! A long-running, multi-threaded compile server for loop-nest IR:
 //! requests arrive as newline-delimited JSON (over TCP or the
 //! in-process [`Server::handle_line`] client), warm requests answer
-//! from a canonical-hash memo cache, and cold requests run through the
-//! supervised optimization pipeline with a per-request deadline.
+//! from a memo cache keyed by the canonical program, and cold requests
+//! run through the supervised optimization pipeline with a per-request
+//! deadline.
 //!
 //! The robustness story is graceful degradation under pressure, not
 //! peak throughput:
@@ -19,7 +20,9 @@
 //! * **panic containment** — each request runs under `catch_unwind`; a
 //!   poisoned request is quarantined with a reproducer and answered
 //!   with a structured error, never taking down the server;
-//! * **deterministic memoization** — single-flight admission makes
+//! * **exact, deterministic memoization** — a hit compares canonical
+//!   source, problem size and fault seed in full, never a hash alone;
+//!   only full-fidelity answers are kept; single-flight admission makes
 //!   memo hit/miss counters a function of the request stream alone,
 //!   identical across `CMT_JOBS` settings;
 //! * **clean drain** — shutdown stops admission, finishes in-flight
@@ -47,7 +50,7 @@ pub mod protocol;
 pub mod server;
 
 pub use answer::{analytic_fold, compute_cold, simulate, ColdOutcome};
-pub use memo::{Flight, FlightGuard, MemoCache, MemoKey, MemoStats, Route};
+pub use memo::{Canonical, Flight, FlightGuard, MemoCache, MemoKey, MemoStats, Route};
 pub use protocol::{
     error_response, ok_response, overloaded_response, Answer, CompileRequest, Fidelity, Request,
     MAX_LINE_BYTES,

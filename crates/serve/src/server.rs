@@ -10,10 +10,13 @@
 //! 2. **Queue → worker**: admitted jobs wait on the bounded queue; the
 //!    worker pool (sized by `CMT_JOBS`, the shared cmt-obs knob) pops
 //!    in FIFO order.
-//! 3. **Memoization** (single-flight, see [`crate::memo`]): warm keys
-//!    answer `cached`; duplicates of an in-flight key wait for its
-//!    result instead of recomputing.
-//! 4. **Cold path**: the supervised pipeline under the request's
+//! 3. **Memoization** (see [`crate::memo`]): the exact front maps a
+//!    program text seen before to its canonical form without parsing;
+//!    a new text is parsed and canonicalized once. Warm keys answer
+//!    `cached`; duplicates of an in-flight key wait for its result
+//!    instead of recomputing (single-flight).
+//! 4. **Cold path**: the parsed program (parsed now if the front
+//!    answered) through the supervised pipeline under the request's
 //!    deadline/fault plan, then `ShardedCache` simulation — or the
 //!    analytic fold when the admission depth sat past the degrade mark
 //!    or the deadline is already spent (`fidelity: analytic`).
@@ -25,13 +28,15 @@
 //!    workers (in-flight requests all get their replies), and
 //!    [`Server::flush_artifacts`] persists `server.*` counters.
 
-use crate::answer::{compute_cold, parse_request_program};
-use crate::memo::{FlightGuard, MemoCache, MemoKey, MemoStats, Route};
+use crate::answer::compute_cold;
+use crate::memo::{Canonical, FlightGuard, MemoCache, MemoKey, MemoStats, Route};
 use crate::protocol::{
     error_response, ok_response, overloaded_response, CompileRequest, Fidelity, Request,
     MAX_LINE_BYTES,
 };
-use cmt_ir::canon::nest_key;
+use cmt_ir::canon::canonical_source;
+use cmt_ir::parse::parse_program;
+use cmt_ir::program::Program;
 use cmt_obs::json::ObjectWriter;
 use cmt_obs::{cmt_jobs, CollectSink, ObsSink, SharedSink};
 use cmt_resilience::silence_supervised_panics;
@@ -127,6 +132,10 @@ pub struct Server {
     stop: AtomicBool,
     quarantine_seq: AtomicU64,
     workers: Mutex<Vec<JoinHandle<()>>>,
+    #[cfg(test)]
+    parses: AtomicU64,
+    #[cfg(test)]
+    renders: AtomicU64,
 }
 
 impl Server {
@@ -148,6 +157,10 @@ impl Server {
             stop: AtomicBool::new(false),
             quarantine_seq: AtomicU64::new(0),
             workers: Mutex::new(Vec::new()),
+            #[cfg(test)]
+            parses: AtomicU64::new(0),
+            #[cfg(test)]
+            renders: AtomicU64::new(0),
         });
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
@@ -341,14 +354,36 @@ impl Server {
         }
     }
 
+    /// Parses the request's program; the error carries the parser's
+    /// line-numbered message.
+    fn parse(&self, c: &CompileRequest) -> Result<Program, String> {
+        #[cfg(test)]
+        self.parses.fetch_add(1, Ordering::SeqCst);
+        parse_program(&c.program).map_err(|e| format!("parse: {e}"))
+    }
+
+    fn canonicalize(&self, program: &Program) -> Canonical {
+        #[cfg(test)]
+        self.renders.fetch_add(1, Ordering::SeqCst);
+        Canonical::new(canonical_source(program))
+    }
+
     fn process_compile(&self, c: &CompileRequest, depth: usize) -> String {
         let mut obs = self.obs.clone();
-        let program = match parse_request_program(c) {
-            Ok(p) => p,
-            Err(e) => {
-                obs.counter("server.errors", 1);
-                return error_response(c.id, &e);
-            }
+        // A text the front has seen needs no parse to be routed; a new
+        // one is parsed and canonicalized once, here.
+        let (canon, parsed) = match self.memo.front(&c.program) {
+            Some(canon) => (canon, None),
+            None => match self.parse(c) {
+                Ok(program) => {
+                    let canon = self.memo.remember(&c.program, self.canonicalize(&program));
+                    (canon, Some(program))
+                }
+                Err(e) => {
+                    obs.counter("server.errors", 1);
+                    return error_response(c.id, &e);
+                }
+            },
         };
         let n = c.n.unwrap_or(self.cfg.default_n);
         if n < 1 {
@@ -356,10 +391,11 @@ impl Server {
             return error_response(c.id, "n must be >= 1");
         }
         let key = MemoKey {
-            key: nest_key(&program),
+            canon: Arc::clone(&canon.source),
             n,
+            fault_seed: c.fault_seed,
         };
-        match self.memo.route(key) {
+        match self.memo.route(&key) {
             Route::Hit(answer) => {
                 obs.counter("server.fidelity.cached", 1);
                 ok_response(c.id, Fidelity::Cached, &answer)
@@ -378,22 +414,29 @@ impl Server {
                 }
             }
             Route::Compute(flight) => {
-                let mut guard = FlightGuard::new(&self.memo, key, Arc::clone(&flight));
+                let mut guard = FlightGuard::new(&self.memo, key.clone(), Arc::clone(&flight));
                 let t0 = Instant::now();
                 let pressure = depth > self.cfg.degrade_depth;
                 let mut sink = CollectSink::new();
-                let outcome = compute_cold(
-                    c,
-                    &program,
-                    n,
-                    self.cfg.default_deadline_ms,
-                    pressure,
-                    &mut sink,
-                );
+                let program = match parsed {
+                    Some(program) => Ok(program),
+                    None => self.parse(c),
+                };
+                let outcome = program.and_then(|program| {
+                    compute_cold(
+                        c,
+                        &program,
+                        canon.key,
+                        n,
+                        self.cfg.default_deadline_ms,
+                        pressure,
+                        &mut sink,
+                    )
+                });
                 self.obs.absorb(sink);
                 let resp = match outcome {
                     Ok(cold) => {
-                        self.memo.publish(key, &flight, Ok(cold.answer.clone()));
+                        self.memo.publish(&key, &flight, Ok(cold.answer.clone()));
                         guard.defuse();
                         match cold.answer.computed {
                             Fidelity::Analytic => obs.counter("server.fidelity.analytic", 1),
@@ -405,7 +448,7 @@ impl Server {
                         ok_response(c.id, cold.answer.computed, &cold.answer)
                     }
                     Err(e) => {
-                        self.memo.publish(key, &flight, Err(e.clone()));
+                        self.memo.publish(&key, &flight, Err(e.clone()));
                         guard.defuse();
                         obs.counter("server.errors", 1);
                         error_response(c.id, &e)
@@ -612,5 +655,57 @@ impl<R: Read> LineReader<R> {
                 Err(_) => return LineRead::Closed,
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cmt_obs::json::{self, Value};
+
+    const PROGRAM: &str = "PROGRAM p\nPARAM N\nREAL A(N)\nDO I = 1, N\n  A(I) = 0.0";
+    /// `PROGRAM` with every identifier renamed.
+    const RENAMED: &str = "PROGRAM q\nPARAM M\nREAL B(M)\nDO J = 1, M\n  B(J) = 0.0";
+
+    fn line(program: &str, n: u64) -> String {
+        let mut w = ObjectWriter::new();
+        w.field_u64("id", 1)
+            .field_str("program", program)
+            .field_u64("n", n);
+        w.finish()
+    }
+
+    /// Sends one request; returns the reply's fidelity and the parses
+    /// and canonical renders the server spent on it.
+    fn send(server: &Server, line: &str) -> (String, u64, u64) {
+        let parses = server.parses.load(Ordering::SeqCst);
+        let renders = server.renders.load(Ordering::SeqCst);
+        let reply = json::parse(&server.handle_line(line)).expect("valid json");
+        let fidelity = reply.get("fidelity").and_then(Value::as_str).unwrap_or("");
+        (
+            fidelity.to_string(),
+            server.parses.load(Ordering::SeqCst) - parses,
+            server.renders.load(Ordering::SeqCst) - renders,
+        )
+    }
+
+    #[test]
+    fn the_front_spares_parses_and_renders_of_seen_texts() {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let r = |fidelity: &str, parses, renders| (fidelity.to_string(), parses, renders);
+        // Cold: parsed and rendered once, not once more for the answer.
+        assert_eq!(send(&server, &line(PROGRAM, 8)), r("simulated", 1, 1));
+        // Repeated: the front routes it, the memo answers.
+        assert_eq!(send(&server, &line(PROGRAM, 8)), r("cached", 0, 0));
+        // A new text of a warm program: canonicalized, then a memo hit.
+        assert_eq!(send(&server, &line(RENAMED, 8)), r("cached", 1, 1));
+        // A warm text at a new n: parsed for the cold path, not rendered.
+        assert_eq!(send(&server, &line(PROGRAM, 9)), r("simulated", 1, 0));
+        let s = server.memo_stats();
+        assert_eq!((s.hits, s.misses, s.inserted), (2, 2, 2));
+        server.shutdown();
     }
 }

@@ -218,6 +218,70 @@ fn pressure_and_spent_deadlines_degrade_to_analytic() {
 }
 
 #[test]
+fn analytic_answers_are_not_replayed_to_unpressured_requests() {
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let program = source(7);
+    let v =
+        json::parse(&server.handle_line(&compile_line(1, &program, "\"n\":8,\"deadline_ms\":0")))
+            .expect("valid json");
+    assert_eq!(field(&v, "fidelity"), "analytic", "{v:?}");
+    // The spent-deadline answer was provisional: the same program with
+    // no deadline is computed again, at full fidelity.
+    let v = json::parse(&server.handle_line(&compile_line(2, &program, "\"n\":8")))
+        .expect("valid json");
+    assert_eq!(field(&v, "fidelity"), "simulated", "{v:?}");
+    assert_eq!(v.get("degraded").and_then(Value::as_bool), Some(false));
+    let v = json::parse(&server.handle_line(&compile_line(3, &program, "\"n\":8")))
+        .expect("valid json");
+    assert_eq!(field(&v, "fidelity"), "cached", "{v:?}");
+    server.shutdown();
+}
+
+#[test]
+fn fault_injected_answers_are_not_replayed_to_clean_requests() {
+    // A reply without its id and fidelity.
+    let answer = |v: &Value| {
+        let mut v = v.clone();
+        if let Value::Object(fields) = &mut v {
+            fields.retain(|(k, _)| k != "id" && k != "fidelity");
+        }
+        v
+    };
+    let clean = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    // Fault seed 7 rolls back one step of this program.
+    let program = source(13);
+    let expected =
+        json::parse(&clean.handle_line(&compile_line(1, &program, "\"n\":8"))).expect("valid json");
+    clean.shutdown();
+    let faulted =
+        json::parse(&server.handle_line(&compile_line(1, &program, "\"n\":8,\"fault_seed\":7")))
+            .expect("valid json");
+    assert_eq!(faulted.get("degraded").and_then(Value::as_bool), Some(true));
+    assert_ne!(answer(&faulted), answer(&expected));
+    let v = json::parse(&server.handle_line(&compile_line(2, &program, "\"n\":8")))
+        .expect("valid json");
+    assert_eq!(field(&v, "fidelity"), "simulated", "{v:?}");
+    assert_eq!(answer(&v), answer(&expected));
+    // The seeded answer is still exact, and cached, for its own seed.
+    let again =
+        json::parse(&server.handle_line(&compile_line(3, &program, "\"n\":8,\"fault_seed\":7")))
+            .expect("valid json");
+    assert_eq!(field(&again, "fidelity"), "cached", "{again:?}");
+    assert_eq!(answer(&again), answer(&faulted));
+    server.shutdown();
+}
+
+#[test]
 fn memo_capacity_bound_evicts_lru() {
     let server = Server::start(ServeConfig {
         workers: 1,
