@@ -3,7 +3,7 @@
 //! L1; the inclusive-hierarchy simulator shows each tiling level paying
 //! at its own capacity.
 use cmt_cache::{Hierarchy, HierarchyLatency};
-use cmt_interp::{Machine, TraceSink};
+use cmt_interp::{Layout, TraceSink};
 use cmt_ir::program::Program;
 use cmt_locality::tile::tile_loop;
 use cmt_suite::kernels::matmul;
@@ -17,8 +17,8 @@ impl TraceSink for Sink<'_> {
 
 fn run(p: &Program, n: i64) -> (f64, f64, u64) {
     let mut h = Hierarchy::rs6000_with_l2();
-    let mut m = Machine::new(p, &[n]).expect("allocation");
-    m.run(p, &mut Sink(&mut h)).expect("execution");
+    let layout = Layout::new(p, &[n]).expect("allocation");
+    layout.trace(p, &mut Sink(&mut h)).expect("execution");
     (
         h.l1_stats().hit_rate_excluding_cold(),
         h.l2_stats().hit_rate_excluding_cold(),

@@ -2,8 +2,7 @@
 //! plus the deterministic parallel corpus runner ([`par_map`]).
 
 use cmt_cache::{CacheConfig, CacheStats, ShardedCache};
-use cmt_interp::{CacheSink, Machine, MeteredSink, TraceSink, TracedSink};
-use cmt_ir::ids::ArrayId;
+use cmt_interp::{CacheSink, Layout, MeteredSink, TraceSink, TracedSink};
 use cmt_ir::program::Program;
 use cmt_ir::validate::validate;
 use cmt_locality::compound::{compound, compound_with};
@@ -77,22 +76,24 @@ impl TraceSink for OffsetInto<'_> {
 }
 
 /// The two paper caches as set-sharded engines (honoring `CMT_SHARDS` /
-/// `CMT_JOBS` via [`cmt_cache::default_shard_count`]), with every array
-/// of `m` reserved for dense cold tracking at `offset`.
-fn paper_caches(program: &Program, m: &Machine, offset: u64) -> [ShardedCache; 2] {
-    let mut caches = [
+/// `CMT_JOBS` via [`cmt_cache::default_shard_count`]).
+fn paper_caches() -> [ShardedCache; 2] {
+    [
         ShardedCache::new(CacheConfig::rs6000()),
         ShardedCache::new(CacheConfig::i860()),
-    ];
-    for (k, _) in program.arrays().iter().enumerate() {
-        let id = ArrayId(k as u32);
-        let start = m.storage(id).address_of(0);
-        let bytes = m.array_data(id).len() as u64 * 8;
-        for c in &mut caches {
+    ]
+}
+
+/// Lays `program` out at `n` and reserves every array, shifted by
+/// `offset`, in both `caches` for dense cold tracking.
+fn lay_out(program: &Program, n: i64, caches: &mut [ShardedCache; 2], offset: u64) -> Layout {
+    let layout = Layout::new(program, &[n]).expect("allocation");
+    for (_, start, bytes) in layout.regions(program) {
+        for c in caches.iter_mut() {
             c.reserve_region(start + offset, bytes);
         }
     }
-    caches
+    layout
 }
 
 /// Simulates one program at parameter `n`, returning both caches' stats.
@@ -102,14 +103,14 @@ fn paper_caches(program: &Program, m: &Machine, offset: u64) -> [ShardedCache; 2
 /// Panics if execution fails (suite programs are in-bounds by
 /// construction).
 pub fn simulate_program(program: &Program, n: i64) -> ProgramSim {
-    let mut m = Machine::new(program, &[n]).expect("allocation");
-    let mut caches = paper_caches(program, &m, 0);
+    let mut caches = paper_caches();
+    let layout = lay_out(program, n, &mut caches, 0);
     let mut sink = OffsetInto {
         offset: 0,
         caches: &mut caches,
         buf: Vec::new(),
     };
-    m.run(program, &mut sink).expect("execution");
+    layout.trace(program, &mut sink).expect("execution");
     let [mut c1, mut c2] = caches;
     ProgramSim {
         cache1: c1.stats(),
@@ -182,17 +183,14 @@ pub fn simulate_observed(
     interval: u64,
     mut track: Option<&mut TraceTrack>,
 ) -> ObservedSim {
-    let mut m = Machine::new(program, &[n]).expect("allocation");
+    let layout = Layout::new(program, &[n]).expect("allocation");
     let mut caches = [
         ShardedCache::with_shards(CacheConfig::rs6000(), shards).with_interval(interval),
         ShardedCache::with_shards(CacheConfig::i860(), shards).with_interval(interval),
     ];
-    for (k, info) in program.arrays().iter().enumerate() {
-        let id = ArrayId(k as u32);
-        let start = m.storage(id).address_of(0);
-        let bytes = m.array_data(id).len() as u64 * 8;
+    for (name, start, bytes) in layout.regions(program) {
         for c in &mut caches {
-            c.register_region(info.name(), start, bytes);
+            c.register_region(name, start, bytes);
         }
     }
     let t0 = track.as_deref_mut().map(|t| {
@@ -207,8 +205,8 @@ pub fn simulate_observed(
         buf: Vec::new(),
     });
     match track.as_deref_mut() {
-        Some(t) => m.run(program, &mut TracedSink::new(CacheSink(&mut sink), t)),
-        None => m.run(program, &mut sink),
+        Some(t) => layout.trace(program, &mut TracedSink::new(CacheSink(&mut sink), t)),
+        None => layout.trace(program, &mut sink),
     }
     .expect("execution");
     let (loads, stores) = (sink.loads, sink.stores);
@@ -278,37 +276,29 @@ pub fn simulate_versions(model: &BenchmarkModel, cost_model: &CostModel, n: i64)
 
     let run_whole = |opt: &Program| -> (ProgramSim, ProgramSim) {
         // Optimized procedures first…
-        let mut m = Machine::new(opt, &[n]).expect("allocation");
-        let mut caches = paper_caches(opt, &m, 0);
+        let mut caches = paper_caches();
+        let layout = lay_out(opt, n, &mut caches, 0);
         {
             let mut sink = OffsetInto {
                 offset: 0,
                 caches: &mut caches,
                 buf: Vec::new(),
             };
-            m.run(opt, &mut sink).expect("execution");
+            layout.trace(opt, &mut sink).expect("execution");
         }
         let opt_stats = ProgramSim {
             cache1: caches[0].stats(),
             cache2: caches[1].stats(),
         };
         // …then the background, offset far away in the address space.
-        let mut mr = Machine::new(&model.rest, &[n]).expect("allocation");
-        for (k, _) in model.rest.arrays().iter().enumerate() {
-            let id = ArrayId(k as u32);
-            let start = mr.storage(id).address_of(0);
-            let bytes = mr.array_data(id).len() as u64 * 8;
-            for c in &mut caches {
-                c.reserve_region(start + (1 << 40), bytes);
-            }
-        }
+        let rest = lay_out(&model.rest, n, &mut caches, 1 << 40);
         {
             let mut sink = OffsetInto {
                 offset: 1 << 40,
                 caches: &mut caches,
                 buf: Vec::new(),
             };
-            mr.run(&model.rest, &mut sink).expect("execution");
+            rest.trace(&model.rest, &mut sink).expect("execution");
         }
         let whole = ProgramSim {
             cache1: caches[0].stats(),

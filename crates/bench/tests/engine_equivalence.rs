@@ -14,8 +14,7 @@
 
 use cmt_bench::par_map;
 use cmt_cache::{CacheConfig, CacheStats, IntervalSnapshot, LegacyCache, ShardedCache};
-use cmt_interp::{Machine, RecordingSink};
-use cmt_ir::ids::ArrayId;
+use cmt_interp::{Layout, RecordingSink};
 use cmt_ir::program::Program;
 use std::sync::Mutex;
 
@@ -24,9 +23,9 @@ static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Runs `program` once, recording the full trace.
 fn record(program: &Program, n: i64) -> RecordingSink {
-    let mut m = Machine::new(program, &[n]).expect("allocation");
+    let layout = Layout::new(program, &[n]).expect("allocation");
     let mut rec = RecordingSink::default();
-    m.run(program, &mut rec).expect("execution");
+    layout.trace(program, &mut rec).expect("execution");
     rec
 }
 
@@ -177,17 +176,10 @@ fn observed_attribution_identical_scalar_vs_batched() {
         .take(4)
     {
         let p = &m.optimized;
-        let layout = Machine::new(p, &[n]).expect("allocation");
-        let mut regions: Vec<(String, u64, u64)> = p
-            .arrays()
-            .iter()
-            .enumerate()
-            .map(|(k, info)| {
-                let id = ArrayId(k as u32);
-                let start = layout.storage(id).address_of(0);
-                let bytes = layout.array_data(id).len() as u64 * 8;
-                (info.name().to_string(), start, bytes)
-            })
+        let layout = Layout::new(p, &[n]).expect("allocation");
+        let mut regions: Vec<(String, u64, u64)> = layout
+            .regions(p)
+            .map(|(name, start, bytes)| (name.to_string(), start, bytes))
             .collect();
         regions.sort_by_key(|r| r.1);
         let rec = record(p, n);

@@ -241,15 +241,15 @@ mod tests {
 
     #[test]
     fn hoist_count_is_once_per_outer_iteration() {
-        use cmt_interp::{CountingSink, Machine};
+        use cmt_interp::{CountingSink, Layout};
         let orig = invariant_kernel();
         let mut p = orig.clone();
         scalar_replace(&mut p);
         let n = 16i64;
         let count = |prog: &Program| {
-            let mut m = Machine::new(prog, &[n]).unwrap();
+            let layout = Layout::new(prog, &[n]).unwrap();
             let mut sink = CountingSink::default();
-            m.run(prog, &mut sink).unwrap();
+            layout.trace(prog, &mut sink).unwrap();
             sink
         };
         let before = count(&orig);

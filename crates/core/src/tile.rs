@@ -329,14 +329,14 @@ mod tests {
     #[test]
     fn tiling_improves_small_cache_reuse() {
         use cmt_cache::{CacheConfig, ShardedCache};
-        use cmt_interp::Machine;
+        use cmt_interp::Layout;
         let orig = matmul_jki();
         let mut tiled = orig.clone();
         tile_loop(&mut tiled, 0, 1, 8, 0).expect("tile K");
         let run = |p: &cmt_ir::Program| {
-            let mut m = Machine::new(p, &[64]).expect("alloc");
+            let layout = Layout::new(p, &[64]).expect("alloc");
             let mut c = ShardedCache::new(CacheConfig::i860());
-            m.run(p, &mut c).expect("exec");
+            layout.trace(p, &mut c).expect("exec");
             c.stats().warm_misses()
         };
         let untiled = run(&orig);

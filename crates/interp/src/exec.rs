@@ -1,7 +1,8 @@
-//! The executor: runs a program's lowered form (see the crate docs).
+//! The executor: runs a program's lowered form (see the crate docs),
+//! with values ([`Machine::run`]) or without ([`Layout::trace`]).
 
 use crate::lower::{lower, Bound, Innermost, Lowered, LoweredLoop, LoweredNode, Op};
-use crate::machine::{Machine, ELEMENT_BYTES};
+use crate::machine::{Layout, Machine, ELEMENT_BYTES};
 use crate::sink::{pack_access, TraceSink, BATCH_LEN};
 use cmt_ir::program::Program;
 use std::fmt;
@@ -61,8 +62,11 @@ pub struct ExecSummary {
     pub stmt_executions: u64,
 }
 
-struct Exec<'r> {
-    machine: &'r mut Machine,
+/// The executor, with the value ops compiled in (`VALUES`, for
+/// [`Machine::run`]) or out (for [`Layout::trace`]).
+struct Exec<'r, const VALUES: bool> {
+    /// Each array's elements; empty when `!VALUES`.
+    data: &'r mut [Vec<f64>],
     program: &'r Program,
     code: &'r Lowered,
     sink: &'r mut dyn TraceSink,
@@ -77,7 +81,7 @@ struct Exec<'r> {
     /// element index and its per-iteration increment.
     cur: Vec<i64>,
     delta: Vec<i64>,
-    /// Value stack for the postfix ops.
+    /// Value stack for the postfix ops; unused when `!VALUES`.
     stack: Vec<f64>,
 }
 
@@ -86,7 +90,9 @@ impl Machine {
     /// access to `sink` (batched — see [`TraceSink::access_batch`]).
     ///
     /// The program is lowered once against this machine's parameters
-    /// and layout, then executed; see the crate docs.
+    /// and layout, then executed; see the crate docs. A caller that
+    /// only needs the accesses should use [`Layout::trace`], which
+    /// produces the same trace without computing values.
     ///
     /// # Errors
     ///
@@ -99,23 +105,60 @@ impl Machine {
         program: &Program,
         sink: &mut dyn TraceSink,
     ) -> Result<ExecSummary, ExecError> {
-        let code = lower(program, self);
-        let mut exec = Exec {
-            machine: self,
-            program,
-            sink,
-            summary: ExecSummary::default(),
-            buf: Vec::with_capacity(BATCH_LEN),
-            slots: vec![0; code.slots],
-            cur: vec![0; code.refs.len()],
-            delta: vec![0; code.refs.len()],
-            stack: vec![0.0; code.stack],
-            code: &code,
-        };
-        let result = exec.nodes(&code.body);
-        exec.flush();
-        result.map(|()| exec.summary)
+        let (layout, data) = self.layout_and_data();
+        execute::<true>(program, layout, data, sink)
     }
+}
+
+impl Layout {
+    /// Emits `program`'s accesses to `sink` exactly as [`Machine::run`]
+    /// would from a machine with this layout — the same packed trace in
+    /// the same batches, the same [`ExecSummary`], the same
+    /// [`ExecError`] after the same flushed prefix — without allocating
+    /// or computing any array element.
+    ///
+    /// A sink that drops part of the stream unseen (see
+    /// [`TraceSink::dropped_span`]) is handed only what it looks at:
+    /// whole iterations of a bounds-proven innermost loop that fall in a
+    /// dropped span are metered through [`TraceSink::skip`] instead of
+    /// being produced. Such a sink sees its kept accesses in different
+    /// batches, never a different stream.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::run`].
+    pub fn trace(
+        &self,
+        program: &Program,
+        sink: &mut dyn TraceSink,
+    ) -> Result<ExecSummary, ExecError> {
+        execute::<false>(program, self, &mut [], sink)
+    }
+}
+
+/// Lowers `program` against `layout` and executes it.
+fn execute<const VALUES: bool>(
+    program: &Program,
+    layout: &Layout,
+    data: &mut [Vec<f64>],
+    sink: &mut dyn TraceSink,
+) -> Result<ExecSummary, ExecError> {
+    let code = lower(program, layout, VALUES);
+    let mut exec = Exec::<VALUES> {
+        data,
+        program,
+        sink,
+        summary: ExecSummary::default(),
+        buf: Vec::with_capacity(BATCH_LEN),
+        slots: vec![0; code.slots],
+        cur: vec![0; code.refs.len()],
+        delta: vec![0; code.refs.len()],
+        stack: vec![0.0; code.stack],
+        code: &code,
+    };
+    let result = exec.nodes(&code.body);
+    exec.flush();
+    result.map(|()| exec.summary)
 }
 
 /// Iterations of `lo..=hi` by `step` (`hi..=lo` when `step < 0`).
@@ -133,7 +176,7 @@ fn trip_count(lo: i64, hi: i64, step: i64) -> i64 {
     }
 }
 
-impl Exec<'_> {
+impl<const VALUES: bool> Exec<'_, VALUES> {
     #[inline]
     fn emit(&mut self, addr: u64, is_write: bool) {
         self.buf.push(pack_access(addr, is_write));
@@ -181,7 +224,7 @@ impl Exec<'_> {
             // is in bounds at every iteration between.
             if self.proven(inner, l.slot, lo) && self.proven(inner, l.slot, lo + (trip - 1) * step)
             {
-                self.run_proven(inner, l.slot, lo, step, trip);
+                self.run_proven(inner, l.slot, lo, step, trip as u64);
                 return Ok(());
             }
         }
@@ -206,7 +249,12 @@ impl Exec<'_> {
     /// Runs `trip` iterations of a proven innermost loop from `first`: no
     /// bounds checks, and each reference's linear index strength-reduced
     /// to one add per iteration.
-    fn run_proven(&mut self, inner: &Innermost, slot: usize, first: i64, step: i64, trip: i64) {
+    ///
+    /// Without values, the iterations that fall wholly inside a span the
+    /// sink drops unseen are skipped: the indices jump over them and the
+    /// sink meters them. A partial iteration at either end of the span
+    /// still steps, so the sink sees every access it keeps.
+    fn run_proven(&mut self, inner: &Innermost, slot: usize, first: i64, step: i64, trip: u64) {
         let code = self.code;
         self.slots[slot] = first;
         for k in inner.refs.clone() {
@@ -215,18 +263,46 @@ impl Exec<'_> {
             self.delta[k] = linear.coeff(slot) * step;
         }
         let ops = &code.ops[inner.ops.clone()];
-        for _ in 0..trip {
-            // Unchecked ops cannot fail.
-            let _ = self.ops::<false>(ops);
-            for k in inner.refs.clone() {
-                self.cur[k] += self.delta[k];
+        let per_iter = inner.loads + inner.stmts;
+        let mut left = trip;
+        while left > 0 {
+            let mut steps = left;
+            if !VALUES && per_iter > 0 {
+                let (kept, dropped) = self.sink.dropped_span(self.buf.len() as u64);
+                if kept > 0 {
+                    steps = kept.div_ceil(per_iter).min(left);
+                } else if dropped >= per_iter {
+                    let whole = (dropped / per_iter).min(left);
+                    // The buffered accesses precede the skipped ones.
+                    self.flush();
+                    self.sink.skip(whole * inner.loads, whole * inner.stmts);
+                    self.advance(inner, slot, step, whole);
+                    left -= whole;
+                    continue;
+                } else {
+                    steps = 1;
+                }
             }
-            self.slots[slot] += step;
+            for _ in 0..steps {
+                // Unchecked ops cannot fail.
+                let _ = self.ops::<false>(ops);
+                self.advance(inner, slot, step, 1);
+            }
+            left -= steps;
         }
-        let trip = trip as u64;
         self.summary.loads += trip * inner.loads;
         self.summary.stores += trip * inner.stmts;
         self.summary.stmt_executions += trip * inner.stmts;
+    }
+
+    /// Moves a proven innermost loop `iters` iterations on.
+    #[inline]
+    fn advance(&mut self, inner: &Innermost, slot: usize, step: i64, iters: u64) {
+        let iters = iters as i64;
+        for k in inner.refs.clone() {
+            self.cur[k] += self.delta[k] * iters;
+        }
+        self.slots[slot] += step * iters;
     }
 
     /// The linear element index of reference `r`: checked against the
@@ -250,7 +326,8 @@ impl Exec<'_> {
 
     /// Executes postfix ops. A `CHECKED` run bounds-checks every access
     /// and counts it; an unchecked one (a proven innermost loop) does
-    /// neither and never fails.
+    /// neither and never fails. Without `VALUES` the ops hold no value
+    /// ops and nothing is loaded or stored.
     fn ops<const CHECKED: bool>(&mut self, ops: &[Op]) -> Result<(), ExecError> {
         let code = self.code;
         let mut sp = 0;
@@ -267,8 +344,10 @@ impl Exec<'_> {
                 Op::Load(r) => {
                     let idx = self.locate::<CHECKED>(r)?;
                     let r = &code.refs[r];
-                    self.stack[sp] = self.machine.storage(r.array).data[idx];
-                    sp += 1;
+                    if VALUES {
+                        self.stack[sp] = self.data[r.array.index()][idx];
+                        sp += 1;
+                    }
                     self.emit(r.base + idx as u64 * ELEMENT_BYTES, false);
                     if CHECKED {
                         self.summary.loads += 1;
@@ -282,8 +361,10 @@ impl Exec<'_> {
                 Op::Store(r) => {
                     let idx = self.locate::<CHECKED>(r)?;
                     let r = &code.refs[r];
-                    sp -= 1;
-                    self.machine.storage_mut(r.array).data[idx] = self.stack[sp];
+                    if VALUES {
+                        sp -= 1;
+                        self.data[r.array.index()][idx] = self.stack[sp];
+                    }
                     self.emit(r.base + idx as u64 * ELEMENT_BYTES, true);
                     if CHECKED {
                         self.summary.stores += 1;

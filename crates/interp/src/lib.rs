@@ -1,24 +1,33 @@
 //! Execution of IR programs over simulated memory.
 //!
-//! The interpreter runs a [`cmt_ir::Program`] on real `f64` arrays laid
-//! out column-major (Fortran), emitting every load and store — with its
-//! byte address — to a pluggable [`TraceSink`]. Two uses:
+//! A [`Layout`] places a [`cmt_ir::Program`]'s arrays column-major
+//! (Fortran) in a simulated address space; a [`Machine`] adds the
+//! arrays' `f64` contents. Every load and store — with its byte address
+//! — goes to a pluggable [`TraceSink`]. Two uses:
 //!
-//! * **Cache evaluation** — feed the trace to `cmt-cache` simulators to
-//!   regenerate the paper's hit-rate and timing tables;
-//! * **Correctness oracle** — run original and transformed programs and
-//!   compare final array contents bit-exactly, validating every
-//!   transformation end-to-end.
+//! * **Cache evaluation** — [`Layout::trace`] feeds the address trace to
+//!   `cmt-cache` simulators to regenerate the paper's hit-rate and
+//!   timing tables, without allocating or computing any array;
+//! * **Correctness oracle** — [`Machine::run`] runs original and
+//!   transformed programs and compares final array contents bit-exactly,
+//!   validating every transformation end-to-end.
+//!
+//! The IR has no value-dependent control flow (bounds and subscripts
+//! are affine in loop indices and parameters), so both produce the same
+//! trace: the same accesses, in the same batches, with the same
+//! [`ExecSummary`] or [`ExecError`].
 //!
 //! # How a run executes
 //!
-//! [`Machine::run`] lowers the program once against the machine's
-//! parameter values and array layout, then executes the lowered form.
-//! Loop variables become dense slots; bounds and subscripts become
-//! affines over slots with the parameters folded in; each array
-//! reference carries its base address, per-dimension affines and one
-//! column-major linear-index affine; each statement becomes a postfix op
-//! list in the tree's left-to-right load order, followed by its store.
+//! [`Machine::run`] and [`Layout::trace`] lower the program once
+//! against the layout's parameter values and array placement, then
+//! execute the lowered form. Loop variables become dense slots; bounds
+//! and subscripts become affines over slots with the parameters folded
+//! in; each array reference carries its base address, per-dimension
+//! affines and one column-major linear-index affine; each statement
+//! becomes a postfix op list in the tree's left-to-right load order,
+//! followed by its store. For a trace the value ops are left out, and
+//! the one executor runs with its value code compiled out.
 //!
 //! On entry to an innermost loop (a body of statements only) every
 //! reference's subscripts are evaluated at the first and the last
@@ -29,15 +38,20 @@
 //! directly under a non-innermost loop — each access is checked, so an
 //! out-of-bounds error surfaces at the same access, with the same trace
 //! prefix flushed and the same array contents, as a direct tree walk of
-//! the IR would give. Values are always computed: there is one
-//! execution mode.
+//! the IR would give.
+//!
+//! A trace also skips what its sink will not look at: a sink that drops
+//! part of the stream unseen ([`SampledSink`]) says so through
+//! [`TraceSink::dropped_span`], and the whole iterations of a proven
+//! innermost loop that fall in such a span are metered through
+//! [`TraceSink::skip`] instead of being produced.
 //!
 //! # Example
 //!
 //! ```
 //! use cmt_ir::build::ProgramBuilder;
 //! use cmt_ir::expr::Expr;
-//! use cmt_interp::{Machine, CountingSink};
+//! use cmt_interp::{CountingSink, Layout, Machine};
 //!
 //! let mut b = ProgramBuilder::new("fill");
 //! let n = b.param("N");
@@ -49,10 +63,17 @@
 //! });
 //! let p = b.finish();
 //!
-//! let mut m = Machine::new(&p, &[10]).unwrap();
+//! // Addresses only: no array is allocated.
+//! let layout = Layout::new(&p, &[10]).unwrap();
 //! let mut sink = CountingSink::default();
-//! m.run(&p, &mut sink).unwrap();
+//! layout.trace(&p, &mut sink).unwrap();
 //! assert_eq!(sink.stores, 10);
+//!
+//! // Values: the same trace, and the arrays it leaves.
+//! let mut m = Machine::new(&p, &[10]).unwrap();
+//! let mut again = CountingSink::default();
+//! m.run(&p, &mut again).unwrap();
+//! assert_eq!(again, sink);
 //! assert!(m.array_data(a).iter().all(|&x| x == 7.0));
 //! ```
 
@@ -63,9 +84,9 @@ pub mod sink;
 pub mod verify;
 
 pub use exec::{ExecError, ExecSummary};
-pub use machine::Machine;
+pub use machine::{Layout, Machine};
 pub use sink::{
     pack_access, unpack_access, CacheSink, CountingSink, MeteredSink, NullSink, RecordingSink,
-    SampledSink, TeeSink, TraceSink, TracedSink, BATCH_LEN, WRITE_BIT,
+    SampledSink, TraceSink, TracedSink, BATCH_LEN, WRITE_BIT,
 };
 pub use verify::{assert_equivalent, equivalent, EquivalenceReport};

@@ -1,6 +1,7 @@
-//! Lowering: the form [`Machine::run`] executes, built once per run.
+//! Lowering: the form [`Machine::run`] and [`Layout::trace`] execute,
+//! built once per run.
 //!
-//! Against one machine's parameter values and array layout:
+//! Against one layout's parameter values and array placement:
 //!
 //! * every loop variable becomes a dense *slot* (its loop's depth), and
 //!   every loop bound an affine over slots with the parameters folded
@@ -10,6 +11,8 @@
 //!   element index as one affine;
 //! * every statement becomes a flat postfix op list that keeps the
 //!   expression tree's left-to-right load order, followed by its store.
+//!   Lowered for a trace, the list keeps only the loads, the store and
+//!   any [`Op::Fail`]: the value ops are left out, so they cost nothing.
 //!
 //! A loop binds its variable exactly inside its body and unbinds it on
 //! exit (an inner loop that reuses the name leaves it unbound for the
@@ -19,8 +22,9 @@
 //! it executes.
 //!
 //! [`Machine::run`]: crate::Machine::run
+//! [`Layout::trace`]: crate::Layout::trace
 
-use crate::machine::Machine;
+use crate::machine::Layout;
 use cmt_ir::affine::{Affine, EvalError};
 use cmt_ir::expr::{BinOp, Expr, UnOp};
 use cmt_ir::ids::{ArrayId, VarId};
@@ -150,7 +154,7 @@ pub(crate) enum LoweredNode {
     Stmt(Range<usize>),
 }
 
-/// A program lowered against one machine.
+/// A program lowered against one layout.
 #[derive(Debug, Default)]
 pub(crate) struct Lowered {
     pub(crate) body: Vec<LoweredNode>,
@@ -163,10 +167,12 @@ pub(crate) struct Lowered {
     pub(crate) stack: usize,
 }
 
-/// Lowers `program` against `machine`'s parameters and layout.
-pub(crate) fn lower(program: &Program, machine: &Machine) -> Lowered {
+/// Lowers `program` against `layout`, with the value ops when `values`
+/// is set and without them otherwise.
+pub(crate) fn lower(program: &Program, layout: &Layout, values: bool) -> Lowered {
     let mut l = Lowerer {
-        machine,
+        layout,
+        values,
         binding: vec![None; program.vars().len()],
         out: Lowered::default(),
     };
@@ -175,13 +181,23 @@ pub(crate) fn lower(program: &Program, machine: &Machine) -> Lowered {
 }
 
 struct Lowerer<'m> {
-    machine: &'m Machine,
+    layout: &'m Layout,
+    /// Whether to emit the ops that compute values.
+    values: bool,
     /// The slot each variable is bound to at the current program point.
     binding: Vec<Option<usize>>,
     out: Lowered,
 }
 
 impl Lowerer<'_> {
+    /// Appends `op`, unless it only computes a value and values are
+    /// left out.
+    fn push(&mut self, op: Op) {
+        if self.values || matches!(op, Op::Load(_) | Op::Store(_) | Op::Fail(_)) {
+            self.out.ops.push(op);
+        }
+    }
+
     fn node(&mut self, n: &Node, depth: usize) -> LoweredNode {
         match n {
             Node::Loop(l) => LoweredNode::Loop(self.loop_(l, depth)),
@@ -248,7 +264,7 @@ impl Lowerer<'_> {
                 Some(s) => Op::Var(s),
                 None => self.fail(format!("unbound index {v}")),
             },
-            Expr::Param(p) => match self.machine.param(*p) {
+            Expr::Param(p) => match self.layout.param(*p) {
                 Some(x) => Op::Const(x as f64),
                 None => self.fail(format!("unbound parameter {p}")),
             },
@@ -258,17 +274,17 @@ impl Lowerer<'_> {
             },
             Expr::Unary(op, a) => {
                 let need = self.expr(a, depth);
-                self.out.ops.push(Op::Unary(*op));
+                self.push(Op::Unary(*op));
                 return need;
             }
             Expr::Binary(op, a, b) => {
                 let left = self.expr(a, depth);
                 let right = self.expr(b, depth + 1);
-                self.out.ops.push(Op::Binary(*op));
+                self.push(Op::Binary(*op));
                 return left.max(right);
             }
         };
-        self.out.ops.push(op);
+        self.push(op);
         depth + 1
     }
 
@@ -293,7 +309,7 @@ impl Lowerer<'_> {
                 .push((self.slot(v).ok_or(EvalError::UnboundVar(v))?, c));
         }
         for (p, c) in a.param_terms() {
-            out.constant += c * self.machine.param(p).ok_or(EvalError::UnboundParam(p))?;
+            out.constant += c * self.layout.param(p).ok_or(EvalError::UnboundParam(p))?;
         }
         Ok(out)
     }
@@ -305,7 +321,7 @@ impl Lowerer<'_> {
             .iter()
             .map(|s| self.affine(s))
             .collect::<Result<Vec<_>, _>>()?;
-        let st = self.machine.storage(r.array());
+        let st = self.layout.array(r.array());
         let mut linear = SlotAffine::default();
         let mut stride = 1;
         for (s, &d) in subs.iter().zip(&st.dims) {

@@ -1,4 +1,5 @@
-//! Simulated memory: arrays, layout, and parameter bindings.
+//! Simulated memory: the layout of a program's arrays, and the values
+//! [`Machine::run`] computes in it.
 
 use crate::exec::ExecError;
 use cmt_ir::affine::Env;
@@ -11,18 +12,16 @@ pub const ELEMENT_BYTES: u64 = 8;
 /// Alignment of each array's base address.
 const BASE_ALIGN: u64 = 1024;
 
-/// Storage for one array.
+/// Where one array lives.
 #[derive(Clone, Debug)]
-pub struct ArrayStorage {
+pub struct ArrayLayout {
     /// Base byte address in the simulated address space.
     pub base: u64,
     /// Evaluated extents, leftmost (contiguous) first.
     pub dims: Vec<i64>,
-    /// Element data, column-major.
-    pub data: Vec<f64>,
 }
 
-impl ArrayStorage {
+impl ArrayLayout {
     /// The linear element index of a (1-based) subscript tuple, or `None`
     /// when out of bounds.
     pub fn linear_index(&self, subs: &[i64]) -> Option<usize> {
@@ -45,29 +44,36 @@ impl ArrayStorage {
     pub fn address_of(&self, linear: usize) -> u64 {
         self.base + linear as u64 * ELEMENT_BYTES
     }
+
+    /// Number of elements.
+    pub fn elements(&self) -> usize {
+        self.dims.iter().product::<i64>() as usize
+    }
 }
 
-/// A program's runtime state: bound parameters and allocated arrays.
+/// A program's address space: bound parameters and each array's base
+/// and extents, but no element values.
 ///
-/// Arrays are laid out sequentially in a fresh address space, each base
-/// aligned to 1 KiB with a guard gap, so distinct arrays never share a
-/// cache line.
+/// Arrays are laid out sequentially, each base aligned to 1 KiB with a
+/// guard gap, so distinct arrays never share a cache line. The IR has
+/// no value-dependent control flow, so a program's address trace is a
+/// function of its layout alone: [`Layout::trace`] produces it without
+/// computing or allocating any array.
 #[derive(Clone, Debug)]
-pub struct Machine {
+pub struct Layout {
     env: Env,
-    arrays: Vec<ArrayStorage>,
+    arrays: Vec<ArrayLayout>,
 }
 
-impl Machine {
-    /// Allocates arrays for `program` with the given parameter values (in
-    /// declaration order) and default-initialized contents (see
-    /// [`Machine::init_default`]).
+impl Layout {
+    /// Lays out `program`'s arrays with the given parameter values (in
+    /// declaration order).
     ///
     /// # Errors
     ///
     /// Returns an error if an array extent evaluates non-positive or
     /// references an unbound parameter.
-    pub fn new(program: &Program, param_values: &[i64]) -> Result<Machine, ExecError> {
+    pub fn new(program: &Program, param_values: &[i64]) -> Result<Layout, ExecError> {
         let env = program.param_env(param_values);
         let mut arrays = Vec::with_capacity(program.arrays().len());
         let mut next_base: u64 = BASE_ALIGN;
@@ -83,20 +89,16 @@ impl Machine {
                 }
                 dims.push(v);
             }
-            let len: i64 = dims.iter().product();
-            let storage = ArrayStorage {
+            let array = ArrayLayout {
                 base: next_base,
                 dims,
-                data: vec![0.0; len as usize],
             };
-            next_base = storage.base + len as u64 * ELEMENT_BYTES;
+            next_base = array.base + array.elements() as u64 * ELEMENT_BYTES;
             // Guard gap + realignment.
             next_base = (next_base + BASE_ALIGN) / BASE_ALIGN * BASE_ALIGN + BASE_ALIGN;
-            arrays.push(storage);
+            arrays.push(array);
         }
-        let mut m = Machine { env, arrays };
-        m.init_default();
-        Ok(m)
+        Ok(Layout { env, arrays })
     }
 
     /// Parameter value lookup.
@@ -104,31 +106,95 @@ impl Machine {
         self.env.param(p)
     }
 
-    /// Storage of an array.
+    /// The layout of an array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id was not laid out by this layout.
+    pub fn array(&self, id: ArrayId) -> &ArrayLayout {
+        &self.arrays[id.index()]
+    }
+
+    /// Each array of `program` (the program this layout was built for)
+    /// as `(name, first byte address, bytes)`, in declaration order: the
+    /// regions a cache simulator registers for attribution and cold
+    /// tracking.
+    pub fn regions<'a>(
+        &'a self,
+        program: &'a Program,
+    ) -> impl Iterator<Item = (&'a str, u64, u64)> + 'a {
+        program
+            .arrays()
+            .iter()
+            .zip(&self.arrays)
+            .map(|(info, a)| (info.name(), a.base, a.elements() as u64 * ELEMENT_BYTES))
+    }
+}
+
+/// A program's runtime state: its [`Layout`] plus the `f64` contents of
+/// every array, which only [`Machine::run`] reads and writes.
+#[derive(Clone, Debug)]
+pub struct Machine {
+    layout: Layout,
+    data: Vec<Vec<f64>>,
+}
+
+impl Machine {
+    /// Allocates arrays for `program` with the given parameter values (in
+    /// declaration order) and default-initialized contents (see
+    /// [`Machine::init_default`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if an array extent evaluates non-positive or
+    /// references an unbound parameter.
+    pub fn new(program: &Program, param_values: &[i64]) -> Result<Machine, ExecError> {
+        let layout = Layout::new(program, param_values)?;
+        let data = layout
+            .arrays
+            .iter()
+            .map(|a| vec![0.0; a.elements()])
+            .collect();
+        let mut m = Machine { layout, data };
+        m.init_default();
+        Ok(m)
+    }
+
+    /// The machine's layout.
+    pub fn layout(&self) -> &Layout {
+        &self.layout
+    }
+
+    /// Parameter value lookup.
+    pub fn param(&self, p: ParamId) -> Option<i64> {
+        self.layout.param(p)
+    }
+
+    /// The layout of an array.
     ///
     /// # Panics
     ///
     /// Panics if the id was not allocated by this machine.
-    pub fn storage(&self, id: ArrayId) -> &ArrayStorage {
-        &self.arrays[id.index()]
-    }
-
-    /// Mutable storage of an array.
-    pub(crate) fn storage_mut(&mut self, id: ArrayId) -> &mut ArrayStorage {
-        &mut self.arrays[id.index()]
+    pub fn storage(&self, id: ArrayId) -> &ArrayLayout {
+        self.layout.array(id)
     }
 
     /// The element data of an array.
     pub fn array_data(&self, id: ArrayId) -> &[f64] {
-        &self.arrays[id.index()].data
+        &self.data[id.index()]
+    }
+
+    /// The layout, and every array's element data mutably.
+    pub(crate) fn layout_and_data(&mut self) -> (&Layout, &mut [Vec<f64>]) {
+        (&self.layout, &mut self.data)
     }
 
     /// Deterministic default initialization: strictly positive,
     /// diagonally-dominant-ish values, so numerically sensitive kernels
     /// (Cholesky's `SQRT`, ADI's divisions) stay finite.
     pub fn init_default(&mut self) {
-        for (aid, st) in self.arrays.iter_mut().enumerate() {
-            for (k, x) in st.data.iter_mut().enumerate() {
+        for (aid, data) in self.data.iter_mut().enumerate() {
+            for (k, x) in data.iter_mut().enumerate() {
                 let h = (k as u64)
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add((aid as u64).wrapping_mul(1442695040888963407));
@@ -141,16 +207,11 @@ impl Machine {
     /// Custom initialization: `f(array, linear_index)` supplies each
     /// element.
     pub fn init_with(&mut self, f: impl Fn(ArrayId, usize) -> f64) {
-        for (aid, st) in self.arrays.iter_mut().enumerate() {
-            for (k, x) in st.data.iter_mut().enumerate() {
+        for (aid, data) in self.data.iter_mut().enumerate() {
+            for (k, x) in data.iter_mut().enumerate() {
                 *x = f(ArrayId(aid as u32), k);
             }
         }
-    }
-
-    /// Total allocated elements across arrays.
-    pub fn total_elements(&self) -> usize {
-        self.arrays.iter().map(|a| a.data.len()).sum()
     }
 }
 
@@ -186,9 +247,20 @@ mod tests {
         let m = Machine::new(&p, &[16]).unwrap();
         let a = m.storage(ArrayId(0));
         let b = m.storage(ArrayId(1));
-        let a_end = a.address_of(a.data.len() - 1) + ELEMENT_BYTES;
+        let a_end = a.address_of(a.elements() - 1) + ELEMENT_BYTES;
         assert!(b.base >= a_end + 128, "guard gap expected");
         assert_eq!(b.base % BASE_ALIGN, 0);
+    }
+
+    #[test]
+    fn regions_are_the_machine_layout() {
+        let p = program();
+        let m = Machine::new(&p, &[4]).unwrap();
+        let layout = Layout::new(&p, &[4]).unwrap();
+        let regions: Vec<_> = layout.regions(&p).collect();
+        let (a, b) = (m.storage(ArrayId(0)), m.storage(ArrayId(1)));
+        assert_eq!(regions, vec![("A", a.base, 16 * 8), ("B", b.base, 4 * 8)]);
+        assert_eq!(m.array_data(ArrayId(0)).len(), a.elements());
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! run a tight monomorphic simulation loop per buffer. Sinks that only
 //! implement [`TraceSink::access`] still observe every access in order
 //! via the default batch implementation.
+//!
+//! A sink that discards part of the stream unseen ([`SampledSink`])
+//! says where through [`TraceSink::dropped_span`], and the address-only
+//! executor skips those accesses rather than producing them. Every
+//! other sink keeps the default, which drops nothing and is never
+//! skipped.
 
 use cmt_cache::ShardedCache;
 use cmt_obs::{MetricsRegistry, TraceArg, TraceTrack};
@@ -33,6 +39,25 @@ pub trait TraceSink {
             let (addr, w) = unpack_access(p);
             self.access(addr, w);
         }
+    }
+
+    /// The next span of the stream this sink will drop without looking
+    /// at it, counted from the access after the `pending` ones its
+    /// producer has made but not yet handed over: `(kept, dropped)`
+    /// means the sink looks at the next `kept` accesses, then drops
+    /// `dropped`. A producer may meter accesses inside that span through
+    /// [`TraceSink::skip`] instead of producing them. The default,
+    /// `(u64::MAX, 0)`, drops nothing: every access is looked at.
+    fn dropped_span(&self, _pending: u64) -> (u64, u64) {
+        (u64::MAX, 0)
+    }
+
+    /// Meters `loads` loads and `stores` stores that the producer did not
+    /// hand over: the next accesses of the stream, all inside the span
+    /// [`TraceSink::dropped_span`] announced with nothing pending. Only a
+    /// sink that announces dropped spans is ever skipped.
+    fn skip(&mut self, loads: u64, stores: u64) {
+        debug_assert_eq!(loads + stores, 0, "skipped a sink that drops nothing");
     }
 }
 
@@ -194,6 +219,12 @@ impl<S: TraceSink> TraceSink for TracedSink<'_, S> {
 /// The sink meters the whole stream (loads/stores seen) alongside the
 /// forwarded subset, so callers can scale observed statistics back to
 /// full-trace estimates (see `CacheStats::scaled_to` in `cmt-cache`).
+///
+/// It announces the windows it drops through
+/// [`TraceSink::dropped_span`], so a producer that can jump over
+/// accesses ([`crate::Layout::trace`]) meters them through
+/// [`TraceSink::skip`] instead of producing them. Skipped or not, the
+/// forwarded subsequence and every counter come out the same.
 #[derive(Clone, Debug)]
 pub struct SampledSink<S> {
     /// The wrapped sink; sees only the sampled windows.
@@ -316,6 +347,36 @@ impl<S: TraceSink> TraceSink for SampledSink<S> {
             off += take;
         }
     }
+
+    fn dropped_span(&self, pending: u64) -> (u64, u64) {
+        if self.stride == 1 {
+            return (u64::MAX, 0);
+        }
+        let at = self.position + pending;
+        // The sampled windows are window 0 and the phase class, so at
+        // most two are adjacent (0 and 1, under phase 1): this stops
+        // within two steps.
+        let mut w = at / self.window_len;
+        while self.is_sampled(w) {
+            w += 1;
+        }
+        let start = at.max(w * self.window_len);
+        let next = w + (self.phase + self.stride - w % self.stride) % self.stride;
+        (start - at, next * self.window_len - start)
+    }
+
+    fn skip(&mut self, loads: u64, stores: u64) {
+        debug_assert!(
+            {
+                let (kept, dropped) = self.dropped_span(0);
+                kept == 0 && dropped >= loads + stores
+            },
+            "skipped accesses the sampler would have forwarded"
+        );
+        self.loads_seen += loads;
+        self.stores_seen += stores;
+        self.position += loads + stores;
+    }
 }
 
 /// Borrows a cache (or any sink) mutably — convenient when the sink must
@@ -371,22 +432,6 @@ impl RecordingSink {
             buf.extend(chunk.iter().map(|&(a, w)| pack_access(a, w)));
             sink.access_batch(&buf);
         }
-    }
-}
-
-/// Fans one trace out to two sinks.
-#[derive(Debug, Default)]
-pub struct TeeSink<A, B>(pub A, pub B);
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    fn access(&mut self, addr: u64, is_write: bool) {
-        self.0.access(addr, is_write);
-        self.1.access(addr, is_write);
-    }
-
-    fn access_batch(&mut self, batch: &[u64]) {
-        self.0.access_batch(batch);
-        self.1.access_batch(batch);
     }
 }
 
@@ -461,16 +506,6 @@ mod tests {
             pack_access(0, false),
         ]);
         assert_eq!(s.0, vec![(8, false), (16, true), (0, false)]);
-    }
-
-    #[test]
-    fn tee_feeds_both() {
-        let mut tee = TeeSink(CountingSink::default(), RecordingSink::default());
-        tee.access(16, false);
-        tee.access(24, true);
-        tee.access_batch(&[pack_access(32, false)]);
-        assert_eq!(tee.0.loads + tee.0.stores, 3);
-        assert_eq!(tee.1.trace.len(), 3);
     }
 
     #[test]
@@ -624,6 +659,56 @@ mod tests {
                 assert_eq!(s.windows_total(), total_accesses.div_ceil(256));
             }
         }
+    }
+
+    #[test]
+    fn dropped_span_matches_brute_force() {
+        // From every stream position: `kept` accesses forwarded, then
+        // `dropped` not, then a forwarded one.
+        for (stride, seed) in [(2u64, 0u64), (2, 1), (3, 5), (16, 0), (16, 9), (16, 42)] {
+            let mut s = SampledSink::every_kth(NullSink, 8, stride, seed);
+            let window = |pos: u64| pos / 8;
+            for position in 0..200u64 {
+                for pending in [0u64, 1, 7, 8, 30] {
+                    let (kept, dropped) = s.dropped_span(pending);
+                    let at = position + pending;
+                    assert!(dropped > 0, "stride {stride} at {at}");
+                    let sampled = |k: u64| s.is_sampled(window(at + k));
+                    assert!((0..kept).all(sampled), "stride {stride} at {at}");
+                    assert!((kept..kept + dropped).all(|k| !sampled(k)));
+                    assert!(sampled(kept + dropped), "stride {stride} at {at}");
+                }
+                s.access(0, false);
+            }
+        }
+        let full = SampledSink::every_kth(NullSink, 8, 1, 3);
+        assert_eq!(full.dropped_span(100), (u64::MAX, 0));
+        assert_eq!(NullSink.dropped_span(0), (u64::MAX, 0));
+    }
+
+    #[test]
+    fn skip_meters_like_the_dropped_accesses() {
+        let mut fed = SampledSink::every_kth(RecordingSink::default(), 16, 4, 11);
+        let mut skipped = SampledSink::every_kth(RecordingSink::default(), 16, 4, 11);
+        for k in 0..1000u64 {
+            let (kept, dropped) = skipped.dropped_span(0);
+            if kept == 0 && dropped >= 2 && k % 3 == 0 {
+                // Two accesses the sampler would drop: one load, one
+                // store.
+                fed.access(k * 8, false);
+                fed.access(k * 8, true);
+                skipped.skip(1, 1);
+            } else {
+                fed.access(k * 8, k % 5 == 0);
+                skipped.access(k * 8, k % 5 == 0);
+            }
+        }
+        assert_eq!(fed.loads_seen, skipped.loads_seen);
+        assert_eq!(fed.stores_seen, skipped.stores_seen);
+        assert_eq!(fed.sampled, skipped.sampled);
+        assert_eq!(fed.windows_total(), skipped.windows_total());
+        assert_eq!(fed.windows_sampled(), skipped.windows_sampled());
+        assert_eq!(fed.inner.trace, skipped.inner.trace);
     }
 
     #[test]

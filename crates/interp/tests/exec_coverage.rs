@@ -469,3 +469,183 @@ fn references_of_rank_greater_than_eight() {
     assert_eq!(out.result, Err(oob("A", subs, vec![2; 9])));
     assert_eq!(out.trace.len(), 4);
 }
+
+// ---------------------------------------------------------------------
+// Fast-forward: `Layout::trace` skipping what a `SampledSink` drops.
+// Each run is compared with a full `run` recorded and replayed into a
+// fresh sampler: the same result, forwarded subsequence and counters.
+// ---------------------------------------------------------------------
+
+use cmt_interp::{ExecSummary, Layout, MeteredSink, RecordingSink, SampledSink, TraceSink};
+
+/// A sampler behind a wrapper that forwards its dropped spans too, and
+/// counts the accesses the producer skipped.
+struct Probe {
+    inner: SampledSink<RecordingSink>,
+    skipped: u64,
+}
+
+impl Probe {
+    fn new(window: u64, stride: u64, seed: u64) -> Probe {
+        Probe {
+            inner: SampledSink::every_kth(RecordingSink::default(), window, stride, seed),
+            skipped: 0,
+        }
+    }
+}
+
+impl TraceSink for Probe {
+    fn access(&mut self, addr: u64, is_write: bool) {
+        self.inner.access(addr, is_write);
+    }
+
+    fn access_batch(&mut self, batch: &[u64]) {
+        self.inner.access_batch(batch);
+    }
+
+    fn dropped_span(&self, pending: u64) -> (u64, u64) {
+        self.inner.dropped_span(pending)
+    }
+
+    fn skip(&mut self, loads: u64, stores: u64) {
+        self.skipped += loads + stores;
+        self.inner.skip(loads, stores);
+    }
+}
+
+/// Everything a sampled run ends with.
+#[derive(Debug, PartialEq)]
+struct Sampled {
+    result: Result<ExecSummary, ExecError>,
+    forwarded: Vec<(u64, bool)>,
+    loads_seen: u64,
+    stores_seen: u64,
+    sampled: u64,
+    windows: (u64, u64),
+}
+
+impl Sampled {
+    fn new(result: Result<ExecSummary, ExecError>, s: SampledSink<RecordingSink>) -> Sampled {
+        Sampled {
+            result,
+            loads_seen: s.loads_seen,
+            stores_seen: s.stores_seen,
+            sampled: s.sampled,
+            windows: (s.windows_total(), s.windows_sampled()),
+            forwarded: s.into_inner().trace,
+        }
+    }
+}
+
+/// The full trace of `p` from `Machine::run`, and its result.
+fn full_trace(p: &Program, params: &[i64]) -> (Result<ExecSummary, ExecError>, RecordingSink) {
+    let mut rec = RecordingSink::default();
+    let result = Machine::new(p, params).unwrap().run(p, &mut rec);
+    (result, rec)
+}
+
+/// Samples `p` every `stride`-th window of `window` accesses both ways
+/// — the full trace replayed into a fresh sampler, and `Layout::trace`
+/// skipping what the sampler drops — asserts they agree, and returns
+/// the outcome with the number of accesses skipped.
+fn fast_forward(
+    p: &Program,
+    params: &[i64],
+    window: u64,
+    stride: u64,
+    seed: u64,
+) -> (Sampled, u64) {
+    let (result, rec) = full_trace(p, params);
+    let mut full = SampledSink::every_kth(RecordingSink::default(), window, stride, seed);
+    rec.replay(&mut full);
+    let want = Sampled::new(result, full);
+    let mut probe = Probe::new(window, stride, seed);
+    let result = Layout::new(p, params).unwrap().trace(p, &mut probe);
+    let got = Sampled::new(result, probe.inner);
+    assert_eq!(got, want, "{} seed {seed}", p.name());
+    (got, probe.skipped)
+}
+
+/// `DO I = 1, N: A(I) = B(I) + C(I)`: three accesses per iteration, so
+/// 256-access windows end mid-iteration. With `fail`, a second nest
+/// `DO I = 1, N: A(I + 1) = 1` then leaves the array.
+fn three_access(fail: bool) -> Program {
+    let mut b = ProgramBuilder::new("three");
+    let n = b.param("N");
+    let a = b.array("A", vec![n.into()]);
+    let bb = b.array("B", vec![n.into()]);
+    let c = b.array("C", vec![n.into()]);
+    b.loop_("I", 1, n, |b| {
+        let i = b.var("I");
+        let lhs = b.at(a, [i]);
+        b.assign(lhs, Expr::load(b.at(bb, [i])) + Expr::load(b.at(c, [i])));
+    });
+    if fail {
+        b.loop_("I", 1, n, |b| {
+            let i = b.var("I");
+            let lhs = b.at_vec(a, vec![Affine::var(i) + 1]);
+            b.assign(lhs, Expr::Const(1.0));
+        });
+    }
+    b.finish()
+}
+
+#[test]
+fn fast_forward_over_spans_that_end_mid_iteration() {
+    for seed in 0..8 {
+        let (out, skipped) = fast_forward(&three_access(false), &[4000], 256, 16, seed);
+        assert_eq!(out.loads_seen + out.stores_seen, 12_000);
+        assert!(skipped > 10_000, "seed {seed}: skipped {skipped}");
+    }
+}
+
+#[test]
+fn fast_forward_never_skips_at_stride_one() {
+    let (out, skipped) = fast_forward(&three_access(false), &[4000], 256, 1, 7);
+    assert_eq!(skipped, 0);
+    assert_eq!(out.sampled, 12_000);
+}
+
+#[test]
+fn fast_forward_steps_an_unproven_innermost_loop() {
+    // DO I = 1, N: A(I + 1) = B(I) fails only at I = N, so the loop
+    // cannot be proven and every iteration before it steps.
+    let out = fast_forward(&shifted_store(1), &[4000], 256, 16, 3);
+    assert_eq!(out.1, 0, "an unproven loop skipped");
+    assert_eq!(out.0.result, Err(oob("A", vec![4001], vec![4000])));
+    assert_eq!(out.0.loads_seen + out.0.stores_seen, 2 * 3999 + 1);
+}
+
+#[test]
+fn fast_forward_then_out_of_bounds_keeps_the_error_and_the_prefix() {
+    for seed in 0..4 {
+        let (out, skipped) = fast_forward(&three_access(true), &[4000], 256, 16, seed);
+        assert!(skipped > 0, "seed {seed}");
+        assert_eq!(out.result, Err(oob("A", vec![4001], vec![4000])));
+        assert_eq!(out.loads_seen + out.stores_seen, 12_000 + 3999);
+    }
+}
+
+#[test]
+fn fast_forward_always_forwards_window_zero() {
+    let p = three_access(false);
+    let (_, full) = full_trace(&p, &[4000]);
+    for seed in 0..32 {
+        let (out, _) = fast_forward(&p, &[4000], 256, 16, seed);
+        assert_eq!(out.forwarded[..256], full.trace[..256], "seed {seed}");
+    }
+}
+
+#[test]
+fn fast_forward_does_not_skip_a_sink_wrapping_the_sampler() {
+    let p = three_access(false);
+    let (result, rec) = full_trace(&p, &[4000]);
+    let mut full = SampledSink::every_kth(RecordingSink::default(), 256, 16, 5);
+    rec.replay(&mut full);
+    let want = Sampled::new(result, full);
+    let mut wrapped = MeteredSink::new(Probe::new(256, 16, 5));
+    let result = Layout::new(&p, &[4000]).unwrap().trace(&p, &mut wrapped);
+    assert_eq!(wrapped.inner.skipped, 0);
+    assert_eq!(wrapped.accesses(), 12_000);
+    assert_eq!(Sampled::new(result, wrapped.inner.inner), want);
+}

@@ -5,18 +5,19 @@
 //! Profiling a nest independently is legal because the interpreter's
 //! address streams are *data-independent*: subscripts are affine in loop
 //! variables and parameters, so the trace a nest produces does not
-//! depend on the values earlier nests stored. The [`cmt_interp::Machine`]
-//! allocates every array of the program regardless of which nests run,
+//! depend on the values earlier nests stored. The [`cmt_interp::Layout`]
+//! places every array of the program regardless of which nests run,
 //! so addresses (and per-array attribution) line up with a whole-program
-//! run. What isolation *does* change is cross-nest cache reuse — the
+//! run, and [`cmt_interp::Layout::trace`] produces the nest's addresses
+//! without computing values — skipping whole iterations that fall in
+//! the windows the sampler drops. What isolation *does* change is cross-nest cache reuse — the
 //! profiler ranks nests by their own footprint, which is exactly the
 //! per-nest attribution a hotspot ranking wants.
 
 use crate::policy::SamplePolicy;
 use cmt_cache::{CacheConfig, CacheStats, ShardedCache};
-use cmt_interp::{Machine, SampledSink, TraceSink, BATCH_LEN};
+use cmt_interp::{Layout, SampledSink, TraceSink, BATCH_LEN};
 use cmt_ir::affine::Affine;
-use cmt_ir::ids::ArrayId;
 use cmt_ir::program::Program;
 use cmt_ir::visit::nest_label;
 use cmt_obs::{ObsSink, TraceArg};
@@ -294,24 +295,21 @@ pub fn profile_nest(
         _ => (BATCH_LEN as u64, 1, 0),
     };
 
-    let mut m = Machine::new(&single, &[n]).map_err(|e| err(e.to_string()))?;
+    let layout = Layout::new(&single, &[n]).map_err(|e| err(e.to_string()))?;
     // Snapshot interval == sampling window, so the first closed snapshot
     // is exactly window 0 of the sampled stream (the sampler always
     // forwards window 0) — the cold-start correction below splits on it.
     // One shard: profiling parallelizes across nests, not inside one.
     let mut cache = ShardedCache::with_shards(opts.cache, 1).with_interval(window);
-    for (k, info) in single.arrays().iter().enumerate() {
-        let id = ArrayId(k as u32);
-        let start = m.storage(id).address_of(0);
-        let bytes = m.array_data(id).len() as u64 * 8;
-        cache.register_region(info.name(), start, bytes);
+    for (name, start, bytes) in layout.regions(&single) {
+        cache.register_region(name, start, bytes);
     }
     let mut sink = SampledSink::every_kth(cache, window, stride, seed);
 
     if obs.enabled() {
         obs.trace_begin("profile.sample", &[("nest", TraceArg::Str(&label))]);
     }
-    let run = m.run(&single, &mut sink as &mut dyn TraceSink);
+    let run = layout.trace(&single, &mut sink as &mut dyn TraceSink);
     if obs.enabled() {
         obs.trace_end(
             "profile.sample",
@@ -460,9 +458,9 @@ mod tests {
         assert_eq!(nest.accesses, 2 * 32 * 32);
         assert_eq!(nest.observed, nest.est);
         // Direct simulation of the same program agrees exactly.
-        let mut m = Machine::new(&p, &[32]).unwrap();
+        let layout = Layout::new(&p, &[32]).unwrap();
         let mut c = ShardedCache::new(CacheConfig::i860());
-        m.run(&p, &mut c).unwrap();
+        layout.trace(&p, &mut c).unwrap();
         assert_eq!(nest.est, c.stats());
         // Both arrays show up in attribution and shares sum to ~1.
         assert_eq!(nest.arrays.len(), 2);

@@ -12,9 +12,8 @@
 use crate::protocol::{Answer, CompileRequest, Fidelity};
 use cmt_analytic::{predict_program, MissModel};
 use cmt_cache::{CacheConfig, ShardedCache};
-use cmt_interp::Machine;
+use cmt_interp::Layout;
 use cmt_ir::canon::NestKey;
-use cmt_ir::ids::ArrayId;
 use cmt_ir::program::Program;
 use cmt_locality::model::CostModel;
 use cmt_obs::{CollectSink, ObsSink};
@@ -30,15 +29,13 @@ use std::time::Duration;
 /// errors, never panics.
 pub fn simulate(program: &Program, n: i64) -> Result<(u64, u64), String> {
     let params = vec![n; program.params().len()];
-    let mut m = Machine::new(program, &params).map_err(|e| format!("allocation: {e}"))?;
+    let layout = Layout::new(program, &params).map_err(|e| format!("allocation: {e}"))?;
     let mut cache = ShardedCache::new(CacheConfig::rs6000());
-    for (k, _) in program.arrays().iter().enumerate() {
-        let id = ArrayId(k as u32);
-        let start = m.storage(id).address_of(0);
-        let bytes = m.array_data(id).len() as u64 * 8;
+    for (_, start, bytes) in layout.regions(program) {
         cache.reserve_region(start, bytes);
     }
-    m.run(program, &mut cache)
+    layout
+        .trace(program, &mut cache)
         .map_err(|e| format!("execution: {e}"))?;
     let stats = cache.stats();
     Ok((stats.accesses, stats.misses))

@@ -165,8 +165,9 @@ mod tests {
         for seed in 0..30 {
             let p = generate(seed, &cfg);
             validate(&p).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            let mut m = cmt_interp::Machine::new(&p, &[8]).expect("alloc");
-            m.run(&p, &mut cmt_interp::NullSink)
+            let layout = cmt_interp::Layout::new(&p, &[8]).expect("alloc");
+            layout
+                .trace(&p, &mut cmt_interp::NullSink)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
     }

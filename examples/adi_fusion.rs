@@ -10,7 +10,7 @@
 //! ```
 
 use cmt_locality_repro::cache::{CacheConfig, CycleModel, ShardedCache};
-use cmt_locality_repro::interp::{self, Machine};
+use cmt_locality_repro::interp::{self, Layout};
 use cmt_locality_repro::ir::pretty::program_to_string;
 use cmt_locality_repro::locality::{compound::compound, model::CostModel};
 use cmt_locality_repro::suite::kernels::adi_scalarized;
@@ -45,8 +45,8 @@ fn main() {
     let cyc = CycleModel::default();
     for (label, p) in [("scalarized", &original), ("transformed", &transformed)] {
         let mut c = ShardedCache::new(CacheConfig::rs6000());
-        let mut m = Machine::new(p, &[n]).expect("allocation");
-        m.run(p, &mut c).expect("execution");
+        let layout = Layout::new(p, &[n]).expect("allocation");
+        layout.trace(p, &mut c).expect("execution");
         let s = c.stats();
         println!(
             "{label:<12} N={n}: hit rate {:.1}% (excl. cold), {} cycles",

@@ -10,7 +10,7 @@
 //! ```
 
 use cmt_locality_repro::cache::{CacheConfig, ShardedCache};
-use cmt_locality_repro::interp::Machine;
+use cmt_locality_repro::interp::Layout;
 use cmt_locality_repro::ir::build::ProgramBuilder;
 use cmt_locality_repro::ir::expr::Expr;
 use cmt_locality_repro::ir::program::Program;
@@ -62,9 +62,9 @@ fn main() {
     ] {
         let cfg = CacheConfig::new(size_kb * 1024, assoc, line);
         let rate = |p: &Program| -> f64 {
-            let mut m = Machine::new(p, &[n]).expect("allocation");
+            let layout = Layout::new(p, &[n]).expect("allocation");
             let mut c = ShardedCache::new(cfg);
-            m.run(p, &mut c).expect("execution");
+            layout.trace(p, &mut c).expect("execution");
             c.stats().hit_rate_excluding_cold()
         };
         let rs = rate(&strided);

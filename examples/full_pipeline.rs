@@ -13,7 +13,7 @@
 //! ```
 
 use cmt_locality_repro::cache::{CacheConfig, CycleModel, ShardedCache};
-use cmt_locality_repro::interp::{assert_equivalent, Machine};
+use cmt_locality_repro::interp::{assert_equivalent, Layout};
 use cmt_locality_repro::ir::pretty::program_to_string;
 use cmt_locality_repro::ir::Program;
 use cmt_locality_repro::locality::scalar::scalar_replace;
@@ -23,9 +23,9 @@ use cmt_locality_repro::locality::{compound::compound, model::CostModel};
 use cmt_locality_repro::suite::kernels::matmul;
 
 fn measure(p: &Program, n: i64) -> (f64, u64) {
-    let mut m = Machine::new(p, &[n]).expect("allocation");
+    let layout = Layout::new(p, &[n]).expect("allocation");
     let mut c = ShardedCache::new(CacheConfig::i860());
-    m.run(p, &mut c).expect("execution");
+    layout.trace(p, &mut c).expect("execution");
     let s = c.stats();
     (
         s.hit_rate_excluding_cold(),

@@ -7,7 +7,7 @@
 //! ```
 
 use cmt_locality_repro::cache::{CacheConfig, CycleModel, ShardedCache};
-use cmt_locality_repro::interp::{Machine, TeeSink};
+use cmt_locality_repro::interp::Layout;
 use cmt_locality_repro::locality::model::CostModel;
 use cmt_locality_repro::suite::kernels::matmul_orders;
 
@@ -28,13 +28,12 @@ fn main() {
     let mut results = Vec::new();
     for (name, p) in matmul_orders() {
         let cost = model.analyze(&p, p.nests()[0]).realized_cost();
-        let mut m = Machine::new(&p, &[n]).expect("allocation");
-        let mut caches = TeeSink(
-            ShardedCache::new(CacheConfig::rs6000()),
-            ShardedCache::new(CacheConfig::i860()),
-        );
-        m.run(&p, &mut caches).expect("execution");
-        let (s1, s2) = (caches.0.stats(), caches.1.stats());
+        let layout = Layout::new(&p, &[n]).expect("allocation");
+        let [s1, s2] = [CacheConfig::rs6000(), CacheConfig::i860()].map(|config| {
+            let mut cache = ShardedCache::new(config);
+            layout.trace(&p, &mut cache).expect("execution");
+            cache.stats()
+        });
         println!(
             "{:<6} {:>24} {:>11.1}% {:>11.1}% {:>14}",
             name,

@@ -9,7 +9,7 @@
 //! Without an argument, a built-in Gauss–Seidel example is used.
 
 use cmt_locality_repro::cache::ReuseDistance;
-use cmt_locality_repro::interp::{Machine, TraceSink};
+use cmt_locality_repro::interp::{Layout, TraceSink};
 use cmt_locality_repro::ir::parse::parse_program;
 use cmt_locality_repro::ir::pretty::program_to_string;
 use cmt_locality_repro::locality::{compound::compound, model::CostModel};
@@ -35,9 +35,9 @@ impl TraceSink for ReuseSink {
 }
 
 fn profile(p: &cmt_locality_repro::ir::Program, n: i64) -> ReuseDistance {
-    let mut m = Machine::new(p, &[n]).expect("allocation");
+    let layout = Layout::new(p, &[n]).expect("allocation");
     let mut sink = ReuseSink(ReuseDistance::new(32));
-    m.run(p, &mut sink).expect("execution");
+    layout.trace(p, &mut sink).expect("execution");
     sink.0
 }
 

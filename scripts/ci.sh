@@ -84,6 +84,12 @@ for b in fig3_adi fig7_cholesky table2_memory_order; do
   CMT_OBS_DIR="$SMOKE_DIR" cargo run --release -q -p cmt-bench --bin "$b" > /dev/null
   cargo run --release -q -p cmt-bench --bin obs_diff -- results/baseline "$SMOKE_DIR" "$b"
 done
+# Table 4's artifact is simulate_observed over every transformed suite
+# model at n=64 (per-array attribution, interval snapshots, access
+# counts), whatever size the table itself runs at; 96 is
+# reproduce_all.sh's quick size. Pinned the same way.
+CMT_OBS_DIR="$SMOKE_DIR" cargo run --release -q -p cmt-bench --bin table4_hit_rates 96 > /dev/null
+cargo run --release -q -p cmt-bench --bin obs_diff -- results/baseline "$SMOKE_DIR" table4_hit_rates
 
 echo ">>> profiling smoke (sampled sweep, escalation, agreement + cost gates)"
 # Sampled cache-simulation profiling over the first 32 verify-corpus

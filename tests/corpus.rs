@@ -88,16 +88,16 @@ fn corpus_expected_transformations() {
 #[test]
 fn optimized_corpus_improves_small_cache_hit_rates() {
     use cmt_locality_repro::cache::{CacheConfig, ShardedCache};
-    use cmt_locality_repro::interp::Machine;
+    use cmt_locality_repro::interp::Layout;
     let model = CostModel::new(4);
     for (name, src) in corpus() {
         let original = parse_program(&src).unwrap();
         let mut transformed = original.clone();
         let _ = compound(&mut transformed, &model);
         let rate = |p: &cmt_locality_repro::ir::Program| {
-            let mut m = Machine::new(p, &[96]).unwrap();
+            let layout = Layout::new(p, &[96]).unwrap();
             let mut c = ShardedCache::new(CacheConfig::i860());
-            m.run(p, &mut c).unwrap();
+            layout.trace(p, &mut c).unwrap();
             c.stats().hit_rate_excluding_cold()
         };
         let before = rate(&original);

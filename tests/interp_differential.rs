@@ -7,12 +7,20 @@
 //!
 //! `n = 1` is below every generated program's and kernel's intended
 //! size, so it exercises empty ranges and out-of-bounds errors; the
-//! larger sizes exercise the bounds-proven innermost loops.
+//! larger sizes exercise the bounds-proven innermost loops. Every run
+//! also goes through `Layout::trace`, which must give the same trace,
+//! batches, summary and error.
+//!
+//! A last test samples the kernels and the corpus at the profiler's
+//! size and policy: `Layout::trace` skipping what the sampler drops
+//! must leave the sampler and its cache exactly as the full trace does.
 
 #[path = "support/tree_walker.rs"]
 mod tree_walker;
 
+use cmt_locality_repro::cache::{CacheConfig, ShardedCache};
 use cmt_locality_repro::interp::Machine;
+use cmt_locality_repro::interp::{CacheSink, Layout, SampledSink};
 use cmt_locality_repro::ir::program::Program;
 use cmt_locality_repro::locality::compound::compound;
 use cmt_locality_repro::locality::model::CostModel;
@@ -22,6 +30,10 @@ use cmt_locality_repro::verify::{corpus_seeds, generate};
 use tree_walker::assert_same;
 
 const SIZES: [i64; 3] = [1, 5, 9];
+
+/// The size the sampled runs use: large enough for many windows, small
+/// enough to run every corpus seed in full.
+const SAMPLED_N: i64 = 16;
 
 /// Successful and failed runs compared.
 #[derive(Default)]
@@ -82,4 +94,60 @@ fn suite_models_optimized_and_rest() {
         tally.check(&format!("{} rest", model.spec.name), &model.rest);
     }
     assert!(tally.ok > 0);
+}
+
+/// A sampler over an attributed, snapshotting i860 cache, as the
+/// profiler builds it.
+fn sampler(layout: &Layout, program: &Program, seed: u64) -> SampledSink<ShardedCache> {
+    let mut cache = ShardedCache::with_shards(CacheConfig::i860(), 1).with_interval(256);
+    for (name, start, bytes) in layout.regions(program) {
+        cache.register_region(name, start, bytes);
+    }
+    SampledSink::every_kth(cache, 256, 16, seed)
+}
+
+/// Everything a sampled run leaves in its sampler and cache.
+fn sampled_state(mut s: SampledSink<ShardedCache>) -> String {
+    let counts = (
+        s.loads_seen,
+        s.stores_seen,
+        s.sampled,
+        s.windows_total(),
+        s.windows_sampled(),
+    );
+    s.inner.flush_window();
+    format!(
+        "{counts:?} {:?} {:?} {:?}",
+        s.inner.stats(),
+        s.inner.per_array(),
+        s.inner.snapshots()
+    )
+}
+
+#[test]
+fn sampled_traces_skip_only_what_the_sampler_drops() {
+    let mut programs = paper_kernels();
+    programs.extend(corpus_seeds().into_iter().map(generate));
+    let (mut seen, mut sampled) = (0, 0);
+    for (k, program) in programs.iter().enumerate() {
+        let params = vec![SAMPLED_N; program.params().len()];
+        let layout = Layout::new(program, &params).expect("layout");
+        let seed = k as u64;
+        // The full trace: `CacheSink` keeps the default `dropped_span`,
+        // so nothing is skipped.
+        let mut want = sampler(&layout, program, seed);
+        let want_result = layout.trace(program, &mut CacheSink(&mut want));
+        let mut got = sampler(&layout, program, seed);
+        let result = layout.trace(program, &mut got);
+        assert_eq!(result, want_result, "{}", program.name());
+        seen += got.accesses_seen();
+        sampled += got.sampled;
+        assert_eq!(
+            sampled_state(got),
+            sampled_state(want),
+            "{}",
+            program.name()
+        );
+    }
+    assert!(sampled * 8 < seen, "{sampled} of {seen} accesses sampled");
 }

@@ -9,7 +9,7 @@
 //! exhaustive rather than sampled.
 
 use cmt_locality_repro::cache::{CacheConfig, ShardedCache};
-use cmt_locality_repro::interp::Machine;
+use cmt_locality_repro::interp::Layout;
 use cmt_locality_repro::ir::affine::Affine;
 use cmt_locality_repro::ir::build::ProgramBuilder;
 use cmt_locality_repro::ir::expr::Expr;
@@ -63,9 +63,9 @@ fn build(spec: &Spec, ji_order: bool) -> Program {
 }
 
 fn simulate_misses(p: &Program, n: i64) -> u64 {
-    let mut m = Machine::new(p, &[n]).expect("allocation");
+    let layout = Layout::new(p, &[n]).expect("allocation");
     let mut c = ShardedCache::new(CacheConfig::i860());
-    m.run(p, &mut c).expect("execution");
+    layout.trace(p, &mut c).expect("execution");
     c.stats().warm_misses()
 }
 

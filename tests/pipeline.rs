@@ -31,7 +31,7 @@ fn matmul_three_step_pipeline() {
 #[test]
 fn pipeline_reduces_misses_on_small_cache() {
     use cmt_locality_repro::cache::{CacheConfig, ShardedCache};
-    use cmt_locality_repro::interp::Machine;
+    use cmt_locality_repro::interp::Layout;
     let original = kernels::matmul("IJK");
     let model = CostModel::new(4);
     let mut p = original.clone();
@@ -41,9 +41,9 @@ fn pipeline_reduces_misses_on_small_cache() {
     scalar_replace(&mut p);
 
     let misses = |prog: &cmt_locality_repro::ir::Program| {
-        let mut m = Machine::new(prog, &[64]).unwrap();
+        let layout = Layout::new(prog, &[64]).unwrap();
         let mut c = ShardedCache::new(CacheConfig::i860());
-        m.run(prog, &mut c).unwrap();
+        layout.trace(prog, &mut c).unwrap();
         c.stats().warm_misses()
     };
     let before = misses(&original);

@@ -1,5 +1,5 @@
 //! The reference tree-walking interpreter: the test oracle for
-//! `Machine::run`.
+//! `Machine::run` and `Layout::trace`.
 //!
 //! It walks the IR directly — each loop binds its variable in an `Env`,
 //! each subscript is evaluated with `Affine::eval` and bounds-checked on
@@ -8,6 +8,8 @@
 //! same packed trace in the same `BATCH_LEN` batches, the same
 //! `ExecSummary`, the same final array bits and the same `ExecError`,
 //! with the same trace prefix and array contents when one occurs.
+//! `Layout::trace` must give the same trace, batches, summary and error
+//! without computing any array.
 //!
 //! It lays memory out with `Machine::new` (bases and extents) and keeps
 //! its own copy of the data. Shared by the root differential tests and
@@ -78,22 +80,38 @@ pub fn tree_walk(program: &Program, machine: &Machine) -> Outcome {
     }
 }
 
+/// Records every packed access and each batch's length.
+#[derive(Default)]
+struct Batches {
+    trace: Vec<u64>,
+    batches: Vec<usize>,
+}
+
+impl TraceSink for Batches {
+    fn access(&mut self, addr: u64, is_write: bool) {
+        self.access_batch(&[pack_access(addr, is_write)]);
+    }
+    fn access_batch(&mut self, batch: &[u64]) {
+        self.trace.extend_from_slice(batch);
+        self.batches.push(batch.len());
+    }
+}
+
+/// Runs `program` with `Layout::trace` on `machine`'s layout; `arrays`
+/// is empty, since a trace computes none.
+pub fn traced(program: &Program, machine: &Machine) -> Outcome {
+    let mut sink = Batches::default();
+    let result = machine.layout().trace(program, &mut sink);
+    Outcome {
+        result,
+        trace: sink.trace,
+        batches: sink.batches,
+        arrays: Vec::new(),
+    }
+}
+
 /// Runs `program` with `Machine::run` on a clone of `machine`.
 pub fn lowered(program: &Program, machine: &Machine) -> Outcome {
-    #[derive(Default)]
-    struct Batches {
-        trace: Vec<u64>,
-        batches: Vec<usize>,
-    }
-    impl TraceSink for Batches {
-        fn access(&mut self, addr: u64, is_write: bool) {
-            self.access_batch(&[pack_access(addr, is_write)]);
-        }
-        fn access_batch(&mut self, batch: &[u64]) {
-            self.trace.extend_from_slice(batch);
-            self.batches.push(batch.len());
-        }
-    }
     let mut m = machine.clone();
     let mut sink = Batches::default();
     let result = m.run(program, &mut sink);
@@ -113,10 +131,15 @@ pub fn lowered(program: &Program, machine: &Machine) -> Outcome {
 }
 
 /// Asserts that `Machine::run` and the tree walker agree on `program`
-/// from `machine`'s state, and returns the (shared) outcome.
+/// from `machine`'s state, and that `Layout::trace` gives the same
+/// result, trace and batches; returns the (shared) outcome.
 pub fn assert_same(label: &str, program: &Program, machine: &Machine) -> Outcome {
     let want = tree_walk(program, machine);
     let got = lowered(program, machine);
+    let addresses = traced(program, machine);
+    assert_eq!(addresses.result, got.result, "{label}: trace result");
+    assert!(addresses.trace == got.trace, "{label}: trace-only accesses");
+    assert_eq!(addresses.batches, got.batches, "{label}: trace batches");
     assert_eq!(got.result, want.result, "{label}: result");
     assert_eq!(got.trace.len(), want.trace.len(), "{label}: trace length");
     if let Some(k) = (0..got.trace.len()).find(|&k| got.trace[k] != want.trace[k]) {
