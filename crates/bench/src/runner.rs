@@ -2,7 +2,7 @@
 //! plus the deterministic parallel corpus runner ([`par_map`]).
 
 use cmt_cache::{CacheConfig, CacheStats, ShardedCache};
-use cmt_interp::{CacheSink, Layout, MeteredSink, TraceSink, TracedSink};
+use cmt_interp::{CacheSink, Layout, LoopRun, MeteredSink, Stream, TraceSink, TracedSink};
 use cmt_ir::program::Program;
 use cmt_ir::validate::validate;
 use cmt_locality::compound::{compound, compound_with};
@@ -49,11 +49,24 @@ pub struct VersionPair {
 /// below 2^41 and the offset is at most `1 << 40`, so adding the offset
 /// to the packed word never carries into the write bit and a whole
 /// buffer is offset with one add per element before hitting the
-/// simulation cores.
+/// simulation cores. A loop run is shifted stream by stream, and taken
+/// only when both caches take runs.
 struct OffsetInto<'a> {
     offset: u64,
     caches: &'a mut [ShardedCache; 2],
     buf: Vec<u64>,
+    streams: Vec<Stream>,
+}
+
+impl<'a> OffsetInto<'a> {
+    fn new(offset: u64, caches: &'a mut [ShardedCache; 2]) -> Self {
+        OffsetInto {
+            offset,
+            caches,
+            buf: Vec::new(),
+            streams: Vec::new(),
+        }
+    }
 }
 
 impl TraceSink for OffsetInto<'_> {
@@ -72,6 +85,24 @@ impl TraceSink for OffsetInto<'_> {
             self.caches[0].access_batch(&self.buf);
             self.caches[1].access_batch(&self.buf);
         }
+    }
+
+    fn takes_runs(&self) -> bool {
+        self.caches.iter().all(ShardedCache::takes_runs)
+    }
+
+    fn access_run(&mut self, run: LoopRun<'_>) {
+        self.streams.clear();
+        self.streams.extend(run.streams.iter().map(|s| Stream {
+            start: s.start + self.offset,
+            ..*s
+        }));
+        let run = LoopRun {
+            streams: &self.streams,
+            iters: run.iters,
+        };
+        self.caches[0].access_run(run);
+        self.caches[1].access_run(run);
     }
 }
 
@@ -105,11 +136,7 @@ fn lay_out(program: &Program, n: i64, caches: &mut [ShardedCache; 2], offset: u6
 pub fn simulate_program(program: &Program, n: i64) -> ProgramSim {
     let mut caches = paper_caches();
     let layout = lay_out(program, n, &mut caches, 0);
-    let mut sink = OffsetInto {
-        offset: 0,
-        caches: &mut caches,
-        buf: Vec::new(),
-    };
+    let mut sink = OffsetInto::new(0, &mut caches);
     layout.trace(program, &mut sink).expect("execution");
     let [mut c1, mut c2] = caches;
     ProgramSim {
@@ -199,11 +226,7 @@ pub fn simulate_observed(
         }
         t.start()
     });
-    let mut sink = MeteredSink::new(OffsetInto {
-        offset: 0,
-        caches: &mut caches,
-        buf: Vec::new(),
-    });
+    let mut sink = MeteredSink::new(OffsetInto::new(0, &mut caches));
     match track.as_deref_mut() {
         Some(t) => layout.trace(program, &mut TracedSink::new(CacheSink(&mut sink), t)),
         None => layout.trace(program, &mut sink),
@@ -279,11 +302,7 @@ pub fn simulate_versions(model: &BenchmarkModel, cost_model: &CostModel, n: i64)
         let mut caches = paper_caches();
         let layout = lay_out(opt, n, &mut caches, 0);
         {
-            let mut sink = OffsetInto {
-                offset: 0,
-                caches: &mut caches,
-                buf: Vec::new(),
-            };
+            let mut sink = OffsetInto::new(0, &mut caches);
             layout.trace(opt, &mut sink).expect("execution");
         }
         let opt_stats = ProgramSim {
@@ -293,11 +312,7 @@ pub fn simulate_versions(model: &BenchmarkModel, cost_model: &CostModel, n: i64)
         // …then the background, offset far away in the address space.
         let rest = lay_out(&model.rest, n, &mut caches, 1 << 40);
         {
-            let mut sink = OffsetInto {
-                offset: 1 << 40,
-                caches: &mut caches,
-                buf: Vec::new(),
-            };
+            let mut sink = OffsetInto::new(1 << 40, &mut caches);
             rest.trace(&model.rest, &mut sink).expect("execution");
         }
         let whole = ProgramSim {

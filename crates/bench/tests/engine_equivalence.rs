@@ -6,7 +6,9 @@
 //! * whole-trace `CacheStats` from [`LegacyCache`] (the seed's
 //!   `Vec<Vec<_>>` + `HashSet` simulator, one scalar call per access)
 //!   and from the engine fed 4 K packed batches are **exactly equal**
-//!   for every suite model, paper cache geometry and shard count;
+//!   for every suite model, paper cache geometry and shard count, and
+//!   so are those of a one-shard engine handed each proven loop whole
+//!   as a loop run;
 //! * the observability layer (per-array attribution, interval
 //!   snapshots) of the batched engine matches a scalar reference built
 //!   on the legacy oracle;
@@ -29,6 +31,15 @@ fn record(program: &Program, n: i64) -> RecordingSink {
     rec
 }
 
+/// Traces `program` into a one-shard cache, which takes loop runs.
+fn traced_in_runs(program: &Program, n: i64, cfg: CacheConfig) -> CacheStats {
+    let layout = Layout::new(program, &[n]).expect("allocation");
+    let mut cache = ShardedCache::with_shards(cfg, 1);
+    assert!(cache.takes_runs());
+    layout.trace(program, &mut cache).expect("execution");
+    cache.stats()
+}
+
 const GEOMETRIES: [fn() -> CacheConfig; 3] = [
     CacheConfig::rs6000,
     CacheConfig::i860,
@@ -49,9 +60,10 @@ fn corpus_stats_identical_legacy_vs_batched() {
             }
             let mut batched = ShardedCache::new(cfg);
             rec.replay_batched(&mut batched);
-            if legacy.stats() != batched.stats() {
+            let runs = traced_in_runs(&m.optimized, 24, cfg);
+            if legacy.stats() != batched.stats() || legacy.stats() != runs {
                 out.push(format!(
-                    "{}/{cfg}: legacy={:?} batched={:?}",
+                    "{}/{cfg}: legacy={:?} batched={:?} runs={runs:?}",
                     m.spec.name,
                     legacy.stats(),
                     batched.stats()
@@ -93,9 +105,10 @@ fn verify_corpus_stats_identical_sharded_vs_legacy() {
             let mut sharded = ShardedCache::with_shards(cfg, shards);
             rec.replay_batched(&mut sharded);
             let (l, s) = (legacy.stats(), sharded.stats());
-            if l != s {
+            let runs = traced_in_runs(&program, 16, cfg);
+            if l != s || l != runs {
                 out.push(format!(
-                    "seed {seed}/{cfg}: legacy={l:?} sharded({shards})={s:?}"
+                    "seed {seed}/{cfg}: legacy={l:?} sharded({shards})={s:?} runs={runs:?}"
                 ));
             }
         }

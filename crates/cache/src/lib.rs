@@ -12,7 +12,10 @@
 //! miss-rate snapshots, cold-miss exclusion (the paper's rates exclude
 //! cold misses), a simple cycle model for execution-time estimates
 //! (Tables 1 and 3), and the seed simulator ([`LegacyCache`]) kept as
-//! the independent oracle the engine is tested against.
+//! the independent oracle the engine is tested against. A proven loop
+//! can be handed to the simulator whole, as a [`LoopRun`] of affine
+//! address streams, which it simulates only where a stream enters a new
+//! line.
 //!
 //! # Example
 //!
@@ -34,6 +37,7 @@ pub mod fast;
 pub mod hierarchy;
 pub mod legacy;
 pub mod reuse;
+pub mod run;
 pub mod shard;
 pub mod stats;
 
@@ -43,5 +47,6 @@ pub use fast::{pack_access, unpack_access, ColdMap, WRITE_BIT};
 pub use hierarchy::{Hierarchy, HierarchyLatency};
 pub use legacy::LegacyCache;
 pub use reuse::ReuseDistance;
+pub use run::{LoopRun, Stream};
 pub use shard::{default_shard_count, IntervalSnapshot, ShardSpan, ShardedCache};
 pub use stats::CacheStats;

@@ -27,6 +27,13 @@
 //!    SIMD path (4 lines per compare), verified bit-identical to the
 //!    scalar path by the equivalence tests.
 //!
+//! A one-shard cache with no regions or snapshots also takes a
+//! bounds-proven innermost loop whole, as a [`LoopRun`]
+//! ([`ShardedCache::access_run`]), and simulates only the iterations
+//! that can change it: the first, and those in which some stream enters
+//! a new line or one set gets more than `assoc` of the iteration's
+//! lines. Every other access is an exact, state-free hit.
+//!
 //! The engine also carries its own observability: named byte regions
 //! ([`ShardedCache::register_region`]) get per-array attribution, and
 //! an `interval` ([`ShardedCache::with_interval`]) snapshots the miss
@@ -40,6 +47,7 @@
 
 use crate::config::CacheConfig;
 use crate::fast::{ColdMap, WRITE_BIT};
+use crate::run::{iters_to_cross, LoopRun, Stream};
 use crate::stats::CacheStats;
 use cmt_obs::pool::{cmt_jobs, par_map};
 use cmt_obs::MetricsRegistry;
@@ -49,6 +57,9 @@ use std::time::Instant;
 /// Tag value marking an empty way. Unreachable as a real tag: lines are
 /// `addr >> line_shift` with `line_shift ≥ 3`, so they top out at 2^61.
 const EMPTY: u64 = u64::MAX;
+
+/// Accesses a loop run buffers before handing them to the core.
+const RUN_CHUNK: usize = 1024;
 
 /// One aggregated window of the access stream.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -156,6 +167,12 @@ struct Shard {
     carry: u64,
     /// Reused scratch the front end compacts line numbers into.
     line_buf: Vec<u64>,
+    /// Reused scratch for [`Shard::run_loop`]: the accesses of the
+    /// iterations it simulates, each stream's next line-crossing
+    /// iteration, and the overflow check's lines.
+    run_buf: Vec<u64>,
+    next_cross: Vec<u64>,
+    iter_lines: Vec<u64>,
 }
 
 impl Shard {
@@ -214,6 +231,104 @@ impl Shard {
         }
     }
 
+    /// Simulates a loop run on an unobserved shard, skipping the
+    /// iterations that cannot change it (see
+    /// [`ShardedCache::access_run`]). The simulated iterations go
+    /// through [`Shard::run`] in order, so `carry` ends on the run's
+    /// last line: a skipped iteration touches the lines of the last
+    /// simulated one.
+    fn run_loop(&mut self, run: LoopRun<'_>) {
+        let streams = run.streams;
+        if streams.is_empty() || run.iters == 0 {
+            return;
+        }
+        let shift = self.line_shift;
+        let mut buf = std::mem::take(&mut self.run_buf);
+        buf.clear();
+        if streams
+            .iter()
+            .any(|s| s.stride.unsigned_abs() >> shift != 0)
+        {
+            // A stream that moves a line or more enters a new line every
+            // iteration: simulate the run in full.
+            for k in 0..run.iters {
+                buf.extend(streams.iter().map(|s| s.packed(k)));
+                if buf.len() >= RUN_CHUNK {
+                    self.run(&buf);
+                    buf.clear();
+                }
+            }
+            if !buf.is_empty() {
+                self.run(&buf);
+            }
+            self.run_buf = buf;
+            return;
+        }
+        let mut next = std::mem::take(&mut self.next_cross);
+        next.clear();
+        next.resize(streams.len(), 0);
+        // With no more streams than ways, no set can overflow.
+        let may_overflow = streams.len() > self.assoc;
+        let mut overflow = false;
+        let mut skipped = 0u64;
+        let mut k = 0u64;
+        while k < run.iters {
+            let mut entered = false;
+            let mut upcoming = u64::MAX;
+            for (s, n) in streams.iter().zip(next.iter_mut()) {
+                let addr = s.addr(k);
+                buf.push(s.packed(k));
+                if *n == k {
+                    // First iteration, or the stream just entered a line.
+                    *n = k.saturating_add(iters_to_cross(addr, s.stride, shift));
+                    entered = true;
+                }
+                upcoming = upcoming.min(*n);
+            }
+            if buf.len() >= RUN_CHUNK {
+                self.run(&buf);
+                buf.clear();
+            }
+            if upcoming > k + 1 && may_overflow {
+                // An iteration simulated without entering a line was
+                // forced by an overflow of the same lines.
+                if entered {
+                    overflow = self.overflows(streams, k);
+                }
+                if overflow {
+                    upcoming = k + 1;
+                }
+            }
+            let upcoming = upcoming.min(run.iters);
+            skipped += (upcoming - k - 1) * streams.len() as u64;
+            k = upcoming;
+        }
+        if !buf.is_empty() {
+            self.run(&buf);
+        }
+        self.stats.accesses += skipped;
+        self.stats.hits += skipped;
+        self.run_buf = buf;
+        self.next_cross = next;
+    }
+
+    /// Whether iteration `k` of `streams` touches more than `assoc`
+    /// distinct lines of one set.
+    fn overflows(&mut self, streams: &[Stream], k: u64) -> bool {
+        let lines = &mut self.iter_lines;
+        lines.clear();
+        lines.extend(streams.iter().map(|s| s.addr(k) >> self.line_shift));
+        lines.sort_unstable();
+        lines.dedup();
+        for line in lines.iter_mut() {
+            *line &= self.set_mask;
+        }
+        lines.sort_unstable();
+        lines
+            .chunk_by(|a, b| a == b)
+            .any(|same_set| same_set.len() > self.assoc)
+    }
+
     /// Routes to the associativity-specialized core. `PACKED` selects
     /// the input decoding: raw packed accesses (mask + shift per item)
     /// or pre-extracted line numbers from the collapse front end.
@@ -225,8 +340,8 @@ impl Shard {
             8 => self.run_mtf::<8, PACKED>(items),
             _ => {
                 let shift = self.line_shift;
-                for k in 0..items.len() {
-                    let _ = self.access_line(decode::<PACKED>(items[k], shift));
+                for &it in items {
+                    let _ = self.access_line(decode::<PACKED>(it, shift));
                 }
             }
         }
@@ -366,10 +481,10 @@ impl Shard {
             let mut hit_above = false;
             let mut prev = g[0];
             g[0] = line;
-            for w in 1..A {
-                let t = g[w];
+            for way in g.iter_mut().skip(1) {
+                let t = *way;
                 let m = t == line;
-                g[w] = if hit_above { t } else { prev };
+                *way = if hit_above { t } else { prev };
                 prev = t;
                 hit_above |= m;
             }
@@ -753,6 +868,11 @@ unsafe fn collapse_runs_avx2(
 /// and the shards simulate their sub-traces independently — on the
 /// `cmt_obs::pool` worker pool when `CMT_JOBS > 1`.
 ///
+/// A loop run ([`ShardedCache::access_run`]) goes to the one shard's
+/// core in its line-crossing iterations only, when the cache
+/// [`ShardedCache::takes_runs`]: it has one shard and no regions or
+/// snapshots. Any other cache is fed the run's expansion.
+///
 /// Because intake is buffered, statistics are only complete after a
 /// [`ShardedCache::flush`]; [`ShardedCache::stats`] and the other
 /// accessors flush implicitly, which is why they take `&mut self`.
@@ -845,6 +965,9 @@ impl ShardedCache {
                 window: CacheStats::default(),
                 carry: EMPTY,
                 line_buf: Vec::new(),
+                run_buf: Vec::new(),
+                next_cross: Vec::new(),
+                iter_lines: Vec::new(),
             })
             .collect();
         ShardedCache {
@@ -959,6 +1082,40 @@ impl ShardedCache {
         self.pending.extend_from_slice(batch);
         if self.pending.len() >= self.pending_limit {
             self.flush();
+        }
+    }
+
+    /// Whether [`ShardedCache::access_run`] skips work on this cache:
+    /// it has one shard, and no regions or snapshots, which count every
+    /// access.
+    pub fn takes_runs(&self) -> bool {
+        self.shards.len() == 1 && !self.shards[0].observed
+    }
+
+    /// Simulates a loop run (see [`LoopRun`]): the same statistics,
+    /// cache contents and cold history as its expansion through
+    /// [`ShardedCache::access_batch`], which is what a cache that does
+    /// not [`ShardedCache::takes_runs`] is fed.
+    ///
+    /// A cache that takes runs simulates three kinds of iteration in
+    /// full: the first, every one in which some stream enters a new
+    /// line, and every one whose lines number more than `assoc` in some
+    /// set. It counts every other access as a hit and does nothing
+    /// else for it. That is exact for true LRU. Take a stretch of
+    /// iterations that all touch the same lines, at most `assoc` of
+    /// them per set. After its first iteration each of those lines is
+    /// resident (no set saw enough other lines to evict one), and they
+    /// are the most recently used lines of their sets, ordered by their
+    /// last touch in the iteration. The next iteration touches the same
+    /// lines in the same order, so every access hits and the order it
+    /// leaves is the same: the state and the cold history are
+    /// unchanged. By induction, so is every later iteration of the
+    /// stretch.
+    pub fn access_run(&mut self, run: LoopRun<'_>) {
+        if self.takes_runs() {
+            self.shards[0].run_loop(run);
+        } else {
+            run.expand(RUN_CHUNK, |batch| self.access_batch(batch));
         }
     }
 

@@ -452,6 +452,10 @@ fn is_prefix_consistent(chain: &[LoopId], ranking: &[LoopId]) -> bool {
     positions.len() == chain.len() && positions.windows(2).all(|w| w[0] <= w[1])
 }
 
+/// What [`build_legal_permutation`] returns: `(perm, reversed)`, or the
+/// `(level, witness vector)` at which no loop could be placed.
+type LegalPermutation = Result<(Vec<usize>, Vec<usize>), (usize, Option<usize>)>;
+
 /// Greedy outermost-first legal permutation: at each position, place the
 /// highest-preference remaining loop whose column cannot make any
 /// still-unsatisfied dependence vector negative; optionally reverse a loop
@@ -464,7 +468,7 @@ fn build_legal_permutation(
     vectors: &[DepVector],
     pref: &[usize],
     allow_reversal: bool,
-) -> Result<(Vec<usize>, Vec<usize>), (usize, Option<usize>)> {
+) -> LegalPermutation {
     let n = pref.len();
     let mut remaining: Vec<usize> = pref.to_vec();
     let mut satisfied = vec![false; vectors.len()];

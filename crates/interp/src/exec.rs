@@ -3,7 +3,7 @@
 
 use crate::lower::{lower, Bound, Innermost, Lowered, LoweredLoop, LoweredNode, Op};
 use crate::machine::{Layout, Machine, ELEMENT_BYTES};
-use crate::sink::{pack_access, TraceSink, BATCH_LEN};
+use crate::sink::{pack_access, LoopRun, Stream, TraceSink, BATCH_LEN};
 use cmt_ir::program::Program;
 use std::fmt;
 
@@ -81,6 +81,8 @@ struct Exec<'r, const VALUES: bool> {
     /// element index and its per-iteration increment.
     cur: Vec<i64>,
     delta: Vec<i64>,
+    /// A proven innermost loop's streams, when the sink takes runs.
+    streams: Vec<Stream>,
     /// Value stack for the postfix ops; unused when `!VALUES`.
     stack: Vec<f64>,
 }
@@ -153,6 +155,7 @@ fn execute<const VALUES: bool>(
         slots: vec![0; code.slots],
         cur: vec![0; code.refs.len()],
         delta: vec![0; code.refs.len()],
+        streams: Vec::new(),
         stack: vec![0.0; code.stack],
         code: &code,
     };
@@ -250,10 +253,12 @@ impl<const VALUES: bool> Exec<'_, VALUES> {
     /// bounds checks, and each reference's linear index strength-reduced
     /// to one add per iteration.
     ///
-    /// Without values, the iterations that fall wholly inside a span the
-    /// sink drops unseen are skipped: the indices jump over them and the
-    /// sink meters them. A partial iteration at either end of the span
-    /// still steps, so the sink sees every access it keeps.
+    /// Without values, a sink that takes runs is handed the whole loop
+    /// as one [`LoopRun`], after the buffered accesses that precede it.
+    /// For any other sink, the iterations that fall wholly inside a span
+    /// the sink drops unseen are skipped: the indices jump over them and
+    /// the sink meters them. A partial iteration at either end of the
+    /// span still steps, so the sink sees every access it keeps.
     fn run_proven(&mut self, inner: &Innermost, slot: usize, first: i64, step: i64, trip: u64) {
         let code = self.code;
         self.slots[slot] = first;
@@ -263,6 +268,35 @@ impl<const VALUES: bool> Exec<'_, VALUES> {
             self.delta[k] = linear.coeff(slot) * step;
         }
         let ops = &code.ops[inner.ops.clone()];
+        if !VALUES && self.sink.takes_runs() {
+            self.flush();
+            self.streams.clear();
+            for op in ops {
+                if let Op::Load(r) | Op::Store(r) = *op {
+                    self.streams.push(Stream {
+                        start: code.refs[r].base + self.cur[r] as u64 * ELEMENT_BYTES,
+                        stride: self.delta[r] * ELEMENT_BYTES as i64,
+                        write: matches!(op, Op::Store(_)),
+                    });
+                }
+            }
+            self.sink.access_run(LoopRun {
+                streams: &self.streams,
+                iters: trip,
+            });
+            self.advance(inner, slot, step, trip);
+        } else {
+            self.step_proven(inner, slot, step, trip);
+        }
+        self.summary.loads += trip * inner.loads;
+        self.summary.stores += trip * inner.stmts;
+        self.summary.stmt_executions += trip * inner.stmts;
+    }
+
+    /// Steps `trip` iterations of a proven innermost loop whose indices
+    /// [`Exec::run_proven`] has set up, skipping what the sink drops.
+    fn step_proven(&mut self, inner: &Innermost, slot: usize, step: i64, trip: u64) {
+        let ops = &self.code.ops[inner.ops.clone()];
         let per_iter = inner.loads + inner.stmts;
         let mut left = trip;
         while left > 0 {
@@ -290,9 +324,6 @@ impl<const VALUES: bool> Exec<'_, VALUES> {
             }
             left -= steps;
         }
-        self.summary.loads += trip * inner.loads;
-        self.summary.stores += trip * inner.stmts;
-        self.summary.stmt_executions += trip * inner.stmts;
     }
 
     /// Moves a proven innermost loop `iters` iterations on.

@@ -44,7 +44,9 @@
 //! part of the stream unseen ([`SampledSink`]) says so through
 //! [`TraceSink::dropped_span`], and the whole iterations of a proven
 //! innermost loop that fall in such a span are metered through
-//! [`TraceSink::skip`] instead of being produced.
+//! [`TraceSink::skip`] instead of being produced. A sink that takes
+//! loop runs ([`TraceSink::takes_runs`]) is handed each proven
+//! innermost loop whole, as one [`LoopRun`] of affine address streams.
 //!
 //! # Example
 //!
@@ -86,7 +88,7 @@ pub mod verify;
 pub use exec::{ExecError, ExecSummary};
 pub use machine::{Layout, Machine};
 pub use sink::{
-    pack_access, unpack_access, CacheSink, CountingSink, MeteredSink, NullSink, RecordingSink,
-    SampledSink, TraceSink, TracedSink, BATCH_LEN, WRITE_BIT,
+    pack_access, unpack_access, CacheSink, CountingSink, LoopRun, MeteredSink, NullSink,
+    RecordingSink, SampledSink, Stream, TraceSink, TracedSink, BATCH_LEN, WRITE_BIT,
 };
 pub use verify::{assert_equivalent, equivalent, EquivalenceReport};

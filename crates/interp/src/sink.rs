@@ -13,11 +13,25 @@
 //! executor skips those accesses rather than producing them. Every
 //! other sink keeps the default, which drops nothing and is never
 //! skipped.
+//!
+//! A sink that can do better with a whole loop than with its accesses
+//! opts in through [`TraceSink::takes_runs`]: the address-only executor
+//! then hands it each bounds-proven innermost loop as one [`LoopRun`]
+//! through [`TraceSink::access_run`], after flushing what it buffered
+//! before the loop. A one-shard cache without regions or snapshots
+//! opts in ([`ShardedCache::takes_runs`]) and simulates only the
+//! iterations in which some stream enters a new line; [`MeteredSink`]
+//! and [`CacheSink`] forward the choice and the runs. Every other sink
+//! keeps the default, is never handed a run, and sees exactly the
+//! batches it would without runs. The default [`TraceSink::access_run`]
+//! expands the run into batches, and is the oracle overrides are
+//! tested against.
 
 use cmt_cache::ShardedCache;
 use cmt_obs::{MetricsRegistry, TraceArg, TraceTrack};
 
 pub use cmt_cache::fast::{pack_access, unpack_access, WRITE_BIT};
+pub use cmt_cache::run::{LoopRun, Stream};
 
 /// Number of packed accesses the interpreter buffers between flushes
 /// (32 KB per buffer — comfortably L1-resident).
@@ -58,6 +72,24 @@ pub trait TraceSink {
     /// sink that announces dropped spans is ever skipped.
     fn skip(&mut self, loads: u64, stores: u64) {
         debug_assert_eq!(loads + stores, 0, "skipped a sink that drops nothing");
+    }
+
+    /// Whether this sink takes a bounds-proven innermost loop whole,
+    /// through [`TraceSink::access_run`]. The default, `false`, means a
+    /// producer never hands it a run: it sees every access through
+    /// [`TraceSink::access_batch`].
+    fn takes_runs(&self) -> bool {
+        false
+    }
+
+    /// The whole of a loop's accesses, as its streams and an iteration
+    /// count (see [`LoopRun`]): the next [`LoopRun::accesses`] accesses
+    /// of the stream. Only a sink that [`TraceSink::takes_runs`] is
+    /// handed one. The default expands the run into
+    /// [`TraceSink::access_batch`] calls of at most [`BATCH_LEN`]
+    /// accesses, so the expansion is what any override must match.
+    fn access_run(&mut self, run: LoopRun<'_>) {
+        run.expand(BATCH_LEN, |batch| self.access_batch(batch));
     }
 }
 
@@ -103,6 +135,14 @@ impl TraceSink for ShardedCache {
 
     fn access_batch(&mut self, batch: &[u64]) {
         ShardedCache::access_batch(self, batch);
+    }
+
+    fn takes_runs(&self) -> bool {
+        ShardedCache::takes_runs(self)
+    }
+
+    fn access_run(&mut self, run: LoopRun<'_>) {
+        ShardedCache::access_run(self, run);
     }
 }
 
@@ -163,6 +203,16 @@ impl<S: TraceSink> TraceSink for MeteredSink<S> {
         self.stores += stores;
         self.loads += batch.len() as u64 - stores;
         self.inner.access_batch(batch);
+    }
+
+    fn takes_runs(&self) -> bool {
+        self.inner.takes_runs()
+    }
+
+    fn access_run(&mut self, run: LoopRun<'_>) {
+        self.loads += run.loads();
+        self.stores += run.stores();
+        self.inner.access_run(run);
     }
 }
 
@@ -392,6 +442,14 @@ impl<S: TraceSink> TraceSink for CacheSink<'_, S> {
     fn access_batch(&mut self, batch: &[u64]) {
         self.0.access_batch(batch);
     }
+
+    fn takes_runs(&self) -> bool {
+        self.0.takes_runs()
+    }
+
+    fn access_run(&mut self, run: LoopRun<'_>) {
+        self.0.access_run(run);
+    }
 }
 
 /// Records the full trace in memory — for tests, debugging, and feeding
@@ -557,6 +615,39 @@ mod tests {
         per_access.inner.export_metrics(&mut ra, "cache");
         batched.inner.export_metrics(&mut rb, "cache");
         assert_eq!(ra.to_json(), rb.to_json(), "metrics must match exactly");
+    }
+
+    #[test]
+    fn wrappers_forward_runs_and_meter_them_like_the_expansion() {
+        let streams = [
+            Stream {
+                start: 4096,
+                stride: 8,
+                write: false,
+            },
+            Stream {
+                start: 1 << 20,
+                stride: -24,
+                write: true,
+            },
+        ];
+        let run = LoopRun {
+            streams: &streams,
+            iters: 300,
+        };
+        let cache = || ShardedCache::with_shards(CacheConfig::i860(), 1);
+        let mut fed = MeteredSink::new(cache());
+        let mut runs = MeteredSink::new(cache());
+        let mut borrowed = cache();
+        assert!(runs.takes_runs() && CacheSink(&mut borrowed).takes_runs());
+        assert!(!MeteredSink::new(CountingSink::default()).takes_runs());
+        run.expand(BATCH_LEN, |batch| fed.access_batch(batch));
+        runs.access_run(run);
+        CacheSink(&mut borrowed).access_run(run);
+        assert_eq!((runs.loads, runs.stores), (300, 300));
+        assert_eq!((runs.loads, runs.stores), (fed.loads, fed.stores));
+        assert_eq!(runs.inner.stats(), fed.inner.stats());
+        assert_eq!(borrowed.stats(), fed.inner.stats());
     }
 
     #[test]

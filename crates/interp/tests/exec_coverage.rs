@@ -649,3 +649,51 @@ fn fast_forward_does_not_skip_a_sink_wrapping_the_sampler() {
     assert_eq!(wrapped.accesses(), 12_000);
     assert_eq!(Sampled::new(result, wrapped.inner.inner), want);
 }
+
+// ---------------------------------------------------------------------
+// Loop runs: `Layout::trace` handing proven innermost loops whole to a
+// sink that takes runs. `check` compares their expansion with the full
+// trace and the paper caches' statistics with and without runs; these
+// cases also make sure a run was handed over.
+// ---------------------------------------------------------------------
+
+/// Runs handed to the paper caches when `p` is traced at `params`.
+fn runs_handed(p: &Program, params: &[i64]) -> usize {
+    let m = Machine::new(p, params).unwrap();
+    tree_walker::cached(p, &m, true).2
+}
+
+#[test]
+fn a_loop_run_follows_the_accesses_buffered_before_it() {
+    // DO I = 1, N { X(I) = Y(I); DO J = 1, N { A(J,I) = B(J,I) } }: the
+    // outer statement is checked and buffered, then the inner loop runs.
+    let mut b = ProgramBuilder::new("buffered");
+    let n = b.param("N");
+    let x = b.array("X", vec![n.into()]);
+    let y = b.array("Y", vec![n.into()]);
+    let a = b.matrix("A", n);
+    let bb = b.matrix("B", n);
+    b.loop_("I", 1, n, |b| {
+        let i = b.var("I");
+        let lhs = b.at(x, [i]);
+        b.assign(lhs, Expr::load(b.at(y, [i])));
+        b.loop_("J", 1, n, |b| {
+            let j = b.var("J");
+            let lhs = b.at(a, [j, i]);
+            b.assign(lhs, Expr::load(b.at(bb, [j, i])));
+        });
+    });
+    let p = b.finish();
+    let out = check(&p, &[40]);
+    assert_eq!(out.result.unwrap().stores, 40 + 40 * 40);
+    assert_eq!(runs_handed(&p, &[40]), 40);
+}
+
+#[test]
+fn a_checked_loop_fails_after_a_run() {
+    let p = three_access(true);
+    let out = check(&p, &[300]);
+    assert_eq!(out.result, Err(oob("A", vec![301], vec![300])));
+    assert_eq!(out.trace.len(), 900 + 299);
+    assert_eq!(runs_handed(&p, &[300]), 1, "only the first nest is proven");
+}

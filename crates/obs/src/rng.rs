@@ -132,7 +132,8 @@ mod tests {
         let hits = (0..10_000).filter(|_| r.gen_bool(0.3)).count();
         assert!((2500..3500).contains(&hits), "got {hits}");
         assert!(!r.gen_bool(0.0));
-        assert!(r.gen_bool(1.0) || true); // p=1.0 is near-certain, not guaranteed by <
+        // `next_f64` never exceeds 1 − 2⁻⁵³, so p = 1.0 always holds.
+        assert!(r.gen_bool(1.0));
     }
 
     #[test]

@@ -115,13 +115,13 @@ impl DiffVerifier {
             match check_permutation(before, after, nest_index, reversed) {
                 Ok(None) => {}
                 Ok(Some(detail)) => {
-                    self.diverge(pass, nest_index, &label, Vec::new(), before, after, {
+                    self.diverge(pass, nest_index, Vec::new(), before, after, {
                         DivergenceKind::IllegalPermutation { detail }
                     });
                     return;
                 }
                 Err(e) => {
-                    self.diverge(pass, nest_index, &label, Vec::new(), before, after, {
+                    self.diverge(pass, nest_index, Vec::new(), before, after, {
                         DivergenceKind::IllegalPermutation {
                             detail: format!("malformed provenance step: {e}"),
                         }
@@ -137,7 +137,7 @@ impl DiffVerifier {
             let orig = match fingerprint(before, &params) {
                 Ok(f) => f,
                 Err(message) => {
-                    self.diverge(pass, nest_index, &label, params, before, after, {
+                    self.diverge(pass, nest_index, params, before, after, {
                         DivergenceKind::ExecError {
                             which: "original",
                             message,
@@ -149,7 +149,7 @@ impl DiffVerifier {
             let transformed = match fingerprint(after, &params) {
                 Ok(f) => f,
                 Err(message) => {
-                    self.diverge(pass, nest_index, &label, params, before, after, {
+                    self.diverge(pass, nest_index, params, before, after, {
                         DivergenceKind::ExecError {
                             which: "transformed",
                             message,
@@ -159,7 +159,7 @@ impl DiffVerifier {
                 }
             };
             if let Some(kind) = compare(before, &orig, &transformed) {
-                self.diverge(pass, nest_index, &label, params, before, after, kind);
+                self.diverge(pass, nest_index, params, before, after, kind);
                 return;
             }
         }
@@ -175,15 +175,18 @@ impl DiffVerifier {
         &mut self,
         pass: &'static str,
         nest_index: usize,
-        label: &str,
         param_values: Vec<i64>,
         before: &Program,
         after: &Program,
         kind: DivergenceKind,
     ) {
         self.remarks.push(
-            Remark::new("verify", label.to_string(), RemarkKind::Diverged)
-                .reason(format!("{pass} step diverged: {kind}")),
+            Remark::new(
+                "verify",
+                format!("{}/nest{}", before.name(), nest_index),
+                RemarkKind::Diverged,
+            )
+            .reason(format!("{pass} step diverged: {kind}")),
         );
         self.report.divergences.push(Divergence {
             pass,

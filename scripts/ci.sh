@@ -162,6 +162,9 @@ grep -q '## Decisions' "$SMOKE_DIR/explain_corpus.report.md" \
 # move any of them.
 cargo run --release -q -p cmt-bench --bin obs_diff -- results/baseline "$SMOKE_DIR" explain_corpus
 
+echo ">>> clippy (every package and target, warnings are errors)"
+cargo clippy -q --workspace --all-targets -- -D warnings
+
 echo ">>> clippy unwrap gate (bench + resilience + serve failure paths stay panic-free)"
 cargo clippy -q --no-deps -p cmt-bench -p cmt-resilience -p cmt-serve -- -D clippy::unwrap_used
 

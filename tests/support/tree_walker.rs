@@ -9,7 +9,10 @@
 //! `ExecSummary`, the same final array bits and the same `ExecError`,
 //! with the same trace prefix and array contents when one occurs.
 //! `Layout::trace` must give the same trace, batches, summary and error
-//! without computing any array.
+//! without computing any array. Traced into a sink that takes loop runs
+//! and expands them through the default `TraceSink::access_run`, it
+//! must give the same trace again; traced into the two paper caches, it
+//! must leave the same statistics whether they take runs or not.
 //!
 //! It lays memory out with `Machine::new` (bases and extents) and keeps
 //! its own copy of the data. Shared by the root differential tests and
@@ -17,7 +20,8 @@
 
 #![allow(dead_code)]
 
-use cmt_interp::{pack_access, ExecError, ExecSummary, Machine, TraceSink, BATCH_LEN};
+use cmt_cache::{CacheConfig, CacheStats, ShardedCache};
+use cmt_interp::{pack_access, ExecError, ExecSummary, LoopRun, Machine, TraceSink, BATCH_LEN};
 use cmt_ir::affine::Env;
 use cmt_ir::expr::Expr;
 use cmt_ir::ids::{ArrayId, ParamId};
@@ -110,6 +114,82 @@ pub fn traced(program: &Program, machine: &Machine) -> Outcome {
     }
 }
 
+/// Records every packed access; takes loop runs and expands them
+/// through the default `TraceSink::access_run`.
+#[derive(Default)]
+struct Expanding(Vec<u64>);
+
+impl TraceSink for Expanding {
+    fn access(&mut self, addr: u64, is_write: bool) {
+        self.0.push(pack_access(addr, is_write));
+    }
+    fn access_batch(&mut self, batch: &[u64]) {
+        self.0.extend_from_slice(batch);
+    }
+    fn takes_runs(&self) -> bool {
+        true
+    }
+}
+
+/// Runs `program` with `Layout::trace` into a sink that takes loop
+/// runs and expands them; `batches` and `arrays` are left empty.
+pub fn expanded(program: &Program, machine: &Machine) -> Outcome {
+    let mut sink = Expanding::default();
+    let result = machine.layout().trace(program, &mut sink);
+    Outcome {
+        result,
+        trace: sink.0,
+        batches: Vec::new(),
+        arrays: Vec::new(),
+    }
+}
+
+/// Both paper caches, one shard each, taking loop runs or not.
+struct PaperCaches {
+    caches: [ShardedCache; 2],
+    take_runs: bool,
+    runs: usize,
+}
+
+impl TraceSink for PaperCaches {
+    fn access(&mut self, addr: u64, is_write: bool) {
+        self.access_batch(&[pack_access(addr, is_write)]);
+    }
+    fn access_batch(&mut self, batch: &[u64]) {
+        for c in &mut self.caches {
+            c.access_batch(batch);
+        }
+    }
+    fn takes_runs(&self) -> bool {
+        self.take_runs
+    }
+    fn access_run(&mut self, run: LoopRun<'_>) {
+        self.runs += 1;
+        for c in &mut self.caches {
+            c.access_run(run);
+        }
+    }
+}
+
+/// Runs `program` with `Layout::trace` into both paper caches, taking
+/// loop runs when `take_runs` is set: the result, each cache's
+/// statistics and the number of runs handed over.
+pub fn cached(
+    program: &Program,
+    machine: &Machine,
+    take_runs: bool,
+) -> (Result<ExecSummary, ExecError>, [CacheStats; 2], usize) {
+    let mut sink = PaperCaches {
+        caches: [CacheConfig::rs6000(), CacheConfig::i860()]
+            .map(|cfg| ShardedCache::with_shards(cfg, 1)),
+        take_runs,
+        runs: 0,
+    };
+    let result = machine.layout().trace(program, &mut sink);
+    let [mut c1, mut c2] = sink.caches;
+    (result, [c1.stats(), c2.stats()], sink.runs)
+}
+
 /// Runs `program` with `Machine::run` on a clone of `machine`.
 pub fn lowered(program: &Program, machine: &Machine) -> Outcome {
     let mut m = machine.clone();
@@ -131,8 +211,10 @@ pub fn lowered(program: &Program, machine: &Machine) -> Outcome {
 }
 
 /// Asserts that `Machine::run` and the tree walker agree on `program`
-/// from `machine`'s state, and that `Layout::trace` gives the same
-/// result, trace and batches; returns the (shared) outcome.
+/// from `machine`'s state, that `Layout::trace` gives the same result,
+/// trace and batches, that its loop runs expand to the same trace and
+/// leave the paper caches as the plain trace does; returns the (shared)
+/// outcome.
 pub fn assert_same(label: &str, program: &Program, machine: &Machine) -> Outcome {
     let want = tree_walk(program, machine);
     let got = lowered(program, machine);
@@ -140,6 +222,14 @@ pub fn assert_same(label: &str, program: &Program, machine: &Machine) -> Outcome
     assert_eq!(addresses.result, got.result, "{label}: trace result");
     assert!(addresses.trace == got.trace, "{label}: trace-only accesses");
     assert_eq!(addresses.batches, got.batches, "{label}: trace batches");
+    let runs = expanded(program, machine);
+    assert_eq!(runs.result, got.result, "{label}: expanded-run result");
+    assert!(runs.trace == got.trace, "{label}: expanded-run accesses");
+    let (result, with_runs, _) = cached(program, machine, true);
+    assert_eq!(result, got.result, "{label}: cached-run result");
+    let (result, without_runs, _) = cached(program, machine, false);
+    assert_eq!(result, got.result, "{label}: cached result");
+    assert_eq!(with_runs, without_runs, "{label}: cache stats with runs");
     assert_eq!(got.result, want.result, "{label}: result");
     assert_eq!(got.trace.len(), want.trace.len(), "{label}: trace length");
     if let Some(k) = (0..got.trace.len()).find(|&k| got.trace[k] != want.trace[k]) {
