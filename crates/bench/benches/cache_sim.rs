@@ -32,10 +32,11 @@
 //!   the oracle against a committed baseline JSON and exit non-zero when
 //!   it falls below `CMT_BENCH_GATE_FRAC` (default 0.7) of it.
 //!
-//! Reproduce the committed baseline with:
+//! Reproduce the committed baseline (one shard; without `CMT_SHARDS=1`
+//! a multi-core host times the multi-shard path instead) with:
 //!
 //! ```text
-//! cargo bench -p cmt-bench --bench cache_sim
+//! CMT_SHARDS=1 cargo bench -p cmt-bench --bench cache_sim
 //! ```
 
 use cmt_bench::timing::human_ns;
@@ -48,14 +49,30 @@ fn quick() -> bool {
     std::env::var("CMT_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty())
 }
 
-/// Byte span `[0, span)` a stream's addresses fall in — the "arena" the
-/// engine reserves for dense cold-line tracking, mirroring what the
-/// bench runner does for real program arenas.
-fn stream_span(kind: &str) -> u64 {
+/// Streams: a unit-stride sweep, a 4 KB stride that piles onto few
+/// sets, uniform random lines, and a column walk whose misses rotate
+/// over three arrays — what a stencil or matrix loop does to its
+/// operands.
+const KINDS: [&str; 4] = ["sequential", "strided_4k", "lcg_random", "rotating_3"];
+
+/// Bytes in each of `rotating_3`'s arrays.
+const ROTATING_ARRAY: u64 = 1 << 22;
+
+/// Where `rotating_3`'s array `k` starts: one after another with a
+/// 2 KB guard gap, as `cmt_interp::Layout` places a program's arrays.
+fn rotating_base(k: u64) -> u64 {
+    k * (ROTATING_ARRAY + 2048)
+}
+
+/// The byte ranges `(start, len)` a stream's addresses fall in — the
+/// arenas the engine reserves for dense cold-line tracking, one per
+/// array, as the bench runner does for a real program.
+fn stream_regions(kind: &str) -> Vec<(u64, u64)> {
     match kind {
-        "sequential" => 1 << 22,
-        "strided_4k" => 1 << 26,
-        "lcg_random" => 1 << 24,
+        "sequential" => vec![(0, 1 << 22)],
+        "strided_4k" => vec![(0, 1 << 26)],
+        "lcg_random" => vec![(0, 1 << 24)],
+        "rotating_3" => (0..3).map(|k| (rotating_base(k), ROTATING_ARRAY)).collect(),
         _ => unreachable!("unknown stream kind"),
     }
 }
@@ -72,6 +89,9 @@ fn stream(kind: &str, accesses: u64) -> Vec<u64> {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
                 x % (1 << 24)
             }
+            // A 520-byte stride crosses a line on every access, in the
+            // three arrays in turn.
+            "rotating_3" => rotating_base(k % 3) + k / 3 * 520 % ROTATING_ARRAY,
             _ => unreachable!("unknown stream kind"),
         };
         out.push(pack_access(addr, k % 4 == 0));
@@ -79,9 +99,15 @@ fn stream(kind: &str, accesses: u64) -> Vec<u64> {
     out
 }
 
+fn reserve(c: &mut ShardedCache, kind: &str) {
+    for (start, len) in stream_regions(kind) {
+        c.reserve_region(start, len);
+    }
+}
+
 /// Feeds `trace` to the oracle and to the engine at one and four
 /// shards; returns their stats for the equivalence gate. The engines
-/// get the stream span reserved (the oracle has no such notion), so the
+/// get the stream's arrays reserved (the oracle has no such notion), so the
 /// gate also proves reservation never changes the counts — and the two
 /// shard counts prove the partition pass doesn't either.
 fn run_all_engines(cfg: CacheConfig, kind: &str, trace: &[u64]) -> [cmt_cache::CacheStats; 3] {
@@ -89,7 +115,7 @@ fn run_all_engines(cfg: CacheConfig, kind: &str, trace: &[u64]) -> [cmt_cache::C
     let mut sharded1 = ShardedCache::with_shards(cfg, 1);
     let mut sharded4 = ShardedCache::with_shards(cfg, 4);
     for c in [&mut sharded1, &mut sharded4] {
-        c.reserve_region(0, stream_span(kind));
+        reserve(c, kind);
     }
     for &p in trace {
         let (a, w) = cmt_cache::unpack_access(p);
@@ -136,7 +162,7 @@ fn main() {
 
     // ---- Equivalence gate: run before any timing, fail hard. --------
     let mut mismatches = 0;
-    for kind in ["sequential", "strided_4k", "lcg_random"] {
+    for kind in KINDS {
         let trace = stream(kind, accesses.min(300_000));
         for cfg in [
             CacheConfig::rs6000(),
@@ -166,10 +192,9 @@ fn main() {
         ("i860", CacheConfig::i860()),
         ("decstation", CacheConfig::decstation()),
     ] {
-        for kind in ["sequential", "strided_4k", "lcg_random"] {
+        for kind in KINDS {
             let trace = stream(kind, accesses);
             let name = format!("{kind}/{label}");
-            let span = stream_span(kind);
             let shards = default_shard_count(&cfg);
             let (legacy_ns, sharded_ns) = bench_interleaved(
                 iters.max(8),
@@ -183,7 +208,7 @@ fn main() {
                 },
                 || {
                     let mut c = ShardedCache::with_shards(cfg, shards);
-                    c.reserve_region(0, span);
+                    reserve(&mut c, kind);
                     for chunk in trace.chunks(4096) {
                         c.access_batch(chunk);
                     }

@@ -18,6 +18,9 @@ impl TraceSink for Sink<'_> {
 fn run(p: &Program, n: i64) -> (f64, f64, u64) {
     let mut h = Hierarchy::rs6000_with_l2();
     let layout = Layout::new(p, &[n]).expect("allocation");
+    for (_, start, bytes) in layout.regions(p) {
+        h.reserve_region(start, bytes);
+    }
     layout.trace(p, &mut Sink(&mut h)).expect("execution");
     (
         h.l1_stats().hit_rate_excluding_cold(),

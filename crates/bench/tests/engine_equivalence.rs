@@ -1,7 +1,7 @@
 //! End-to-end equivalence of the set-sharded engine against the
 //! seed-shaped scalar path, over the full cmt-suite corpus.
 //!
-//! Three properties are pinned here, beyond the per-crate unit tests:
+//! Four properties are pinned here, beyond the per-crate unit tests:
 //!
 //! * whole-trace `CacheStats` from [`LegacyCache`] (the seed's
 //!   `Vec<Vec<_>>` + `HashSet` simulator, one scalar call per access)
@@ -12,6 +12,8 @@
 //! * the observability layer (per-array attribution, interval
 //!   snapshots) of the batched engine matches a scalar reference built
 //!   on the legacy oracle;
+//! * how arrays are reserved for cold-line tracking (one by one, as one
+//!   span, in reverse, or not at all) changes neither of the above;
 //! * rendered table output is byte-identical for any `CMT_JOBS`.
 
 use cmt_bench::par_map;
@@ -226,6 +228,105 @@ fn observed_attribution_identical_scalar_vs_batched() {
                     batched.snapshots(),
                     "{name}: interval snapshots"
                 );
+            }
+        }
+    }
+}
+
+/// A column-order stencil: `J` innermost walks every array across its
+/// columns, so each access touches a new line and consecutive misses
+/// rotate over `A`, `B`, `C` and `D`.
+const ROTATING_STENCIL: &str = "PROGRAM rotate
+PARAM N
+REAL A(N,N), B(N,N), C(N,N), D(N)
+DO I = 2, N-1
+  DO J = 2, N-1
+    A(I,J) = B(I,J-1) + B(I,J+1) + C(I,J) + D(J)
+";
+
+#[test]
+fn reservation_never_changes_stats_or_attribution() {
+    let p = cmt_ir::parse::parse_program(ROTATING_STENCIL).expect("parse");
+    let n = 40;
+    let layout = Layout::new(&p, &[n]).expect("allocation");
+    let regions: Vec<(String, u64, u64)> = layout
+        .regions(&p)
+        .map(|(name, start, bytes)| (name.to_string(), start, bytes))
+        .collect();
+    let (first, last) = (&regions[0], &regions[regions.len() - 1]);
+    let span = (first.1, last.1 + last.2 - first.1);
+    let rec = record(&p, n);
+    for cfg in GEOMETRIES.map(|c| c()) {
+        let reference = legacy_reference(cfg, &regions, &rec.trace, u64::MAX);
+        // The trace is the one this test is for: misses in every array,
+        // and most consecutive misses in different arrays.
+        assert!(reference.per_array.iter().all(|(_, s)| s.misses > 0));
+        let mut legacy = LegacyCache::new(cfg);
+        let (mut switches, mut misses, mut prev) = (0, 0, usize::MAX);
+        for &(a, w) in &rec.trace {
+            if !legacy.access(a, w) {
+                let array = regions.partition_point(|r| r.1 <= a) - 1;
+                switches += usize::from(array != prev);
+                misses += 1;
+                prev = array;
+            }
+        }
+        assert!(
+            2 * switches > misses,
+            "{cfg}: {switches} of {misses} misses switch arrays"
+        );
+        for shards in [1usize, 4] {
+            let name = format!("{cfg}/{shards} shards");
+            // Reservation only: whole-trace stats, through loop runs on
+            // one shard.
+            let reserve = |reservations: &[(u64, u64)]| {
+                let mut c = ShardedCache::with_shards(cfg, shards);
+                for &(start, bytes) in reservations {
+                    c.reserve_region(start, bytes);
+                }
+                layout.trace(&p, &mut c).expect("execution");
+                c.stats()
+            };
+            let per_array: Vec<(u64, u64)> = regions.iter().map(|r| (r.1, r.2)).collect();
+            let reversed: Vec<(u64, u64)> = per_array.iter().rev().copied().collect();
+            for (setup, reservations) in [
+                ("per-array", &per_array[..]),
+                ("spanning", &[span][..]),
+                ("reversed", &reversed[..]),
+                ("none", &[][..]),
+            ] {
+                assert_eq!(
+                    reserve(reservations),
+                    reference.stats,
+                    "{name}: {setup} stats"
+                );
+            }
+            // Attribution registers (and so reserves) every array; vary
+            // what was reserved before and the order of registration.
+            // The legacy reference, which reserves nothing, stands for
+            // the fourth setup.
+            let attribute = |reserved: &[(u64, u64)], order: &[&(String, u64, u64)]| {
+                let mut c = ShardedCache::with_shards(cfg, shards);
+                for &(start, bytes) in reserved {
+                    c.reserve_region(start, bytes);
+                }
+                for (array, start, bytes) in order {
+                    c.register_region(array.as_str(), *start, *bytes);
+                }
+                layout.trace(&p, &mut c).expect("execution");
+                (c.stats(), c.per_array(), c.unattributed())
+            };
+            let in_order: Vec<_> = regions.iter().collect();
+            let in_reverse: Vec<_> = regions.iter().rev().collect();
+            for (setup, reserved, order) in [
+                ("per-array", &[][..], &in_order),
+                ("spanning", &[span][..], &in_order),
+                ("reversed", &[][..], &in_reverse),
+            ] {
+                let (stats, arrays, rest) = attribute(reserved, order);
+                assert_eq!(stats, reference.stats, "{name}: {setup} observed stats");
+                assert_eq!(arrays, reference.per_array, "{name}: {setup} per_array");
+                assert_eq!(rest, reference.unattributed, "{name}: {setup} unattributed");
             }
         }
     }

@@ -64,6 +64,14 @@ impl Hierarchy {
         Hierarchy::new(CacheConfig::rs6000(), CacheConfig::new(1024 * 1024, 1, 128))
     }
 
+    /// Reserves a contiguous byte range (an array arena) for dense
+    /// cold-miss tracking at both levels (see
+    /// [`ShardedCache::reserve_region`]); statistics never depend on it.
+    pub fn reserve_region(&mut self, start: u64, len: u64) {
+        self.l1.reserve_region(start, len);
+        self.l2.reserve_region(start, len);
+    }
+
     /// Simulates one access; returns the level that hit (1, 2) or 3 for
     /// memory.
     pub fn access(&mut self, addr: u64, is_write: bool) -> u8 {
@@ -133,6 +141,20 @@ mod tests {
         h.access(8, false); // L1 hit: 1
         let lat = HierarchyLatency::default();
         assert_eq!(h.cycles(&lat), 62);
+    }
+
+    #[test]
+    fn reservation_never_changes_stats() {
+        let mut plain = tiny();
+        let mut reserved = tiny();
+        reserved.reserve_region(0, 96);
+        reserved.reserve_region(160, 64);
+        for k in 0..200u64 {
+            let a = k * 48 % 320;
+            assert_eq!(plain.access(a, false), reserved.access(a, false));
+        }
+        assert_eq!(plain.l1_stats(), reserved.l1_stats());
+        assert_eq!(plain.l2_stats(), reserved.l2_stats());
     }
 
     #[test]

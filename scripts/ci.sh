@@ -91,6 +91,20 @@ done
 CMT_OBS_DIR="$SMOKE_DIR" cargo run --release -q -p cmt-bench --bin table4_hit_rates 96 > /dev/null
 cargo run --release -q -p cmt-bench --bin obs_diff -- results/baseline "$SMOKE_DIR" table4_hit_rates
 
+echo ">>> table gate (committed results/*.txt reproduce byte for byte)"
+# The printed tables are the paper's numbers: a simulation or optimizer
+# change must leave them unchanged. Each binary's stdout, minus its
+# "[obs]" artifact-path lines, must equal the committed text (~5 s).
+TABLE_DIR=$(mktemp -d)
+for run in table4_hit_rates table2_memory_order table5_access_properties \
+  fig8_9_histograms ablation_table "ext_multilevel_tiling 160"; do
+  set -- $run
+  CMT_OBS_DIR="$TABLE_DIR" "target/release/$1" "${@:2}" | grep -v '^\[obs\]' > "$TABLE_DIR/$1.txt"
+  cmp "$TABLE_DIR/$1.txt" "results/$1.txt" \
+    || { echo "table differs from results/$1.txt: $run" >&2; diff "$TABLE_DIR/$1.txt" "results/$1.txt" | head -20 >&2; exit 1; }
+done
+rm -rf "$TABLE_DIR"
+
 echo ">>> profiling smoke (sampled sweep, escalation, agreement + cost gates)"
 # Sampled cache-simulation profiling over the first 32 verify-corpus
 # seeds plus the paper kernels (n=64, every-16th-window policy), with
