@@ -17,7 +17,7 @@
 //!   oracle that lets the compound driver rank permutations by predicted
 //!   misses (`cmt-explain` compares it with the paper's ranking).
 //!
-//! Accuracy against the sharded simulator is measured continuously: see
+//! Accuracy against the cache simulator is measured continuously: see
 //! `docs/ANALYTIC_MODEL.md` and the committed `BENCH_analytic.json`.
 //!
 //! # Example

@@ -4,24 +4,21 @@
 //! * `legacy_scalar` — the seed `Vec<Vec<u64>>` + `HashSet` simulator
 //!   ([`LegacyCache`]), one call per access: the baseline the engine is
 //!   measured against;
-//! * `sharded` — the set-sharded engine ([`ShardedCache`]) fed 4 K-entry
-//!   packed buffers via `access_batch`, the shape the interpreter
-//!   produces: MRU-ordered move-to-front way groups, an adaptive SIMD
-//!   run-collapse front end, and (with more than one shard) per-shard
-//!   sub-traces fanned out on the worker pool.
+//! * `sharded` — the engine ([`ShardedCache`]) fed 4 K-entry packed
+//!   buffers via `access_batch`, the shape the interpreter produces:
+//!   MRU-ordered move-to-front way groups and an adaptive SIMD
+//!   run-collapse front end.
 //!
 //! The two are timed **interleaved** (A, B, A, B … taking each side's
 //! minimum) because their ratio is the headline number and consecutive
 //! one-sided runs pick up scheduler drift on small hosts.
 //!
 //! Plus an end-to-end corpus comparison: Table 4 over the full suite,
-//! sequential (`CMT_JOBS=1`, one shard) vs parallel (restored
-//! `CMT_JOBS`, [`default_shard_count`] shards), asserting byte-identical
-//! output — so the determinism leg also covers shard-count variation.
+//! sequential (`CMT_JOBS=1`) vs parallel (restored `CMT_JOBS`),
+//! asserting byte-identical output.
 //! All cases run an **equivalence check first** — identical `CacheStats`
-//! from the oracle and the engine at one and four shards — and the
-//! process exits non-zero on mismatch, so CI can gate on correctness
-//! without gating on timing.
+//! from the oracle and the engine — and the process exits non-zero on
+//! mismatch, so CI can gate on correctness without gating on timing.
 //!
 //! Environment:
 //!
@@ -32,15 +29,14 @@
 //!   the oracle against a committed baseline JSON and exit non-zero when
 //!   it falls below `CMT_BENCH_GATE_FRAC` (default 0.7) of it.
 //!
-//! Reproduce the committed baseline (one shard; without `CMT_SHARDS=1`
-//! a multi-core host times the multi-shard path instead) with:
+//! Reproduce the committed baseline with:
 //!
 //! ```text
-//! CMT_SHARDS=1 cargo bench -p cmt-bench --bench cache_sim
+//! cargo bench -p cmt-bench --bench cache_sim
 //! ```
 
 use cmt_bench::timing::human_ns;
-use cmt_cache::{default_shard_count, pack_access, CacheConfig, LegacyCache, ShardedCache};
+use cmt_cache::{pack_access, CacheConfig, LegacyCache, ShardedCache};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -105,27 +101,22 @@ fn reserve(c: &mut ShardedCache, kind: &str) {
     }
 }
 
-/// Feeds `trace` to the oracle and to the engine at one and four
-/// shards; returns their stats for the equivalence gate. The engines
-/// get the stream's arrays reserved (the oracle has no such notion), so the
-/// gate also proves reservation never changes the counts — and the two
-/// shard counts prove the partition pass doesn't either.
-fn run_all_engines(cfg: CacheConfig, kind: &str, trace: &[u64]) -> [cmt_cache::CacheStats; 3] {
+/// Feeds `trace` to the oracle and to the engine; returns their stats
+/// for the equivalence gate. The engine gets the stream's arrays
+/// reserved (the oracle has no such notion), so the gate also proves
+/// reservation never changes the counts.
+fn run_both_engines(cfg: CacheConfig, kind: &str, trace: &[u64]) -> [cmt_cache::CacheStats; 2] {
     let mut legacy = LegacyCache::new(cfg);
-    let mut sharded1 = ShardedCache::with_shards(cfg, 1);
-    let mut sharded4 = ShardedCache::with_shards(cfg, 4);
-    for c in [&mut sharded1, &mut sharded4] {
-        reserve(c, kind);
-    }
+    let mut engine = ShardedCache::new(cfg);
+    reserve(&mut engine, kind);
     for &p in trace {
         let (a, w) = cmt_cache::unpack_access(p);
         legacy.access(a, w);
     }
     for chunk in trace.chunks(4096) {
-        sharded1.access_batch(chunk);
-        sharded4.access_batch(chunk);
+        engine.access_batch(chunk);
     }
-    [legacy.stats(), sharded1.stats(), sharded4.stats()]
+    [legacy.stats(), engine.stats()]
 }
 
 /// Times two closures interleaved (A, B, A, B, …), returning each
@@ -169,11 +160,9 @@ fn main() {
             CacheConfig::i860(),
             CacheConfig::decstation(),
         ] {
-            let [l, s1, s4] = run_all_engines(cfg, kind, &trace);
-            if l != s1 || l != s4 {
-                eprintln!(
-                    "EQUIVALENCE MISMATCH {kind}/{cfg}: legacy={l:?} sharded1={s1:?} sharded4={s4:?}"
-                );
+            let [l, e] = run_both_engines(cfg, kind, &trace);
+            if l != e {
+                eprintln!("EQUIVALENCE MISMATCH {kind}/{cfg}: legacy={l:?} engine={e:?}");
                 mismatches += 1;
             }
         }
@@ -182,10 +171,9 @@ fn main() {
         eprintln!("{mismatches} engine equivalence mismatches — failing");
         std::process::exit(1);
     }
-    println!("engine equivalence: OK (legacy == sharded x{{1,4}} on all streams/geometries)");
+    println!("engine equivalence: OK (legacy == engine on all streams/geometries)");
 
     // ---- Hot-loop timing: oracle vs engine per stream/config. --------
-    let shard_count = default_shard_count(&CacheConfig::rs6000());
     let mut cases = Vec::new();
     for (label, cfg) in [
         ("rs6000", CacheConfig::rs6000()),
@@ -195,7 +183,6 @@ fn main() {
         for kind in KINDS {
             let trace = stream(kind, accesses);
             let name = format!("{kind}/{label}");
-            let shards = default_shard_count(&cfg);
             let (legacy_ns, sharded_ns) = bench_interleaved(
                 iters.max(8),
                 || {
@@ -207,7 +194,7 @@ fn main() {
                     black_box(c.stats());
                 },
                 || {
-                    let mut c = ShardedCache::with_shards(cfg, shards);
+                    let mut c = ShardedCache::new(cfg);
                     reserve(&mut c, kind);
                     for chunk in trace.chunks(4096) {
                         c.access_batch(chunk);
@@ -234,9 +221,7 @@ fn main() {
         .map(|c| (c.legacy_ns / c.sharded_ns).ln())
         .sum();
     let sharded_vs_legacy = (logs / cases.len() as f64).exp();
-    println!(
-        "hot-loop geomean speedup (sharded x{shard_count} vs legacy scalar): {sharded_vs_legacy:.2}x"
-    );
+    println!("hot-loop geomean speedup (engine vs legacy scalar): {sharded_vs_legacy:.2}x");
 
     // ---- End-to-end corpus: sequential vs parallel Table 4. ---------
     let corpus_n = if quick { 48 } else { 96 };
@@ -289,7 +274,6 @@ fn main() {
         );
     }
     let _ = writeln!(j, "  }},");
-    let _ = writeln!(j, "  \"shard_count\": {shard_count},");
     let _ = writeln!(
         j,
         "  \"sharded_vs_legacy_geomean\": {sharded_vs_legacy:.2},"

@@ -2,11 +2,6 @@
 
 use std::process::ExitCode;
 
-/// Pinned shard count for the artifact-producing simulation, so the
-/// committed baseline `shard.*` counters don't depend on the host's
-/// core count.
-const SHARDS: usize = 4;
-
 fn main() -> ExitCode {
     let n: i64 = std::env::args()
         .nth(1)
@@ -21,19 +16,14 @@ fn main() -> ExitCode {
     println!("fastest by cycle model: {} (paper: JKI)", best.name);
 
     // Observability artifacts: remarks from optimizing the IJK kernel,
-    // per-pass timings, and an attributed, set-sharded simulation of the
-    // result (`shard.*` counters next to the per-array ones). With
-    // CMT_TRACE set, the same run also records a Chrome Trace (pass and
-    // nest spans on the main track, the simulation with its per-shard
-    // slices and miss-rate counter series on its own track).
+    // per-pass timings, and an attributed simulation of the result.
+    // With CMT_TRACE set, the same run also records a Chrome Trace (pass
+    // and nest spans on the main track, the simulation with its
+    // miss-rate counter series on its own track).
     let program = cmt_suite::kernels::matmul("IJK");
-    if let Err(e) = cmt_bench::emit_observed_pipeline(
-        "fig2_matmul",
-        program,
-        n.min(128),
-        SHARDS,
-        "fig2.matmul_opt",
-    ) {
+    if let Err(e) =
+        cmt_bench::emit_observed_pipeline("fig2_matmul", program, n.min(128), "fig2.matmul_opt")
+    {
         eprintln!("fig2_matmul: {e}");
         return ExitCode::FAILURE;
     }

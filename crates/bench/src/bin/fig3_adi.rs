@@ -20,7 +20,7 @@ fn main() -> ExitCode {
     // (pass spans on the main track, the simulation on its own track).
     let program = cmt_suite::kernels::adi_scalarized();
     if let Err(e) =
-        cmt_bench::emit_observed_pipeline("fig3_adi", program, n.min(128), 1, "fig3.adi_opt")
+        cmt_bench::emit_observed_pipeline("fig3_adi", program, n.min(128), "fig3.adi_opt")
     {
         eprintln!("fig3_adi: {e}");
         return ExitCode::FAILURE;

@@ -18,13 +18,9 @@ fn main() -> ExitCode {
     // records a Chrome Trace (pass spans on the main track, the
     // simulation on its own track).
     let program = cmt_suite::kernels::cholesky_kij();
-    if let Err(e) = cmt_bench::emit_observed_pipeline(
-        "fig7_cholesky",
-        program,
-        n.min(160),
-        1,
-        "fig7.cholesky_opt",
-    ) {
+    if let Err(e) =
+        cmt_bench::emit_observed_pipeline("fig7_cholesky", program, n.min(160), "fig7.cholesky_opt")
+    {
         eprintln!("fig7_cholesky: {e}");
         return ExitCode::FAILURE;
     }

@@ -36,7 +36,7 @@ fn main() -> ExitCode {
                 &model,
             );
             let mut local = traced.inner;
-            let mut sim = cmt_bench::simulate_observed(&p, 64, 1, 10_000, Some(track));
+            let sim = cmt_bench::simulate_observed(&p, 64, 10_000, Some(track));
             sim.export_metrics(&mut local.metrics, &format!("table4.{}", m.spec.name));
             local
         }),
@@ -51,7 +51,7 @@ fn main() -> ExitCode {
                 &mut NullProvenance,
                 &model,
             );
-            let mut sim = cmt_bench::simulate_observed(&p, 64, 1, 10_000, None);
+            let sim = cmt_bench::simulate_observed(&p, 64, 10_000, None);
             sim.export_metrics(&mut local.metrics, &format!("table4.{}", m.spec.name));
             local
         }),

@@ -26,7 +26,7 @@
 //! Determinism: programs run under [`par_map`] with observability
 //! absorbed in item order, simulation is the deterministic full
 //! profiler, and neither document carries wall-clock — both are
-//! byte-identical for any `CMT_JOBS`/`CMT_SHARDS`.
+//! byte-identical for any `CMT_JOBS`.
 
 use crate::runner::{par_map, par_map_traced};
 use cmt_analytic::{nest_reuse, AnalyticCost, MissModel};

@@ -12,10 +12,8 @@ use cmt_locality::NullProvenance;
 use cmt_obs::{MetricsRegistry, ObsSink, SpanTimer, TraceArg, TraceTrack};
 use cmt_suite::BenchmarkModel;
 
-// The deterministic worker pool moved down to `cmt-obs` so the
-// set-sharded cache engine can fan shards out on it; re-exported here
-// so existing `cmt_bench::{par_map, cmt_jobs, …}` callers are
-// unaffected.
+// The deterministic worker pool lives in `cmt-obs`; re-exported here
+// as `cmt_bench::{par_map, cmt_jobs, …}`.
 pub use cmt_obs::pool::{
     cmt_jobs, par_map, par_map_traced, try_par_map, try_par_map_traced, WorkerPanic,
 };
@@ -106,8 +104,7 @@ impl TraceSink for OffsetInto<'_> {
     }
 }
 
-/// The two paper caches as set-sharded engines (honoring `CMT_SHARDS` /
-/// `CMT_JOBS` via [`cmt_cache::default_shard_count`]).
+/// The two paper caches, RS/6000 then i860.
 fn paper_caches() -> [ShardedCache; 2] {
     [
         ShardedCache::new(CacheConfig::rs6000()),
@@ -138,7 +135,7 @@ pub fn simulate_program(program: &Program, n: i64) -> ProgramSim {
     let layout = lay_out(program, n, &mut caches, 0);
     let mut sink = OffsetInto::new(0, &mut caches);
     layout.trace(program, &mut sink).expect("execution");
-    let [mut c1, mut c2] = caches;
+    let [c1, c2] = caches;
     ProgramSim {
         cache1: c1.stats(),
         cache2: c2.stats(),
@@ -166,7 +163,7 @@ impl ObservedSim {
     /// Exports everything under `prefix`: `{prefix}.cache1.*`,
     /// `{prefix}.cache2.*` (see [`ShardedCache::export_metrics`]) and
     /// `{prefix}.interp.{loads,stores,accesses}`.
-    pub fn export_metrics(&mut self, registry: &mut MetricsRegistry, prefix: &str) {
+    pub fn export_metrics(&self, registry: &mut MetricsRegistry, prefix: &str) {
         self.cache1
             .export_metrics(registry, &format!("{prefix}.cache1"));
         self.cache2
@@ -184,18 +181,14 @@ impl ObservedSim {
 /// is registered for per-array attribution, and miss rates are
 /// snapshotted every `interval` accesses (`0` disables snapshots).
 ///
-/// `shards` pins the shard count explicitly: artifact-producing callers
-/// must not inherit it from `CMT_SHARDS`/`CMT_JOBS`, or the exported
-/// `shard.*` counters would depend on the host. Statistics, attribution
-/// and snapshots are identical for every shard count, equal what
-/// [`simulate_program`] reports for the same inputs, and do not depend
-/// on whether `track` is given.
+/// Statistics equal what [`simulate_program`] reports for the same
+/// inputs, and nothing the run reports depends on whether `track` is
+/// given.
 ///
 /// With a `track`, the run is also self-profiled onto it: the whole run
 /// becomes one `simulate` complete-span (args: program name, accesses,
 /// both caches' miss counts), each interpreter flush a `sim.batch` span,
-/// each per-shard slice of a partitioned flush a `sim.shard` span, and
-/// the interval snapshots are replayed as `cache1.miss_rate` /
+/// and the interval snapshots are replayed as `cache1.miss_rate` /
 /// `cache2.miss_rate` counter tracks interpolated along the span — so
 /// Perfetto shows the miss-rate phase structure against wall-clock time.
 ///
@@ -206,26 +199,17 @@ impl ObservedSim {
 pub fn simulate_observed(
     program: &Program,
     n: i64,
-    shards: usize,
     interval: u64,
     mut track: Option<&mut TraceTrack>,
 ) -> ObservedSim {
     let layout = Layout::new(program, &[n]).expect("allocation");
-    let mut caches = [
-        ShardedCache::with_shards(CacheConfig::rs6000(), shards).with_interval(interval),
-        ShardedCache::with_shards(CacheConfig::i860(), shards).with_interval(interval),
-    ];
+    let mut caches = paper_caches().map(|c| c.with_interval(interval));
     for (name, start, bytes) in layout.regions(program) {
         for c in &mut caches {
             c.register_region(name, start, bytes);
         }
     }
-    let t0 = track.as_deref_mut().map(|t| {
-        for c in &mut caches {
-            c.enable_flush_log();
-        }
-        t.start()
-    });
+    let t0 = track.as_deref_mut().map(|t| t.start());
     let mut sink = MeteredSink::new(OffsetInto::new(0, &mut caches));
     match track.as_deref_mut() {
         Some(t) => layout.trace(program, &mut TracedSink::new(CacheSink(&mut sink), t)),
@@ -243,29 +227,10 @@ pub fn simulate_observed(
     if let (Some(track), Some(t0)) = (track, t0) {
         let t1 = track.now_us();
         let span = (t1 - t0) as f64;
-        for (which, cache) in [("cache1", &mut c1), ("cache2", &mut c2)] {
+        for (which, cache) in [("cache1", &c1), ("cache2", &c2)] {
             for (frac, rate) in cache.miss_rate_series() {
                 let ts = t0 + (frac * span) as u64;
                 track.counter_at(ts, &format!("{which}.miss_rate"), rate);
-            }
-            // Shards run concurrently inside a flush; the replay lays
-            // their slices end to end from the run's start, which
-            // preserves each slice's duration and per-cache ordering
-            // without pretending to know the pool's real interleaving.
-            let mut ts = t0;
-            for s in cache.take_flush_log() {
-                let dur = s.nanos / 1_000;
-                track.complete_at(
-                    ts,
-                    dur,
-                    "sim.shard",
-                    &[
-                        ("cache", TraceArg::Str(which)),
-                        ("shard", TraceArg::U64(u64::from(s.shard))),
-                        ("accesses", TraceArg::U64(s.accesses)),
-                    ],
-                );
-                ts += dur.max(1);
             }
         }
         track.complete_at(
@@ -384,8 +349,8 @@ pub fn emit_observed_compound(
 /// Shared observability companion of the figure binaries: runs the
 /// paper's compile path over `program` — compound, then scalar
 /// replacement, each a traced, timed and validated stage printing one
-/// `[pass]` line — simulates the result at `n` on `shards` shards with
-/// per-array attribution, exports that simulation's metrics under
+/// `[pass]` line — simulates the result at `n` with per-array
+/// attribution, exports that simulation's metrics under
 /// `prefix`, and writes the `{name}` artifacts. Under `CMT_TRACE` the
 /// stages record on the main track and the simulation on its own `sim`
 /// track.
@@ -398,7 +363,6 @@ pub fn emit_observed_pipeline(
     name: &str,
     mut program: Program,
     n: i64,
-    shards: usize,
     prefix: &str,
 ) -> Result<(), crate::ArtifactError> {
     use cmt_obs::{CollectSink, TraceSession, Tracing};
@@ -443,7 +407,7 @@ pub fn emit_observed_pipeline(
         }
     };
     let mut track = session.as_mut().map(|s| s.track("sim"));
-    let mut sim = simulate_observed(&program, n, shards, 10_000, track.as_mut());
+    let sim = simulate_observed(&program, n, 10_000, track.as_mut());
     if let (Some(session), Some(track)) = (session.as_mut(), track) {
         session.absorb(track);
     }
@@ -517,7 +481,7 @@ mod tests {
     fn observed_sim_matches_plain_sim() {
         let p = cmt_suite::kernels::matmul("IJK");
         let plain = simulate_program(&p, 24);
-        let mut obs = simulate_observed(&p, 24, 1, 1000, None);
+        let obs = simulate_observed(&p, 24, 1000, None);
         assert_eq!(plain.cache1, obs.sim.cache1);
         assert_eq!(plain.cache2, obs.sim.cache2);
         // All accesses land in registered arrays, and attribution
@@ -536,48 +500,39 @@ mod tests {
     }
 
     #[test]
-    fn traced_sharded_sim_matches_untraced_and_exports_shard_metrics() {
+    fn traced_observed_sim_matches_untraced() {
         let p = cmt_suite::kernels::matmul("IJK");
         let plain = simulate_program(&p, 24);
-        let export = |obs: &mut ObservedSim| {
+        let export = |obs: &ObservedSim| {
             let mut reg = MetricsRegistry::new();
             obs.export_metrics(&mut reg, "sim.mm");
             reg
         };
 
-        // Untraced: stats agree with the plain path, counters land.
-        let mut quiet = simulate_observed(&p, 24, 4, 1000, None);
+        // Untraced: stats agree with the plain path.
+        let quiet = simulate_observed(&p, 24, 1000, None);
         assert_eq!(plain.cache1, quiet.sim.cache1);
         assert_eq!(plain.cache2, quiet.sim.cache2);
-        let reg = export(&mut quiet);
-        assert_eq!(reg.counter_value("sim.mm.cache1.shard.count"), 4);
-        assert_eq!(reg.counter_value("sim.mm.cache2.shard.count"), 4);
-        let per_shard: u64 = (0..4)
-            .map(|k| reg.counter_value(&format!("sim.mm.cache2.shard.{k}.accesses")))
-            .sum();
-        assert_eq!(per_shard, plain.cache2.accesses);
-        // Snapshots and attribution do not depend on the shard count.
-        let mut one = simulate_observed(&p, 24, 1, 1000, None);
-        assert_eq!(one.cache2.snapshots(), quiet.cache2.snapshots());
-        assert_eq!(one.cache2.per_array(), quiet.cache2.per_array());
 
-        // Traced: identical stats and counters, plus trace spans.
+        // Traced: identical stats, snapshots and counters, plus trace
+        // spans.
         let mut session = cmt_obs::TraceSession::new();
         let mut track = session.track("sim");
-        let mut traced = simulate_observed(&p, 24, 4, 1000, Some(&mut track));
+        let traced = simulate_observed(&p, 24, 1000, Some(&mut track));
         session.absorb(track);
         assert_eq!(
             quiet.sim.cache2, traced.sim.cache2,
             "tracing must not change stats"
         );
+        assert_eq!(quiet.cache2.snapshots(), traced.cache2.snapshots());
         assert_eq!(
-            reg.to_json(),
-            export(&mut traced).to_json(),
+            export(&quiet).to_json(),
+            export(&traced).to_json(),
             "counters must not depend on tracing"
         );
         session.validate().expect("trace invariants");
         let json = session.to_chrome_json();
-        for name in ["simulate", "sim.batch", "sim.shard", "cache1.miss_rate"] {
+        for name in ["simulate", "sim.batch", "cache1.miss_rate"] {
             assert!(json.contains(name), "expected {name} in the trace");
         }
     }

@@ -1,14 +1,13 @@
-//! End-to-end equivalence of the set-sharded engine against the
-//! seed-shaped scalar path, over the full cmt-suite corpus.
+//! End-to-end equivalence of the cache engine against the seed-shaped
+//! scalar path, over the full cmt-suite corpus.
 //!
 //! Four properties are pinned here, beyond the per-crate unit tests:
 //!
 //! * whole-trace `CacheStats` from [`LegacyCache`] (the seed's
 //!   `Vec<Vec<_>>` + `HashSet` simulator, one scalar call per access)
 //!   and from the engine fed 4 K packed batches are **exactly equal**
-//!   for every suite model, paper cache geometry and shard count, and
-//!   so are those of a one-shard engine handed each proven loop whole
-//!   as a loop run;
+//!   for every suite model and paper cache geometry, and so are those
+//!   of an engine handed each proven loop whole as a loop run;
 //! * the observability layer (per-array attribution, interval
 //!   snapshots) of the batched engine matches a scalar reference built
 //!   on the legacy oracle;
@@ -33,10 +32,10 @@ fn record(program: &Program, n: i64) -> RecordingSink {
     rec
 }
 
-/// Traces `program` into a one-shard cache, which takes loop runs.
+/// Traces `program` into a fresh cache, which takes loop runs.
 fn traced_in_runs(program: &Program, n: i64, cfg: CacheConfig) -> CacheStats {
     let layout = Layout::new(program, &[n]).expect("allocation");
-    let mut cache = ShardedCache::with_shards(cfg, 1);
+    let mut cache = ShardedCache::new(cfg);
     assert!(cache.takes_runs());
     layout.trace(program, &mut cache).expect("execution");
     cache.stats()
@@ -95,22 +94,18 @@ fn verify_corpus_stats_identical_sharded_vs_legacy() {
         let program = cmt_verify::generate(seed);
         let rec = record(&program, 16);
         let mut out = Vec::new();
-        for (g, cfg) in GEOMETRIES.iter().enumerate() {
-            let cfg = cfg();
+        for cfg in GEOMETRIES.map(|c| c()) {
             let mut legacy = LegacyCache::new(cfg);
             for &(a, w) in &rec.trace {
                 legacy.access(a, w);
             }
-            // Rotate the shard count per (seed, geometry) so 1, 2 and
-            // 8 shards all get corpus-wide coverage.
-            let shards = [1usize, 2, 8][(seed as usize).wrapping_add(g) % 3];
-            let mut sharded = ShardedCache::with_shards(cfg, shards);
-            rec.replay_batched(&mut sharded);
-            let (l, s) = (legacy.stats(), sharded.stats());
+            let mut batched = ShardedCache::new(cfg);
+            rec.replay_batched(&mut batched);
+            let (l, s) = (legacy.stats(), batched.stats());
             let runs = traced_in_runs(&program, 16, cfg);
             if l != s || l != runs {
                 out.push(format!(
-                    "seed {seed}/{cfg}: legacy={l:?} sharded({shards})={s:?} runs={runs:?}"
+                    "seed {seed}/{cfg}: legacy={l:?} batched={s:?} runs={runs:?}"
                 ));
             }
         }
@@ -198,37 +193,35 @@ fn observed_attribution_identical_scalar_vs_batched() {
             .collect();
         regions.sort_by_key(|r| r.1);
         let rec = record(p, n);
-        for shards in [1usize, 4] {
-            // Batched path: the real pipeline (interpreter buffers 4 K
-            // packed accesses per sink call).
-            let mut obs = cmt_bench::simulate_observed(p, n, shards, interval, None);
-            for (which, cfg, batched) in [
-                ("cache1", CacheConfig::rs6000(), &mut obs.cache1),
-                ("cache2", CacheConfig::i860(), &mut obs.cache2),
-            ] {
-                let reference = legacy_reference(cfg, &regions, &rec.trace, interval);
-                let name = format!("{}/{which}/{shards} shards", m.spec.name);
-                assert_eq!(
-                    reference.stats,
-                    batched.stats(),
-                    "{name}: whole-trace stats"
-                );
-                assert_eq!(
-                    reference.per_array,
-                    batched.per_array(),
-                    "{name}: per-array attribution"
-                );
-                assert_eq!(
-                    reference.unattributed,
-                    batched.unattributed(),
-                    "{name}: unattributed stats"
-                );
-                assert_eq!(
-                    reference.snapshots,
-                    batched.snapshots(),
-                    "{name}: interval snapshots"
-                );
-            }
+        // Batched path: the real pipeline (interpreter buffers 4 K
+        // packed accesses per sink call).
+        let obs = cmt_bench::simulate_observed(p, n, interval, None);
+        for (which, cfg, batched) in [
+            ("cache1", CacheConfig::rs6000(), &obs.cache1),
+            ("cache2", CacheConfig::i860(), &obs.cache2),
+        ] {
+            let reference = legacy_reference(cfg, &regions, &rec.trace, interval);
+            let name = format!("{}/{which}", m.spec.name);
+            assert_eq!(
+                reference.stats,
+                batched.stats(),
+                "{name}: whole-trace stats"
+            );
+            assert_eq!(
+                reference.per_array,
+                batched.per_array(),
+                "{name}: per-array attribution"
+            );
+            assert_eq!(
+                reference.unattributed,
+                batched.unattributed(),
+                "{name}: unattributed stats"
+            );
+            assert_eq!(
+                reference.snapshots,
+                batched.snapshots(),
+                "{name}: interval snapshots"
+            );
         }
     }
 }
@@ -275,59 +268,55 @@ fn reservation_never_changes_stats_or_attribution() {
             2 * switches > misses,
             "{cfg}: {switches} of {misses} misses switch arrays"
         );
-        for shards in [1usize, 4] {
-            let name = format!("{cfg}/{shards} shards");
-            // Reservation only: whole-trace stats, through loop runs on
-            // one shard.
-            let reserve = |reservations: &[(u64, u64)]| {
-                let mut c = ShardedCache::with_shards(cfg, shards);
-                for &(start, bytes) in reservations {
-                    c.reserve_region(start, bytes);
-                }
-                layout.trace(&p, &mut c).expect("execution");
-                c.stats()
-            };
-            let per_array: Vec<(u64, u64)> = regions.iter().map(|r| (r.1, r.2)).collect();
-            let reversed: Vec<(u64, u64)> = per_array.iter().rev().copied().collect();
-            for (setup, reservations) in [
-                ("per-array", &per_array[..]),
-                ("spanning", &[span][..]),
-                ("reversed", &reversed[..]),
-                ("none", &[][..]),
-            ] {
-                assert_eq!(
-                    reserve(reservations),
-                    reference.stats,
-                    "{name}: {setup} stats"
-                );
+        // Reservation only: whole-trace stats, through loop runs.
+        let reserve = |reservations: &[(u64, u64)]| {
+            let mut c = ShardedCache::new(cfg);
+            for &(start, bytes) in reservations {
+                c.reserve_region(start, bytes);
             }
-            // Attribution registers (and so reserves) every array; vary
-            // what was reserved before and the order of registration.
-            // The legacy reference, which reserves nothing, stands for
-            // the fourth setup.
-            let attribute = |reserved: &[(u64, u64)], order: &[&(String, u64, u64)]| {
-                let mut c = ShardedCache::with_shards(cfg, shards);
-                for &(start, bytes) in reserved {
-                    c.reserve_region(start, bytes);
-                }
-                for (array, start, bytes) in order {
-                    c.register_region(array.as_str(), *start, *bytes);
-                }
-                layout.trace(&p, &mut c).expect("execution");
-                (c.stats(), c.per_array(), c.unattributed())
-            };
-            let in_order: Vec<_> = regions.iter().collect();
-            let in_reverse: Vec<_> = regions.iter().rev().collect();
-            for (setup, reserved, order) in [
-                ("per-array", &[][..], &in_order),
-                ("spanning", &[span][..], &in_order),
-                ("reversed", &[][..], &in_reverse),
-            ] {
-                let (stats, arrays, rest) = attribute(reserved, order);
-                assert_eq!(stats, reference.stats, "{name}: {setup} observed stats");
-                assert_eq!(arrays, reference.per_array, "{name}: {setup} per_array");
-                assert_eq!(rest, reference.unattributed, "{name}: {setup} unattributed");
+            layout.trace(&p, &mut c).expect("execution");
+            c.stats()
+        };
+        let per_array: Vec<(u64, u64)> = regions.iter().map(|r| (r.1, r.2)).collect();
+        let reversed: Vec<(u64, u64)> = per_array.iter().rev().copied().collect();
+        for (setup, reservations) in [
+            ("per-array", &per_array[..]),
+            ("spanning", &[span][..]),
+            ("reversed", &reversed[..]),
+            ("none", &[][..]),
+        ] {
+            assert_eq!(
+                reserve(reservations),
+                reference.stats,
+                "{cfg}: {setup} stats"
+            );
+        }
+        // Attribution registers (and so reserves) every array; vary
+        // what was reserved before and the order of registration.
+        // The legacy reference, which reserves nothing, stands for
+        // the fourth setup.
+        let attribute = |reserved: &[(u64, u64)], order: &[&(String, u64, u64)]| {
+            let mut c = ShardedCache::new(cfg);
+            for &(start, bytes) in reserved {
+                c.reserve_region(start, bytes);
             }
+            for (array, start, bytes) in order {
+                c.register_region(array.as_str(), *start, *bytes);
+            }
+            layout.trace(&p, &mut c).expect("execution");
+            (c.stats(), c.per_array(), c.unattributed())
+        };
+        let in_order: Vec<_> = regions.iter().collect();
+        let in_reverse: Vec<_> = regions.iter().rev().collect();
+        for (setup, reserved, order) in [
+            ("per-array", &[][..], &in_order),
+            ("spanning", &[span][..], &in_order),
+            ("reversed", &[][..], &in_reverse),
+        ] {
+            let (stats, arrays, rest) = attribute(reserved, order);
+            assert_eq!(stats, reference.stats, "{cfg}: {setup} observed stats");
+            assert_eq!(arrays, reference.per_array, "{cfg}: {setup} per_array");
+            assert_eq!(rest, reference.unattributed, "{cfg}: {setup} unattributed");
         }
     }
 }
@@ -338,7 +327,7 @@ fn reset_stats_keeps_cold_history_clear_forgets() {
     // 8192 all map to set 0, so two of them evict the first.
     let evicters = [4096u64, 8192];
 
-    let mut c = ShardedCache::with_shards(CacheConfig::i860(), 2);
+    let mut c = ShardedCache::new(CacheConfig::i860());
     c.access(0, false); // cold miss
     c.reset_stats();
     c.access(0, false); // contents survive reset_stats: a hit
@@ -355,7 +344,7 @@ fn reset_stats_keeps_cold_history_clear_forgets() {
          is a capacity miss, not a cold one"
     );
 
-    let mut d = ShardedCache::with_shards(CacheConfig::i860(), 2);
+    let mut d = ShardedCache::new(CacheConfig::i860());
     d.access(0, false);
     d.clear();
     d.access(0, false); // clear forgets everything: cold again
@@ -368,26 +357,22 @@ fn reset_stats_keeps_cold_history_clear_forgets() {
 }
 
 #[test]
-fn table_output_byte_identical_for_any_jobs_and_shard_count() {
+fn table_output_byte_identical_for_any_jobs() {
     let _env = ENV_LOCK.lock().unwrap();
-    // Worker count and shard count are pure throughput knobs: rendered
-    // table artifacts must be byte-identical across the whole matrix.
+    // The worker count is a pure throughput knob: rendered table
+    // artifacts must be byte-identical for any `CMT_JOBS`.
     let mut outputs = Vec::new();
     for jobs in ["1", "4"] {
-        for shards in ["1", "2", "8"] {
-            std::env::set_var("CMT_JOBS", jobs);
-            std::env::set_var("CMT_SHARDS", shards);
-            let (text, _) = cmt_bench::tables::table4(Some(24));
-            outputs.push((jobs, shards, text));
-        }
+        std::env::set_var("CMT_JOBS", jobs);
+        let (text, _) = cmt_bench::tables::table4(Some(24));
+        outputs.push((jobs, text));
     }
     std::env::remove_var("CMT_JOBS");
-    std::env::remove_var("CMT_SHARDS");
-    let (j0, s0, base) = &outputs[0];
-    for (j, s, text) in &outputs[1..] {
+    let (j0, base) = &outputs[0];
+    for (j, text) in &outputs[1..] {
         assert_eq!(
             text, base,
-            "table4 differs between CMT_JOBS={j0}/CMT_SHARDS={s0} and CMT_JOBS={j}/CMT_SHARDS={s}"
+            "table4 differs between CMT_JOBS={j0} and CMT_JOBS={j}"
         );
     }
 }

@@ -241,17 +241,15 @@ fn every_table_bin_emits_artifacts_and_valid_trace() {
 }
 
 #[test]
-fn explain_json_is_deterministic_across_jobs_shards_and_reruns() {
-    // The explain document must be byte-identical for any CMT_JOBS /
-    // CMT_SHARDS combination and across repeated runs.
-    let configs = [("1", "1"), ("4", "8"), ("4", "8")];
+fn explain_json_is_deterministic_across_jobs_and_reruns() {
+    // The explain document must be byte-identical for any CMT_JOBS and
+    // across repeated runs.
     let mut docs = Vec::new();
-    for (i, (jobs, shards)) in configs.iter().enumerate() {
+    for (i, jobs) in ["1", "4", "4"].iter().enumerate() {
         let dir = scratch(&format!("explain-det-{i}"));
         let out = Command::new(env!("CARGO_BIN_EXE_cmt-explain"))
             .args(["--seeds", "2", "--no-kernels", "--n", "16", "--name", "det"])
             .env("CMT_JOBS", jobs)
-            .env("CMT_SHARDS", shards)
             .env("CMT_OBS_DIR", &dir)
             .output()
             .expect("spawn cmt-explain");
@@ -263,10 +261,7 @@ fn explain_json_is_deterministic_across_jobs_shards_and_reruns() {
         docs.push(fs::read_to_string(dir.join("det.explain.json")).expect("explain doc"));
         let _ = fs::remove_dir_all(&dir);
     }
-    assert_eq!(
-        docs[0], docs[1],
-        "explain.json depends on CMT_JOBS/CMT_SHARDS"
-    );
+    assert_eq!(docs[0], docs[1], "explain.json depends on CMT_JOBS");
     assert_eq!(docs[1], docs[2], "explain.json differs across reruns");
 }
 

@@ -6,7 +6,7 @@
 //! * a **packed access encoding** — one `u64` per access with the write
 //!   flag in the top bit, so a 4 K-entry trace buffer is 32 KB and the
 //!   simulator's inner loop streams plain integers;
-//! * a **[`ColdMap`]** — cold-line (first-touch) classification backed by
+//! * a **`ColdMap`** — cold-line (first-touch) classification backed by
 //!   dense bitmaps instead of a global `HashSet<u64>`. Programs allocate
 //!   arrays as contiguous arenas (see `cmt_interp::Layout`), and nearby
 //!   reservations coalesce, so one bitmap covers a program's whole
@@ -103,7 +103,7 @@ impl ColdRegion {
 /// covers every miss however the trace rotates among them. Only ranges
 /// far apart (a background program at a distant offset) stay separate.
 #[derive(Clone, Debug, Default)]
-pub struct ColdMap {
+pub(crate) struct ColdMap {
     /// Sorted by `start`; disjoint.
     regions: Vec<ColdRegion>,
     /// Sparse fallback: line >> 6 → 64-line bitmap word.

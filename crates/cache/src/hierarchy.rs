@@ -12,8 +12,8 @@ use crate::stats::CacheStats;
 
 /// An inclusive two-level hierarchy. Every access probes L1; L1 misses
 /// probe L2; L2 misses go to memory. Fills propagate to both levels
-/// (handled naturally by running both simulators). Each level is a
-/// single-shard engine: L2 sees only L1's misses, one at a time.
+/// (handled naturally by running both simulators). L2 sees only L1's
+/// misses, one at a time.
 #[derive(Clone, Debug)]
 pub struct Hierarchy {
     l1: ShardedCache,
@@ -53,8 +53,8 @@ impl Hierarchy {
         assert!(l2.size() > l1.size(), "L2 must exceed L1");
         assert!(l2.line() >= l1.line(), "L2 lines must be at least L1's");
         Hierarchy {
-            l1: ShardedCache::with_shards(l1, 1),
-            l2: ShardedCache::with_shards(l2, 1),
+            l1: ShardedCache::new(l1),
+            l2: ShardedCache::new(l2),
         }
     }
 
@@ -87,17 +87,17 @@ impl Hierarchy {
     }
 
     /// L1 statistics (all accesses).
-    pub fn l1_stats(&mut self) -> CacheStats {
+    pub fn l1_stats(&self) -> CacheStats {
         self.l1.stats()
     }
 
     /// L2 statistics (L1 misses only).
-    pub fn l2_stats(&mut self) -> CacheStats {
+    pub fn l2_stats(&self) -> CacheStats {
         self.l2.stats()
     }
 
     /// Cycle estimate under the given latencies.
-    pub fn cycles(&mut self, lat: &HierarchyLatency) -> u64 {
+    pub fn cycles(&self, lat: &HierarchyLatency) -> u64 {
         let l1 = self.l1.stats();
         let l2 = self.l2.stats();
         l1.accesses * lat.l1_hit + l2.accesses * lat.l2_hit + l2.misses * lat.memory

@@ -53,11 +53,6 @@ impl LegacyCache {
         }
     }
 
-    /// The geometry.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
     /// Simulates one access; returns `true` on a hit.
     pub fn access(&mut self, addr: u64, _is_write: bool) -> bool {
         let line = addr / self.config.line();
@@ -122,7 +117,7 @@ impl LegacyCache {
 
     /// `true` when no lines are resident and no touch history remains —
     /// same contract as [`crate::ShardedCache::is_cold_start`].
-    pub fn is_cold_start(&self) -> bool {
+    pub(crate) fn is_cold_start(&self) -> bool {
         self.tick == 0
             && self.stats == CacheStats::default()
             && self.seen.is_empty()
@@ -168,7 +163,7 @@ mod tests {
             CacheConfig::decstation(),
         ] {
             let mut legacy = LegacyCache::new(cfg);
-            let mut engine = ShardedCache::with_shards(cfg, 1);
+            let mut engine = ShardedCache::new(cfg);
             let mut x = 0x0123456789ABCDEFu64;
             for k in 0..100_000u64 {
                 // Mix of sequential sweeps, strides, and random probes.
@@ -196,7 +191,7 @@ mod tests {
     #[test]
     fn reset_and_clear_match_engine() {
         let mut legacy = tiny();
-        let mut engine = ShardedCache::with_shards(CacheConfig::new(64, 2, 16), 2);
+        let mut engine = ShardedCache::new(CacheConfig::new(64, 2, 16));
         for c in 0..2 {
             for a in [0u64, 16, 32, 0, 48] {
                 assert_eq!(legacy.access(a, false), engine.access(a, false));

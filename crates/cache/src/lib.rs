@@ -8,11 +8,12 @@
 //!   32-byte lines.
 //!
 //! This crate provides one set-associative, true-LRU, write-allocate
-//! simulator ([`ShardedCache`]) with per-array attribution and interval
-//! miss-rate snapshots, cold-miss exclusion (the paper's rates exclude
-//! cold misses), a simple cycle model for execution-time estimates
-//! (Tables 1 and 3), and the seed simulator ([`LegacyCache`]) kept as
-//! the independent oracle the engine is tested against. A proven loop
+//! simulator with a serial SIMD core ([`ShardedCache`]), per-array
+//! attribution and interval miss-rate snapshots, cold-miss exclusion
+//! (the paper's rates exclude cold misses), a simple cycle model for
+//! execution-time estimates (Tables 1 and 3), and the seed simulator
+//! ([`LegacyCache`]) kept as the independent oracle the engine is
+//! tested against. A proven loop
 //! can be handed to the simulator whole, as a [`LoopRun`] of affine
 //! address streams, which it simulates only where a stream enters a new
 //! line.
@@ -43,10 +44,10 @@ pub mod stats;
 
 pub use config::CacheConfig;
 pub use cycle::CycleModel;
-pub use fast::{pack_access, unpack_access, ColdMap, WRITE_BIT};
+pub use fast::{pack_access, unpack_access, WRITE_BIT};
 pub use hierarchy::{Hierarchy, HierarchyLatency};
 pub use legacy::LegacyCache;
 pub use reuse::ReuseDistance;
 pub use run::{LoopRun, Stream};
-pub use shard::{default_shard_count, IntervalSnapshot, ShardSpan, ShardedCache};
+pub use shard::{IntervalSnapshot, ShardedCache};
 pub use stats::CacheStats;

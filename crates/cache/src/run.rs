@@ -30,7 +30,7 @@ pub struct Stream {
 impl Stream {
     /// The stream's byte address in iteration `k`.
     #[inline]
-    pub fn addr(&self, k: u64) -> u64 {
+    pub(crate) fn addr(&self, k: u64) -> u64 {
         self.start
             .wrapping_add((k as i64).wrapping_mul(self.stride) as u64)
     }
@@ -38,7 +38,7 @@ impl Stream {
     /// The stream's access in iteration `k`, packed (see
     /// [`crate::pack_access`]).
     #[inline]
-    pub fn packed(&self, k: u64) -> u64 {
+    pub(crate) fn packed(&self, k: u64) -> u64 {
         self.addr(k) | if self.write { WRITE_BIT } else { 0 }
     }
 }

@@ -1,34 +1,20 @@
-//! The set-sharded, SIMD-friendly simulation core (trace core v2).
+//! The serial, SIMD-friendly simulation core (trace core v2).
 //!
-//! A set-associative cache is *independent per set*: the hit/miss
-//! outcome of an access depends only on the subsequence of accesses
-//! that map to its set. [`ShardedCache`] exploits that two ways:
+//! Instead of a tag + LRU-stamp pair per way, [`ShardedCache`] keeps
+//! each set's ways in one contiguous group ordered most-recently-used
+//! first. Move-to-front *is* true LRU (empty ways initialize to the
+//! tail, so "evict the last lane" is "first empty way, else least
+//! recently used"), which eliminates the stamp array, the monotonic
+//! tick, the victim scan, and the way-loop branches: a 4-way lookup is
+//! three compares and four conditional moves. Adjacent same-line
+//! accesses are collapsed at intake (a repeat touch of the MRU line is a
+//! guaranteed hit with no state change), so unit-stride sweeps cost one
+//! compare per access. On x86-64 with AVX2 the run-scan takes an
+//! explicit SIMD path (4 lines per compare), verified bit-identical to
+//! the scalar path by the equivalence tests.
 //!
-//! 1. **Sharding.** A stable partition pass splits packed-u64 trace
-//!    batches by cache-set index (top set bits, so each shard owns a
-//!    contiguous set range and power-of-two-strided streams still
-//!    spread across shards) into per-shard sub-traces. Order is
-//!    preserved within every set — which is all per-set LRU state needs
-//!    — so each shard simulates its sub-trace independently, on the
-//!    worker pool (`cmt_obs::pool`) when it is worth it, and the merged
-//!    [`CacheStats`] are **bit-identical** to unsharded simulation for
-//!    any `CMT_JOBS` × shard count.
-//! 2. **A branchless MRU-ordered core.** Instead of a tag + LRU-stamp
-//!    pair per way, each set's ways live in one
-//!    contiguous group ordered most-recently-used first. Move-to-front
-//!    *is* true LRU (empty ways initialize to the tail, so "evict the
-//!    last lane" is "first empty way, else least recently used"), which
-//!    eliminates the stamp array, the monotonic tick, the victim scan,
-//!    and the way-loop branches: a 4-way lookup is three compares and
-//!    four conditional moves. Adjacent same-line accesses are collapsed
-//!    at intake (a repeat touch of the MRU line is a guaranteed hit
-//!    with no state change), so unit-stride sweeps cost one compare per
-//!    access. On x86-64 with AVX2 the run-scan takes an explicit
-//!    SIMD path (4 lines per compare), verified bit-identical to the
-//!    scalar path by the equivalence tests.
-//!
-//! A one-shard cache with no regions or snapshots also takes a
-//! bounds-proven innermost loop whole, as a [`LoopRun`]
+//! A cache with no regions or snapshots also takes a bounds-proven
+//! innermost loop whole, as a [`LoopRun`]
 //! ([`ShardedCache::access_run`]), and simulates only the iterations
 //! that can change it: the first, and those in which some stream enters
 //! a new line or one set gets more than `assoc` of the iteration's
@@ -37,22 +23,18 @@
 //! The engine also carries its own observability: named byte regions
 //! ([`ShardedCache::register_region`]) get per-array attribution, and
 //! an `interval` ([`ShardedCache::with_interval`]) snapshots the miss
-//! rate every `interval` accesses of the global stream, so phase
-//! changes (the cold ramp versus the steady state) show up in the
-//! exported metrics. Both are counted per access inside each shard and
-//! merged in shard order, so they too are identical for any shard count.
+//! rate every `interval` accesses, so phase changes (the cold ramp
+//! versus the steady state) show up in the exported metrics. Both are
+//! counted per access.
 //!
 //! The seed [`crate::legacy::LegacyCache`] is the independent oracle
 //! the equivalence tests hold this engine to.
 
 use crate::config::CacheConfig;
-use crate::fast::{ColdMap, WRITE_BIT};
+use crate::fast::{pack_access, ColdMap, WRITE_BIT};
 use crate::run::{iters_to_cross, LoopRun, Stream};
 use crate::stats::CacheStats;
-use cmt_obs::pool::{cmt_jobs, par_map};
 use cmt_obs::MetricsRegistry;
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// Tag value marking an empty way. Unreachable as a real tag: lines are
 /// `addr >> line_shift` with `line_shift ≥ 3`, so they top out at 2^61.
@@ -87,24 +69,14 @@ impl IntervalSnapshot {
     }
 }
 
-/// One timed per-shard simulation slice from a partitioned flush, for
-/// replay as a `sim.shard` trace span (see
-/// [`ShardedCache::enable_flush_log`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ShardSpan {
-    /// Which shard ran.
-    pub shard: u32,
-    /// Accesses the shard consumed in this flush.
-    pub accesses: u64,
-    /// Wall-clock nanoseconds the shard's simulation took.
-    pub nanos: u64,
-}
-
-/// A named byte range registered for per-array attribution.
+/// A named byte range registered for per-array attribution, with the
+/// statistics of the accesses that fall in it.
 #[derive(Clone, Debug)]
 struct Region {
+    name: String,
     start: u64,
     len: u64,
+    stats: CacheStats,
 }
 
 impl Region {
@@ -114,28 +86,29 @@ impl Region {
     }
 }
 
-/// One shard: the cache state for a contiguous range of sets, plus its
-/// own statistics, cold-line history, and per-array attribution —
-/// everything it needs to consume a sub-trace with no shared state.
+/// The set-associative, write-allocate, true-LRU cache simulator.
+/// Statistically bit-identical to the seed [`crate::legacy::LegacyCache`]
+/// on any trace — the equivalence tests and the CI smoke-perf gate
+/// enforce it.
+///
+/// Addresses are byte addresses; every access touches one line (the IR
+/// interpreter issues element-sized accesses that never straddle lines,
+/// since elements are 8-byte aligned and lines are ≥ 8 bytes).
+///
+/// Batches stream straight into the branchless core. A loop run
+/// ([`ShardedCache::access_run`]) goes to the core in its
+/// line-crossing iterations only, when the cache
+/// [`ShardedCache::takes_runs`]: it has no regions or snapshots. Any
+/// other cache is fed the run's expansion.
 #[derive(Clone, Debug)]
-struct Shard {
+pub struct ShardedCache {
     line_shift: u32,
-    /// Global `sets - 1` mask.
+    /// `sets - 1`.
     set_mask: u64,
-    /// First set this shard owns.
-    set_lo: u64,
-    /// `log2(sets)` of the whole cache (for cold-coordinate compression).
-    set_bits: u32,
-    /// `log2(sets per shard)`.
-    sps_shift: u32,
     assoc: usize,
-    /// `owned_sets × assoc` tags, MRU-first within each set's group.
+    /// `sets × assoc` tags, MRU-first within each set's group.
     tags: Box<[u64]>,
-    /// First-touch history over *compressed* line coordinates: a line
-    /// owned by this shard maps to
-    /// `(line >> set_bits) << sps_shift | (set - set_lo)`, which is a
-    /// bijection on owned lines — so total bitmap memory across shards
-    /// equals the unsharded engine's.
+    /// First-touch history over line numbers.
     cold: ColdMap,
     /// Distinct-line count at the last statistics reset: the cold-miss
     /// counter is `cold.len() - cold_base` (a line's first touch is
@@ -143,58 +116,44 @@ struct Shard {
     /// computed once at read time instead of per miss in the hot loop.
     cold_base: u64,
     /// Running `accesses`/`hits` only — `misses` and `cold_misses` are
-    /// derived on read (see [`Shard::stats`]), keeping the hot loops'
-    /// miss paths free of extra counters.
+    /// derived on read (see [`ShardedCache::stats`]), keeping the hot
+    /// loops' miss paths free of extra counters.
     stats: CacheStats,
-    /// Registered byte regions, sorted by start (same order across
-    /// shards and as the top-level name list).
+    /// Registered byte regions, sorted by start.
     regions: Vec<Region>,
-    per_array: Vec<CacheStats>,
     unattributed: CacheStats,
     last_slot: usize,
-    /// Take the per-access [`Shard::run_attributed`] path: set once a
-    /// region is registered or interval snapshots are on.
+    /// Take the per-access [`ShardedCache::run_attributed`] path: set
+    /// once a region is registered or interval snapshots are on.
     observed: bool,
-    /// This shard's share of the open snapshot window, counted per
-    /// access on the attributed path.
+    /// The open snapshot window, counted per access on the attributed
+    /// path.
     window: CacheStats,
-    /// Line of the previous access this shard consumed — carried across
-    /// sub-traces so the run-collapse front end also folds duplicates
-    /// that straddle a chunk boundary. A repeat of the carried line is
-    /// a guaranteed hit with no state change, so carrying it never
-    /// changes statistics (the equivalence tests hold this to the
-    /// legacy oracle). Reset only by [`ShardedCache::clear`].
+    /// Snapshot window length in accesses; `0` disables snapshots.
+    interval: u64,
+    /// Accesses simulated into the open window so far.
+    window_fill: u64,
+    /// Closed snapshot windows, oldest first.
+    snapshots: Vec<IntervalSnapshot>,
+    /// Line of the previous access — carried across batches so the
+    /// run-collapse front end also folds duplicates that straddle a
+    /// batch boundary. A repeat of the carried line is a guaranteed hit
+    /// with no state change, so carrying it never changes statistics
+    /// (the equivalence tests hold this to the legacy oracle). Reset
+    /// only by [`ShardedCache::clear`].
     carry: u64,
     /// Reused scratch the front end compacts line numbers into.
     line_buf: Vec<u64>,
-    /// Reused scratch for [`Shard::run_loop`]: the accesses of the
-    /// iterations it simulates, each stream's next line-crossing
+    /// Reused scratch for [`ShardedCache::run_loop`]: the accesses of
+    /// the iterations it simulates, each stream's next line-crossing
     /// iteration, and the overflow check's lines.
     run_buf: Vec<u64>,
     next_cross: Vec<u64>,
     iter_lines: Vec<u64>,
 }
 
-impl Shard {
-    /// Compressed cold-map coordinate of an owned line.
-    #[inline]
-    fn compress(&self, line: u64) -> u64 {
-        ((line >> self.set_bits) << self.sps_shift) | ((line & self.set_mask) - self.set_lo)
-    }
-
-    /// Derived whole-shard statistics: `misses = accesses - hits`,
-    /// `cold_misses = distinct lines touched since the last reset`.
-    fn stats(&self) -> CacheStats {
-        let misses = self.stats.accesses - self.stats.hits;
-        CacheStats {
-            accesses: self.stats.accesses,
-            hits: self.stats.hits,
-            misses,
-            cold_misses: self.cold.len() as u64 - self.cold_base,
-        }
-    }
-
-    /// Consumes one sub-trace slice in order.
+impl ShardedCache {
+    /// Consumes one slice of the trace in order.
     ///
     /// Each chunk picks one of two equivalent fast paths by sampling
     /// its duplicate-run density ([`likely_dup_heavy`]):
@@ -231,10 +190,10 @@ impl Shard {
         }
     }
 
-    /// Simulates a loop run on an unobserved shard, skipping the
+    /// Simulates a loop run on an unobserved cache, skipping the
     /// iterations that cannot change it (see
     /// [`ShardedCache::access_run`]). The simulated iterations go
-    /// through [`Shard::run`] in order, so `carry` ends on the run's
+    /// through [`ShardedCache::run`] in order, so `carry` ends on the run's
     /// last line: a skipped iteration touches the lines of the last
     /// simulated one.
     fn run_loop(&mut self, run: LoopRun<'_>) {
@@ -362,7 +321,7 @@ impl Shard {
     /// and the MTF rotation is a table-selected blend of the group with
     /// its lane-shifted self — no scalar select chain, one vector load
     /// and one vector store per line. Bit-identical to
-    /// [`Shard::run_mtf`]`::<4>` (a line resides in at most one way, so
+    /// [`ShardedCache::run_mtf`]`::<4>` (a line resides in at most one way, so
     /// the movemask is one-hot or zero).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
@@ -371,14 +330,14 @@ impl Shard {
         debug_assert_eq!(self.assoc, 4);
         let shift = self.line_shift;
         let mask = self.set_mask;
-        let lo = self.set_lo;
-        let (set_bits, sps) = (self.set_bits, self.sps_shift);
         let mut hits = 0u64;
         let tags = self.tags.as_mut_ptr();
         let mut wm = WordMarker::new();
         for &it in items {
             let line = decode::<PACKED>(it, shift);
-            let set = (line & mask) - lo;
+            let set = line & mask;
+            // SAFETY: `set < sets`, so the group `set * 4 .. set * 4 + 4`
+            // lies inside `tags` (`sets * 4` long).
             let gp = tags.add(set as usize * 4) as *mut __m256i;
             let g = _mm256_loadu_si256(gp);
             let lv = _mm256_set1_epi64x(line as i64);
@@ -391,11 +350,10 @@ impl Shard {
                 // not the movemask→selector-table chain, so a
                 // predicted miss keeps the per-set dependency short.
                 _mm256_storeu_si256(gp, _mm256_blend_epi32::<0b0000_0011>(rot, lv));
-                let c = (line >> set_bits) << sps | set;
                 if PACKED {
-                    self.cold.mark(c);
+                    self.cold.mark(line);
                 } else {
-                    wm.mark(&mut self.cold, c);
+                    wm.mark(&mut self.cold, line);
                 }
             } else {
                 let sel = _mm256_loadu_si256(MTF4_SEL[m].as_ptr() as *const __m256i);
@@ -417,26 +375,23 @@ impl Shard {
         debug_assert_eq!(self.assoc, 1);
         let shift = self.line_shift;
         let mask = self.set_mask;
-        let lo = self.set_lo;
-        let (set_bits, sps) = (self.set_bits, self.sps_shift);
         let mut hits = 0u64;
         let tags = self.tags.as_mut_ptr();
         let mut wm = WordMarker::new();
         for &it in items {
             let line = decode::<PACKED>(it, shift);
-            let slot = ((line & mask) - lo) as usize;
-            // SAFETY: `line & mask` is a set index this shard owns, so
-            // `slot < sets_per_shard == tags.len()` (assoc is 1 here).
+            let slot = (line & mask) as usize;
+            // SAFETY: `slot = line & mask < sets == tags.len()` (assoc
+            // is 1 here).
             let t = unsafe { tags.add(slot) };
             if unsafe { *t } == line {
                 hits += 1;
                 continue;
             }
-            let c = ((line >> set_bits) << sps) | slot as u64;
             if PACKED {
-                self.cold.mark(c);
+                self.cold.mark(line);
             } else {
-                wm.mark(&mut self.cold, c);
+                wm.mark(&mut self.cold, line);
             }
             unsafe { *t = line };
         }
@@ -458,16 +413,14 @@ impl Shard {
         debug_assert_eq!(self.assoc, A);
         let shift = self.line_shift;
         let mask = self.set_mask;
-        let lo = self.set_lo;
-        let (set_bits, sps) = (self.set_bits, self.sps_shift);
         let mut hits = 0u64;
         let tags = self.tags.as_mut_ptr();
         let mut wm = WordMarker::new();
         for &it in items {
             let line = decode::<PACKED>(it, shift);
-            let base = ((line & mask) - lo) as usize * A;
-            // SAFETY: the set index is owned by this shard (partition
-            // invariant), so `base + A <= sets_per_shard * A == tags.len()`.
+            let base = (line & mask) as usize * A;
+            // SAFETY: `line & mask < sets`, so
+            // `base + A <= sets * A == tags.len()`.
             let g: &mut [u64; A] = unsafe { &mut *(tags.add(base) as *mut [u64; A]) };
             if g[0] == line {
                 hits += 1;
@@ -490,13 +443,10 @@ impl Shard {
             }
             if hit_above {
                 hits += 1;
+            } else if PACKED {
+                self.cold.mark(line);
             } else {
-                let c = ((line >> set_bits) << sps) | ((line & mask) - lo);
-                if PACKED {
-                    self.cold.mark(c);
-                } else {
-                    wm.mark(&mut self.cold, c);
-                }
+                wm.mark(&mut self.cold, line);
             }
         }
         wm.flush(&mut self.cold);
@@ -510,8 +460,7 @@ impl Shard {
     #[inline]
     fn access_line(&mut self, line: u64) -> (bool, bool) {
         let a = self.assoc;
-        let c = self.compress(line);
-        let base = ((line & self.set_mask) - self.set_lo) as usize * a;
+        let base = (line & self.set_mask) as usize * a;
         let g = &mut self.tags[base..base + a];
         if let Some(w) = g.iter().position(|&t| t == line) {
             self.stats.hits += 1;
@@ -519,7 +468,7 @@ impl Shard {
             g[0] = line;
             (true, false)
         } else {
-            let cold = self.cold.insert(c);
+            let cold = self.cold.insert(line);
             g.rotate_right(1);
             g[0] = line;
             (false, cold)
@@ -527,7 +476,7 @@ impl Shard {
     }
 
     /// Per-access loop with per-array attribution and snapshot-window
-    /// counting (taken only when the shard is `observed`). Memoizes the
+    /// counting (taken only when the cache is `observed`). Memoizes the
     /// previous region slot: traces are bursty per array, so this
     /// usually skips the binary search.
     fn run_attributed(&mut self, trace: &[u64]) {
@@ -554,7 +503,7 @@ impl Shard {
             let s = match slot {
                 Some(k) => {
                     self.last_slot = k;
-                    &mut self.per_array[k]
+                    &mut self.regions[k].stats
                 }
                 None => &mut self.unattributed,
             };
@@ -575,12 +524,6 @@ fn decode<const PACKED: bool>(it: u64, shift: u32) -> u64 {
     }
 }
 
-/// Cheap per-chunk probe of duplicate-run density: samples up to 64
-/// adjacent access pairs spread across the chunk and reports whether at
-/// least a quarter were same-line repeats. Unit-stride sweeps sample
-/// near 100%, strided/random streams near 0%, so the threshold is not
-/// delicate. Pure function of the chunk contents — the path choice it
-/// feeds never affects statistics, only throughput.
 /// Accumulates cold-map marks one 64-coordinate bitmap word at a time.
 ///
 /// Used on the collapsed-line path only: a dup-heavy chunk is a sweep
@@ -626,6 +569,12 @@ impl WordMarker {
     }
 }
 
+/// Cheap per-chunk probe of duplicate-run density: samples up to 64
+/// adjacent access pairs spread across the chunk and reports whether at
+/// least a quarter were same-line repeats. Unit-stride sweeps sample
+/// near 100%, strided/random streams near 0%, so the threshold is not
+/// delicate. Pure function of the chunk contents — the path choice it
+/// feeds never affects statistics, only throughput.
 fn likely_dup_heavy(trace: &[u64], shift: u32, carry: u64) -> bool {
     if trace.len() < 32 {
         return false;
@@ -853,164 +802,43 @@ unsafe fn collapse_runs_avx2(
     hits
 }
 
-/// The set-associative, write-allocate, true-LRU cache simulator.
-/// Statistically bit-identical to the seed [`crate::legacy::LegacyCache`]
-/// on any trace, for any shard count and any `CMT_JOBS` — the
-/// equivalence tests and the CI smoke-perf gate enforce it.
-///
-/// Addresses are byte addresses; every access touches one line (the IR
-/// interpreter issues element-sized accesses that never straddle lines,
-/// since elements are 8-byte aligned and lines are ≥ 8 bytes).
-///
-/// With one shard (the default on single-core hosts), batches stream
-/// straight into the branchless core with zero partition overhead. With
-/// more shards, batches are buffered, stably partitioned by set index,
-/// and the shards simulate their sub-traces independently — on the
-/// `cmt_obs::pool` worker pool when `CMT_JOBS > 1`.
-///
-/// A loop run ([`ShardedCache::access_run`]) goes to the one shard's
-/// core in its line-crossing iterations only, when the cache
-/// [`ShardedCache::takes_runs`]: it has one shard and no regions or
-/// snapshots. Any other cache is fed the run's expansion.
-///
-/// Because intake is buffered, statistics are only complete after a
-/// [`ShardedCache::flush`]; [`ShardedCache::stats`] and the other
-/// accessors flush implicitly, which is why they take `&mut self`.
-#[derive(Clone, Debug)]
-pub struct ShardedCache {
-    config: CacheConfig,
-    line_shift: u32,
-    set_mask: u64,
-    /// `shard = set >> shard_shift` — top set bits, so shards own
-    /// contiguous set ranges.
-    shard_shift: u32,
-    shards: Vec<Shard>,
-    /// Buffered packed accesses awaiting partition (multi-shard only).
-    pending: Vec<u64>,
-    pending_limit: usize,
-    /// Partition scratch, reused across flushes.
-    scratch: Vec<u64>,
-    /// Region names, parallel to every shard's `regions`.
-    region_names: Vec<String>,
-    /// Per-shard timing of partitioned flushes, when enabled.
-    flush_log: Option<Vec<ShardSpan>>,
-    flushes: u64,
-    partitioned_accesses: u64,
-    /// Snapshot window length in accesses; `0` disables snapshots.
-    interval: u64,
-    /// Accesses simulated into the open window so far.
-    window_fill: u64,
-    /// Closed snapshot windows, oldest first.
-    snapshots: Vec<IntervalSnapshot>,
-}
-
-/// Default shard count: `CMT_SHARDS` when set to a positive integer,
-/// otherwise the worker count ([`cmt_jobs`]) — so a single-core host
-/// (or `CMT_JOBS=1`) gets the zero-overhead direct path and a parallel
-/// host gets one shard per worker. Always clamped to a power of two
-/// that divides the set count.
-pub fn default_shard_count(config: &CacheConfig) -> usize {
-    let requested = std::env::var("CMT_SHARDS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or_else(cmt_jobs);
-    clamp_shards(config, requested)
-}
-
-fn clamp_shards(config: &CacheConfig, shards: usize) -> usize {
-    shards
-        .max(1)
-        .next_power_of_two()
-        .min(config.sets() as usize)
-}
-
 impl ShardedCache {
-    /// Creates an empty sharded cache with [`default_shard_count`]
-    /// shards.
+    /// Creates an empty cache.
     pub fn new(config: CacheConfig) -> Self {
-        let shards = default_shard_count(&config);
-        ShardedCache::with_shards(config, shards)
-    }
-
-    /// Creates an empty sharded cache with an explicit shard count
-    /// (rounded up to a power of two, clamped to the set count).
-    /// Statistics are identical for every shard count; only throughput
-    /// and parallelism differ.
-    pub fn with_shards(config: CacheConfig, shards: usize) -> Self {
-        let shards = clamp_shards(&config, shards);
         let sets = config.sets();
-        let set_bits = sets.trailing_zeros();
-        let shard_bits = shards.trailing_zeros();
-        let sps = (sets as usize / shards) as u64;
         let assoc = config.assoc() as usize;
-        let line_shift = config.line().trailing_zeros();
-        let shard_vec: Vec<Shard> = (0..shards as u64)
-            .map(|k| Shard {
-                line_shift,
-                set_mask: sets - 1,
-                set_lo: k * sps,
-                set_bits,
-                sps_shift: sps.trailing_zeros(),
-                assoc,
-                tags: vec![EMPTY; sps as usize * assoc].into_boxed_slice(),
-                cold: ColdMap::new(),
-                cold_base: 0,
-                stats: CacheStats::default(),
-                regions: Vec::new(),
-                per_array: Vec::new(),
-                unattributed: CacheStats::default(),
-                last_slot: usize::MAX,
-                observed: false,
-                window: CacheStats::default(),
-                carry: EMPTY,
-                line_buf: Vec::new(),
-                run_buf: Vec::new(),
-                next_cross: Vec::new(),
-                iter_lines: Vec::new(),
-            })
-            .collect();
         ShardedCache {
-            config,
-            line_shift,
+            line_shift: config.line().trailing_zeros(),
             set_mask: sets - 1,
-            shard_shift: set_bits - shard_bits,
-            shards: shard_vec,
-            pending: Vec::new(),
-            pending_limit: 1 << 15,
-            scratch: Vec::new(),
-            region_names: Vec::new(),
-            flush_log: None,
-            flushes: 0,
-            partitioned_accesses: 0,
+            assoc,
+            tags: vec![EMPTY; sets as usize * assoc].into_boxed_slice(),
+            cold: ColdMap::new(),
+            cold_base: 0,
+            stats: CacheStats::default(),
+            regions: Vec::new(),
+            unattributed: CacheStats::default(),
+            last_slot: usize::MAX,
+            observed: false,
+            window: CacheStats::default(),
             interval: 0,
             window_fill: 0,
             snapshots: Vec::new(),
+            carry: EMPTY,
+            line_buf: Vec::new(),
+            run_buf: Vec::new(),
+            next_cross: Vec::new(),
+            iter_lines: Vec::new(),
         }
     }
 
     /// Turns on interval snapshots: the miss rate is snapshotted every
-    /// `interval` accesses of the global stream (`0` leaves them off).
-    /// Windows are counted per access, so a snapshotting cache takes
-    /// the attributed path even with no region registered.
+    /// `interval` accesses (`0` leaves them off). Windows are counted
+    /// per access, so a snapshotting cache takes the attributed path
+    /// even with no region registered.
     pub fn with_interval(mut self, interval: u64) -> Self {
         self.interval = interval;
-        if interval > 0 {
-            for shard in &mut self.shards {
-                shard.observed = true;
-            }
-        }
+        self.observed |= interval > 0;
         self
-    }
-
-    /// The geometry.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
-    /// Number of shards the set space is split into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Registers a contiguous byte range (an array arena) so cold-miss
@@ -1022,74 +850,61 @@ impl ShardedCache {
         }
         let first = start >> self.line_shift;
         let last = (start + len - 1) >> self.line_shift;
-        for shard in &mut self.shards {
-            // An owned line in [first, last] compresses into this range;
-            // reserving the (slightly larger) full range is harmless.
-            let lo = (first >> shard.set_bits) << shard.sps_shift;
-            let hi = ((last >> shard.set_bits) + 1) << shard.sps_shift;
-            shard.cold.reserve_lines(lo, hi);
-        }
+        self.cold.reserve_lines(first, last + 1);
     }
 
     /// Registers a named byte range for per-array attribution (and
     /// dense cold tracking). Regions must not overlap; they are kept
-    /// sorted by start address. Attribution is counted inside each
-    /// shard and merged in region order by [`ShardedCache::per_array`] —
-    /// deterministically, for any shard count.
+    /// sorted by start address.
     pub fn register_region(&mut self, name: impl Into<String>, start: u64, len: u64) {
-        self.flush();
-        let region = Region { start, len };
-        let pos = self.shards[0]
-            .regions
-            .partition_point(|r| r.start < region.start);
-        self.region_names.insert(pos, name.into());
-        for shard in &mut self.shards {
-            shard.regions.insert(pos, region.clone());
-            shard.per_array.insert(pos, CacheStats::default());
-            shard.last_slot = usize::MAX;
-            shard.observed = true;
-        }
+        let pos = self.regions.partition_point(|r| r.start < start);
+        self.regions.insert(
+            pos,
+            Region {
+                name: name.into(),
+                start,
+                len,
+                stats: CacheStats::default(),
+            },
+        );
+        self.last_slot = usize::MAX;
+        self.observed = true;
         self.reserve_region(start, len);
     }
 
-    /// Shard owning the set a packed access maps to.
-    #[inline]
-    fn shard_of(&self, p: u64) -> usize {
-        ((((p & !WRITE_BIT) >> self.line_shift) & self.set_mask) >> self.shard_shift) as usize
-    }
-
-    /// Simulates one access; returns `true` on a hit. Buffered accesses
-    /// are flushed first, so the answer reflects every earlier access;
-    /// the access itself goes straight to its shard. Writes and reads
+    /// Simulates one access; returns `true` on a hit. Writes and reads
     /// behave identically under write-allocate.
     pub fn access(&mut self, addr: u64, is_write: bool) -> bool {
-        self.flush();
-        let p = addr | if is_write { WRITE_BIT } else { 0 };
-        let k = self.shard_of(p);
-        let hits = self.shards[k].stats.hits;
-        self.windowed(&[p], |c, one| c.shards[k].run(one));
-        self.shards[k].stats.hits > hits
+        let hits = self.stats.hits;
+        self.access_batch(&[pack_access(addr, is_write)]);
+        self.stats.hits > hits
     }
 
     /// Simulates a packed batch (see [`crate::fast::pack_access`]) in
-    /// trace order. Single-shard caches stream it straight into the
-    /// core; multi-shard caches buffer it for the next partition flush.
+    /// trace order. With snapshots on, the batch is cut at every
+    /// multiple of `interval` and each window closed as it fills.
     pub fn access_batch(&mut self, batch: &[u64]) {
-        if self.shards.len() == 1 {
-            self.windowed(batch, |c, seg| c.shards[0].run(seg));
+        if self.interval == 0 {
+            self.run(batch);
             return;
         }
-        self.pending.extend_from_slice(batch);
-        if self.pending.len() >= self.pending_limit {
-            self.flush();
+        let mut rest = batch;
+        while !rest.is_empty() {
+            let room = (self.interval - self.window_fill).min(rest.len() as u64);
+            let (seg, tail) = rest.split_at(room as usize);
+            self.run(seg);
+            self.window_fill += room;
+            if self.window_fill == self.interval {
+                self.close_window();
+            }
+            rest = tail;
         }
     }
 
     /// Whether [`ShardedCache::access_run`] skips work on this cache:
-    /// it has one shard, and no regions or snapshots, which count every
-    /// access.
+    /// it has no regions or snapshots, which count every access.
     pub fn takes_runs(&self) -> bool {
-        self.shards.len() == 1 && !self.shards[0].observed
+        !self.observed
     }
 
     /// Simulates a loop run (see [`LoopRun`]): the same statistics,
@@ -1113,158 +928,34 @@ impl ShardedCache {
     /// stretch.
     pub fn access_run(&mut self, run: LoopRun<'_>) {
         if self.takes_runs() {
-            self.shards[0].run_loop(run);
+            self.run_loop(run);
         } else {
             run.expand(RUN_CHUNK, |batch| self.access_batch(batch));
         }
     }
 
-    /// Partitions and drains every buffered access into the shards.
-    /// Called implicitly by [`ShardedCache::stats`] and the other
-    /// accessors; idempotent when nothing is pending. With snapshots
-    /// on, the buffer is cut at every global multiple of `interval`
-    /// and each piece partitioned in turn, so windows close exactly
-    /// where they would unbuffered — one flush still counts once.
-    pub fn flush(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        self.flushes += 1;
-        self.partitioned_accesses += self.pending.len() as u64;
-        let pending = std::mem::take(&mut self.pending);
-        let mut spans = self
-            .flush_log
-            .is_some()
-            .then(|| vec![ShardSpan::default(); self.shards.len()]);
-        self.windowed(&pending, |c, seg| {
-            c.partition_run(seg, spans.as_deref_mut())
-        });
-        if let (Some(log), Some(spans)) = (&mut self.flush_log, spans) {
-            log.extend(spans.into_iter().enumerate().map(|(k, s)| ShardSpan {
-                shard: k as u32,
-                ..s
-            }));
-        }
-        self.pending = pending;
-        self.pending.clear();
-    }
-
-    /// Feeds `trace` to `run` in pieces that end at global multiples of
-    /// `interval`, closing each window it fills. Without snapshots the
-    /// whole trace is one piece.
-    fn windowed(&mut self, trace: &[u64], mut run: impl FnMut(&mut Self, &[u64])) {
-        if self.interval == 0 {
-            run(self, trace);
-            return;
-        }
-        let mut rest = trace;
-        while !rest.is_empty() {
-            let room = (self.interval - self.window_fill).min(rest.len() as u64);
-            let (seg, tail) = rest.split_at(room as usize);
-            run(self, seg);
-            self.window_fill += room;
-            if self.window_fill == self.interval {
-                self.close_window();
-            }
-            rest = tail;
-        }
-    }
-
-    /// Stably partitions `trace` by shard and runs every shard on its
-    /// sub-trace, adding per-shard work and timing into `spans` when
-    /// the flush log is on.
-    fn partition_run(&mut self, trace: &[u64], spans: Option<&mut [ShardSpan]>) {
-        let ns = self.shards.len();
-        // Stable counting-sort partition: per-shard counts, prefix sums,
-        // one scatter pass. Stability preserves per-set access order,
-        // which is the only order per-set LRU state depends on.
-        let mut counts = vec![0usize; ns];
-        for &p in trace {
-            counts[self.shard_of(p)] += 1;
-        }
-        let mut starts = vec![0usize; ns + 1];
-        for s in 0..ns {
-            starts[s + 1] = starts[s] + counts[s];
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.resize(trace.len(), 0);
-        let mut cursor = starts.clone();
-        for &p in trace {
-            let s = self.shard_of(p);
-            scratch[cursor[s]] = p;
-            cursor[s] += 1;
-        }
-
-        let log_timing = spans.is_some();
-        let slices = starts.windows(2).map(|w| &scratch[w[0]..w[1]]);
-        let nanos: Vec<Option<u64>> = if cmt_jobs() > 1 && ns > 1 {
-            // Shards are independent; hand each (shard, sub-trace) pair
-            // to the worker pool. The Mutex only satisfies the pool's
-            // `Fn(&T)` sharing — each shard is locked exactly once.
-            let work: Vec<(Mutex<&mut Shard>, &[u64])> = self
-                .shards
-                .iter_mut()
-                .zip(slices)
-                .map(|(shard, slice)| (Mutex::new(shard), slice))
-                .collect();
-            par_map(&work, |(shard, slice)| {
-                let t0 = log_timing.then(Instant::now);
-                shard.lock().expect("shard lock").run(slice);
-                t0.map(|t| t.elapsed().as_nanos() as u64)
-            })
-        } else {
-            self.shards
-                .iter_mut()
-                .zip(slices)
-                .map(|(shard, slice)| {
-                    let t0 = log_timing.then(Instant::now);
-                    shard.run(slice);
-                    t0.map(|t| t.elapsed().as_nanos() as u64)
-                })
-                .collect()
-        };
-        if let Some(spans) = spans {
-            for (k, span) in spans.iter_mut().enumerate() {
-                span.accesses += counts[k] as u64;
-                span.nanos += nanos[k].unwrap_or(0);
-            }
-        }
-        self.scratch = scratch;
-    }
-
-    /// Closes the open snapshot window: sums every shard's share of it
-    /// in shard order.
+    /// Closes the open snapshot window.
     fn close_window(&mut self) {
-        let mut snap = IntervalSnapshot {
-            upto: self.shards.iter().map(|s| s.stats.accesses).sum(),
-            accesses: 0,
-            misses: 0,
-            cold_misses: 0,
-        };
-        for shard in &mut self.shards {
-            let w = std::mem::take(&mut shard.window);
-            snap.accesses += w.accesses;
-            snap.misses += w.misses;
-            snap.cold_misses += w.cold_misses;
-        }
-        self.snapshots.push(snap);
+        let w = std::mem::take(&mut self.window);
+        self.snapshots.push(IntervalSnapshot {
+            upto: self.stats.accesses,
+            accesses: w.accesses,
+            misses: w.misses,
+            cold_misses: w.cold_misses,
+        });
         self.window_fill = 0;
     }
 
     /// Closes the current (partial) window, if non-empty. Call once at
     /// end of trace so the tail shows up in [`ShardedCache::snapshots`].
     pub fn flush_window(&mut self) {
-        self.flush();
         if self.window_fill > 0 {
             self.close_window();
         }
     }
 
-    /// Closed interval snapshots, oldest first (flushes buffered
-    /// accesses first).
-    pub fn snapshots(&mut self) -> &[IntervalSnapshot] {
-        self.flush();
+    /// Closed interval snapshots, oldest first.
+    pub fn snapshots(&self) -> &[IntervalSnapshot] {
         &self.snapshots
     }
 
@@ -1273,8 +964,8 @@ impl ShardedCache {
     /// whole trace in `[0, 1]`. This is the shape trace counter tracks
     /// want — callers map `position` onto the simulation span's
     /// timeline. Empty when snapshots are off or nothing closed.
-    pub fn miss_rate_series(&mut self) -> Vec<(f64, f64)> {
-        let total = self.stats().accesses;
+    pub fn miss_rate_series(&self) -> Vec<(f64, f64)> {
+        let total = self.stats.accesses;
         if total == 0 {
             return Vec::new();
         }
@@ -1284,131 +975,75 @@ impl ShardedCache {
             .collect()
     }
 
-    /// Merged whole-trace statistics (flushes buffered accesses first).
-    /// Summed over shards in shard order with exact integer adds, so
-    /// the result is bit-identical for any shard count and `CMT_JOBS`.
-    pub fn stats(&mut self) -> CacheStats {
-        self.flush();
-        let mut total = CacheStats::default();
-        for s in &self.shards {
-            total += s.stats();
+    /// Whole-trace statistics: `misses = accesses - hits`,
+    /// `cold_misses = distinct lines touched since the last reset`.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            accesses: self.stats.accesses,
+            hits: self.stats.hits,
+            misses: self.stats.accesses - self.stats.hits,
+            cold_misses: self.cold.len() as u64 - self.cold_base,
         }
-        total
     }
 
-    /// Merged per-array statistics in region start-address order.
-    pub fn per_array(&mut self) -> Vec<(String, CacheStats)> {
-        self.flush();
-        self.region_names
+    /// Per-array statistics in region start-address order.
+    pub fn per_array(&self) -> Vec<(String, CacheStats)> {
+        self.regions
             .iter()
-            .enumerate()
-            .map(|(k, name)| {
-                let mut s = CacheStats::default();
-                for shard in &self.shards {
-                    s += shard.per_array[k];
-                }
-                (name.clone(), s)
-            })
+            .map(|r| (r.name.clone(), r.stats))
             .collect()
     }
 
-    /// Merged statistics of accesses outside every registered region.
-    pub fn unattributed(&mut self) -> CacheStats {
-        self.flush();
-        let mut s = CacheStats::default();
-        for shard in &self.shards {
-            s += shard.unattributed;
-        }
-        s
+    /// Statistics of accesses outside every registered region.
+    pub fn unattributed(&self) -> CacheStats {
+        self.unattributed
     }
 
     /// Resets statistics (whole-trace and per-array) but keeps cache
     /// contents **and cold-line history** (useful for excluding warm-up
     /// phases): a line first touched before the reset never counts as a
     /// cold miss afterwards. Contrast with [`ShardedCache::clear`].
-    /// Flushes first so buffered accesses land in the pre-reset
-    /// counters; snapshot windows are a stream position and carry on.
+    /// Snapshot windows are a stream position and carry on.
     pub fn reset_stats(&mut self) {
-        self.flush();
-        for shard in &mut self.shards {
-            shard.stats = CacheStats::default();
-            shard.cold_base = shard.cold.len() as u64;
-            shard.per_array.fill(CacheStats::default());
-            shard.unattributed = CacheStats::default();
+        self.stats = CacheStats::default();
+        self.cold_base = self.cold.len() as u64;
+        for r in &mut self.regions {
+            r.stats = CacheStats::default();
         }
+        self.unattributed = CacheStats::default();
     }
 
-    /// Empties the cache, statistics, cold history, snapshot windows and
-    /// flush counters: afterwards the cache exports exactly what a
-    /// freshly built one with the same regions and interval would, and
-    /// every line's next touch is a cold miss again (unlike
-    /// [`ShardedCache::reset_stats`]). Buffered accesses are dropped,
-    /// not simulated.
+    /// Empties the cache, statistics, cold history and snapshot windows:
+    /// afterwards the cache exports exactly what a freshly built one
+    /// with the same regions and interval would, and every line's next
+    /// touch is a cold miss again (unlike [`ShardedCache::reset_stats`]).
     pub fn clear(&mut self) {
-        self.pending.clear();
-        for shard in &mut self.shards {
-            shard.tags.fill(EMPTY);
-            shard.cold.clear();
-            shard.cold_base = 0;
-            shard.stats = CacheStats::default();
-            shard.per_array.fill(CacheStats::default());
-            shard.unattributed = CacheStats::default();
-            shard.last_slot = usize::MAX;
-            shard.window = CacheStats::default();
-            shard.carry = EMPTY;
-        }
-        self.flushes = 0;
-        self.partitioned_accesses = 0;
-        if let Some(log) = &mut self.flush_log {
-            log.clear();
-        }
+        self.tags.fill(EMPTY);
+        self.cold.clear();
+        self.reset_stats();
+        self.last_slot = usize::MAX;
+        self.window = CacheStats::default();
+        self.carry = EMPTY;
         self.window_fill = 0;
         self.snapshots.clear();
     }
 
     /// `true` when the cache holds no lines, statistics, cold-line
-    /// history, snapshots or buffered accesses — the state a fresh
-    /// differential or verifier run must start from. A cache that has
-    /// only seen [`ShardedCache::reset_stats`] still carries touch
-    /// history and reports `false`.
+    /// history or snapshots — the state a fresh differential or
+    /// verifier run must start from. A cache that has only seen
+    /// [`ShardedCache::reset_stats`] still carries touch history and
+    /// reports `false`.
     pub fn is_cold_start(&self) -> bool {
-        self.pending.is_empty()
-            && self.flushes == 0
-            && self.window_fill == 0
+        self.window_fill == 0
             && self.snapshots.is_empty()
-            && self.shards.iter().all(|s| {
-                s.stats == CacheStats::default()
-                    && s.cold.is_empty()
-                    && s.tags.iter().all(|&t| t == EMPTY)
-            })
+            && self.stats == CacheStats::default()
+            && self.cold.is_empty()
+            && self.tags.iter().all(|&t| t == EMPTY)
     }
 
-    /// Number of lines currently resident across all shards (flushes
-    /// buffered accesses first).
-    pub fn resident_lines(&mut self) -> usize {
-        self.flush();
-        self.shards
-            .iter()
-            .map(|s| s.tags.iter().filter(|&&t| t != EMPTY).count())
-            .sum()
-    }
-
-    /// Starts recording per-shard flush timing for `sim.shard` trace
-    /// spans. Off by default so untraced runs (and `NullObs` paths) do
-    /// no timing work and stay byte-identical.
-    pub fn enable_flush_log(&mut self) {
-        if self.flush_log.is_none() {
-            self.flush_log = Some(Vec::new());
-        }
-    }
-
-    /// Takes the recorded [`ShardSpan`]s, leaving the log enabled.
-    pub fn take_flush_log(&mut self) -> Vec<ShardSpan> {
-        self.flush();
-        match &mut self.flush_log {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
+    /// Number of lines currently resident.
+    pub fn resident_lines(&self) -> usize {
+        self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 
     /// Exports everything into `registry` under `prefix`:
@@ -1416,21 +1051,19 @@ impl ShardedCache {
     /// * counters `{prefix}.{accesses,hits,misses,cold_misses}`;
     /// * counters `{prefix}.array.{NAME}.{accesses,misses,cold_misses}`;
     /// * histogram `{prefix}.interval_miss_rate` — one sample per closed
-    ///   window;
-    /// * counters `{prefix}.shard.count`, `{prefix}.shard.flushes`,
-    ///   `{prefix}.shard.partitioned_accesses`, and per-shard
-    ///   `{prefix}.shard.{k}.{accesses,misses}`.
+    ///   window.
     ///
-    /// Everything is a pure function of the trace, the interval and the
-    /// shard count (never of `CMT_JOBS` or wall-clock), so obs_diff can
-    /// gate on these across runs.
-    pub fn export_metrics(&mut self, registry: &mut MetricsRegistry, prefix: &str) {
+    /// Everything is a pure function of the trace and the interval
+    /// (never of `CMT_JOBS` or wall-clock), so obs_diff can gate on
+    /// these across runs.
+    pub fn export_metrics(&self, registry: &mut MetricsRegistry, prefix: &str) {
         let s = self.stats();
         registry.counter(&format!("{prefix}.accesses"), s.accesses);
         registry.counter(&format!("{prefix}.hits"), s.hits);
         registry.counter(&format!("{prefix}.misses"), s.misses);
         registry.counter(&format!("{prefix}.cold_misses"), s.cold_misses);
-        for (name, st) in self.per_array() {
+        for r in &self.regions {
+            let (name, st) = (&r.name, r.stats);
             registry.counter(&format!("{prefix}.array.{name}.accesses"), st.accesses);
             registry.counter(&format!("{prefix}.array.{name}.misses"), st.misses);
             registry.counter(
@@ -1440,17 +1073,6 @@ impl ShardedCache {
         }
         for snap in &self.snapshots {
             registry.record(&format!("{prefix}.interval_miss_rate"), snap.miss_rate());
-        }
-        registry.counter(&format!("{prefix}.shard.count"), self.shards.len() as u64);
-        registry.counter(&format!("{prefix}.shard.flushes"), self.flushes);
-        registry.counter(
-            &format!("{prefix}.shard.partitioned_accesses"),
-            self.partitioned_accesses,
-        );
-        for (k, shard) in self.shards.iter().enumerate() {
-            let s = shard.stats();
-            registry.counter(&format!("{prefix}.shard.{k}.accesses"), s.accesses);
-            registry.counter(&format!("{prefix}.shard.{k}.misses"), s.misses);
         }
     }
 }
@@ -1519,7 +1141,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_legacy_oracle_for_every_shard_count() {
+    fn matches_legacy_oracle() {
         for (kind, trace) in streams() {
             for cfg in geometries() {
                 let mut legacy = LegacyCache::new(cfg);
@@ -1527,22 +1149,16 @@ mod tests {
                     let (a, w) = unpack_access(p);
                     legacy.access(a, w);
                 }
-                for shards in [1usize, 2, 8, 64] {
-                    let mut sharded = ShardedCache::with_shards(cfg, shards);
-                    for chunk in trace.chunks(4096) {
-                        sharded.access_batch(chunk);
-                    }
-                    assert_eq!(
-                        sharded.stats(),
-                        legacy.stats(),
-                        "{kind}/{cfg} with {shards} shards"
-                    );
-                    assert_eq!(
-                        sharded.resident_lines(),
-                        legacy.resident_lines(),
-                        "{kind}/{cfg} resident set with {shards} shards"
-                    );
+                let mut engine = ShardedCache::new(cfg);
+                for chunk in trace.chunks(4096) {
+                    engine.access_batch(chunk);
                 }
+                assert_eq!(engine.stats(), legacy.stats(), "{kind}/{cfg}");
+                assert_eq!(
+                    engine.resident_lines(),
+                    legacy.resident_lines(),
+                    "{kind}/{cfg} resident set"
+                );
             }
         }
     }
@@ -1552,14 +1168,14 @@ mod tests {
         let (_, trace) = &streams()[0];
         for cfg in [CacheConfig::rs6000(), CacheConfig::i860()] {
             let mut legacy = LegacyCache::new(cfg);
-            let mut scalar = ShardedCache::with_shards(cfg, 4);
-            let mut batched = ShardedCache::with_shards(cfg, 4);
+            let mut scalar = ShardedCache::new(cfg);
+            let mut batched = ShardedCache::new(cfg);
             for (k, &p) in trace.iter().enumerate() {
                 let (a, w) = unpack_access(p);
                 assert_eq!(scalar.access(a, w), legacy.access(a, w), "access {k}");
                 if k == trace.len() / 2 {
-                    // Buffered batch work is flushed before the next
-                    // scalar access answers.
+                    // A batch between scalar accesses is simulated
+                    // before the next scalar access answers.
                     scalar.access_batch(&trace[..4096]);
                     for &q in &trace[..4096] {
                         let (a, w) = unpack_access(q);
@@ -1580,7 +1196,7 @@ mod tests {
     #[test]
     fn lru_order_spatial_hits_and_sparse_cold_history() {
         // 2 sets × 2 ways × 16-byte lines. Set 0 holds even lines.
-        let mut c = ShardedCache::with_shards(CacheConfig::new(64, 2, 16), 1);
+        let mut c = ShardedCache::new(CacheConfig::new(64, 2, 16));
         assert!(!c.access(0, false)); // line 0 → set 0
         assert!(c.access(8, false), "same line");
         assert!(!c.access(32, false)); // line 2 → set 0
@@ -1602,8 +1218,8 @@ mod tests {
     #[test]
     fn reserved_regions_do_not_change_stats() {
         let (_, trace) = &streams()[0];
-        let mut plain = ShardedCache::with_shards(CacheConfig::i860(), 4);
-        let mut reserved = ShardedCache::with_shards(CacheConfig::i860(), 4);
+        let mut plain = ShardedCache::new(CacheConfig::i860());
+        let mut reserved = ShardedCache::new(CacheConfig::i860());
         reserved.reserve_region(0, 1 << 22);
         plain.access_batch(trace);
         reserved.access_batch(trace);
@@ -1624,25 +1240,23 @@ mod tests {
             })
             .collect();
         let (whole, arrays, outside) = legacy_attribution(CacheConfig::i860(), &regions, &trace);
-        for shards in [1usize, 4] {
-            let mut sharded = ShardedCache::with_shards(CacheConfig::i860(), shards);
-            for (name, (start, len)) in ["A", "B"].into_iter().zip(regions) {
-                sharded.register_region(name, start, len);
-            }
-            for &p in &trace {
-                let (a, w) = unpack_access(p);
-                sharded.access(a, w);
-            }
-            assert_eq!(sharded.stats(), whole, "{shards} shards");
-            let expected = vec![("A".to_string(), arrays[0]), ("B".to_string(), arrays[1])];
-            assert_eq!(sharded.per_array(), expected, "{shards} shards");
-            assert_eq!(sharded.unattributed(), outside, "{shards} shards");
+        let mut c = ShardedCache::new(CacheConfig::i860());
+        for (name, (start, len)) in ["A", "B"].into_iter().zip(regions) {
+            c.register_region(name, start, len);
         }
+        for &p in &trace {
+            let (a, w) = unpack_access(p);
+            c.access(a, w);
+        }
+        assert_eq!(c.stats(), whole);
+        let expected = vec![("A".to_string(), arrays[0]), ("B".to_string(), arrays[1])];
+        assert_eq!(c.per_array(), expected);
+        assert_eq!(c.unattributed(), outside);
     }
 
     #[test]
     fn interval_snapshots_cover_the_trace() {
-        let mut c = ShardedCache::with_shards(CacheConfig::new(64, 2, 16), 1).with_interval(4);
+        let mut c = ShardedCache::new(CacheConfig::new(64, 2, 16)).with_interval(4);
         for a in 0..10u64 {
             c.access(a * 16, false); // every access a new line: all misses
         }
@@ -1658,37 +1272,33 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_close_at_global_boundaries_inside_one_flush() {
-        // Exactly one pending-limit batch: a 4-shard cache partitions it
-        // in a single flush that crosses six 5 000-access boundaries.
+    fn snapshots_close_at_boundaries_inside_one_batch() {
+        // One batch that crosses six 5 000-access boundaries closes the
+        // same windows as the same accesses fed one at a time.
         let (_, lcg) = &streams()[0];
         let trace = &lcg[..1 << 15];
-        let run = |shards: usize, interval: u64| {
-            let mut c =
-                ShardedCache::with_shards(CacheConfig::i860(), shards).with_interval(interval);
+        let run = |batched: bool| {
+            let mut c = ShardedCache::new(CacheConfig::i860()).with_interval(5_000);
             c.register_region("A", 0, 1 << 21);
-            c.access_batch(trace);
+            if batched {
+                c.access_batch(trace);
+            } else {
+                for &p in trace {
+                    let (a, w) = unpack_access(p);
+                    c.access(a, w);
+                }
+            }
             c.flush_window();
-            let mut reg = MetricsRegistry::new();
-            c.export_metrics(&mut reg, "sim");
-            (c.snapshots().to_vec(), reg)
+            c.snapshots().to_vec()
         };
-        let (one, _) = run(1, 5_000);
-        let (four, reg) = run(4, 5_000);
-        assert_eq!(one.len(), 7);
-        assert_eq!(four, one, "snapshots must not depend on the shard count");
-        let (_, plain) = run(4, 0);
-        assert_eq!(reg.counter_value("sim.shard.flushes"), 1);
-        assert_eq!(
-            reg.counter_value("sim.shard.flushes"),
-            plain.counter_value("sim.shard.flushes"),
-            "flushes must not depend on the interval"
-        );
+        let batched = run(true);
+        assert_eq!(batched.len(), 7);
+        assert_eq!(batched, run(false));
     }
 
     #[test]
     fn export_writes_stable_metric_names() {
-        let mut c = ShardedCache::with_shards(CacheConfig::new(64, 2, 16), 1).with_interval(2);
+        let mut c = ShardedCache::new(CacheConfig::new(64, 2, 16)).with_interval(2);
         c.register_region("X", 0, 64);
         for a in (0..64u64).step_by(8) {
             c.access(a, false);
@@ -1705,27 +1315,24 @@ mod tests {
     fn clear_exports_like_a_fresh_cache() {
         let (_, trace) = &streams()[0];
         let fresh = || {
-            let mut c = ShardedCache::with_shards(CacheConfig::rs6000(), 4).with_interval(1000);
+            let mut c = ShardedCache::new(CacheConfig::rs6000()).with_interval(1000);
             c.register_region("A", 0, 1 << 22);
             c
         };
-        let export = |c: &mut ShardedCache| {
+        let export = |c: &ShardedCache| {
             let mut reg = MetricsRegistry::new();
             c.export_metrics(&mut reg, "sim");
             reg.to_json()
         };
         let mut used = fresh();
-        used.enable_flush_log();
         used.access_batch(trace);
-        let _ = used.stats();
         used.clear();
-        assert!(used.take_flush_log().is_empty());
-        assert_eq!(export(&mut used), export(&mut fresh()));
+        assert_eq!(export(&used), export(&fresh()));
     }
 
     #[test]
     fn reset_and_clear_semantics() {
-        let mut c = ShardedCache::with_shards(CacheConfig::new(64, 2, 16), 2);
+        let mut c = ShardedCache::new(CacheConfig::new(64, 2, 16));
         c.access(0, false);
         c.reset_stats();
         c.access(0, false);
@@ -1740,32 +1347,14 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_is_clamped_to_sets() {
-        let c = ShardedCache::with_shards(CacheConfig::new(64, 2, 16), 1000);
-        assert_eq!(c.shard_count(), 2); // only 2 sets
-        let c = ShardedCache::with_shards(CacheConfig::rs6000(), 3);
-        assert_eq!(c.shard_count(), 4); // rounded up to a power of two
-    }
-
-    #[test]
-    fn flush_log_records_partitioned_work() {
-        let (_, trace) = &streams()[0];
-        let mut c = ShardedCache::with_shards(CacheConfig::rs6000(), 4);
-        c.enable_flush_log();
-        c.access_batch(trace);
-        let _ = c.stats();
-        let log = c.take_flush_log();
-        assert!(!log.is_empty());
-        let total: u64 = log.iter().map(|s| s.accesses).sum();
-        assert_eq!(total, trace.len() as u64);
-        assert!(log.iter().all(|s| (s.shard as usize) < 4));
-        // Metrics export is deterministic and complete.
-        let mut reg = MetricsRegistry::new();
-        c.export_metrics(&mut reg, "sim");
-        assert_eq!(reg.counter_value("sim.shard.count"), 4);
-        let per_shard: u64 = (0..4)
-            .map(|k| reg.counter_value(&format!("sim.shard.{k}.accesses")))
-            .sum();
-        assert_eq!(per_shard, trace.len() as u64);
+    fn fresh_paper_caches_take_runs() {
+        for cfg in [
+            CacheConfig::rs6000(),
+            CacheConfig::i860(),
+            CacheConfig::decstation(),
+        ] {
+            assert!(ShardedCache::new(cfg).takes_runs(), "{cfg}");
+            assert!(!ShardedCache::new(cfg).with_interval(64).takes_runs());
+        }
     }
 }

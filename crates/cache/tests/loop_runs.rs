@@ -39,11 +39,11 @@ struct Three {
 
 impl Three {
     fn new(cfg: CacheConfig) -> Three {
-        let runs = ShardedCache::with_shards(cfg, 1);
+        let runs = ShardedCache::new(cfg);
         assert!(runs.takes_runs());
         Three {
             runs,
-            expanded: ShardedCache::with_shards(cfg, 1),
+            expanded: ShardedCache::new(cfg),
             legacy: LegacyCache::new(cfg),
         }
     }
@@ -219,35 +219,28 @@ fn a_one_iteration_run_and_two_streams_on_one_line() {
 }
 
 #[test]
-fn sharded_and_observed_caches_take_the_expansion() {
+fn observed_caches_take_the_expansion() {
     let cfg = CacheConfig::i860();
     let mut rng = SplitMix64::seed_from_u64(7);
     let observed = || {
-        let mut c = ShardedCache::with_shards(cfg, 1).with_interval(97);
+        let mut c = ShardedCache::new(cfg).with_interval(97);
         c.register_region("A", BASE, 4 * cfg.size());
         c
     };
-    let mut runs = [ShardedCache::with_shards(cfg, 4), observed()];
-    let mut expanded = [ShardedCache::with_shards(cfg, 4), observed()];
-    for c in &runs {
-        assert!(!c.takes_runs());
-    }
+    let (mut r, mut e) = (observed(), observed());
+    assert!(!r.takes_runs());
     for _ in 0..50 {
         let (streams, iters) = random_run(&mut rng, cfg);
         let run = LoopRun {
             streams: &streams,
             iters,
         };
-        for (r, e) in runs.iter_mut().zip(&mut expanded) {
-            r.access_run(run);
-            e.access_batch(&expansion(run));
-        }
+        r.access_run(run);
+        e.access_batch(&expansion(run));
     }
-    for (r, e) in runs.iter_mut().zip(&mut expanded) {
-        r.flush_window();
-        e.flush_window();
-        assert_eq!(r.stats(), e.stats());
-        assert_eq!(r.per_array(), e.per_array());
-        assert_eq!(r.snapshots(), e.snapshots());
-    }
+    r.flush_window();
+    e.flush_window();
+    assert_eq!(r.stats(), e.stats());
+    assert_eq!(r.per_array(), e.per_array());
+    assert_eq!(r.snapshots(), e.snapshots());
 }

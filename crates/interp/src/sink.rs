@@ -18,10 +18,10 @@
 //! opts in through [`TraceSink::takes_runs`]: the address-only executor
 //! then hands it each bounds-proven innermost loop as one [`LoopRun`]
 //! through [`TraceSink::access_run`], after flushing what it buffered
-//! before the loop. A one-shard cache without regions or snapshots
-//! opts in ([`ShardedCache::takes_runs`]) and simulates only the
-//! iterations in which some stream enters a new line; [`MeteredSink`]
-//! and [`CacheSink`] forward the choice and the runs. Every other sink
+//! before the loop. A cache without regions or snapshots opts in
+//! ([`ShardedCache::takes_runs`]) and simulates only the iterations in
+//! which some stream enters a new line; [`MeteredSink`] and
+//! [`CacheSink`] forward the choice and the runs. Every other sink
 //! keeps the default, is never handed a run, and sees exactly the
 //! batches it would without runs. The default [`TraceSink::access_run`]
 //! expands the run into batches, and is the oracle overrides are
@@ -540,8 +540,8 @@ mod tests {
         for k in 0..10_000u64 {
             rec.access((k * 56) % (1 << 16), k % 4 == 0);
         }
-        let mut a = ShardedCache::with_shards(CacheConfig::i860(), 4);
-        let mut b = ShardedCache::with_shards(CacheConfig::i860(), 4);
+        let mut a = ShardedCache::new(CacheConfig::i860());
+        let mut b = ShardedCache::new(CacheConfig::i860());
         rec.replay(&mut a);
         rec.replay_batched(&mut b);
         assert_eq!(a.stats(), b.stats());
@@ -591,7 +591,7 @@ mod tests {
         let packed: Vec<u64> = (0..10_000u64)
             .map(|k| pack_access((k * 72) % (1 << 14), k % 5 == 0))
             .collect();
-        let observed = || ShardedCache::with_shards(CacheConfig::i860(), 1).with_interval(64);
+        let observed = || ShardedCache::new(CacheConfig::i860()).with_interval(64);
         let mut per_access = MeteredSink::new(observed());
         per_access.inner.register_region("A", 0, 1 << 14);
         for &p in &packed {
@@ -635,7 +635,7 @@ mod tests {
             streams: &streams,
             iters: 300,
         };
-        let cache = || ShardedCache::with_shards(CacheConfig::i860(), 1);
+        let cache = || ShardedCache::new(CacheConfig::i860());
         let mut fed = MeteredSink::new(cache());
         let mut runs = MeteredSink::new(cache());
         let mut borrowed = cache();

@@ -1,10 +1,6 @@
-//! The deterministic parallel worker pool ([`par_map`] and friends).
-//!
-//! Moved here from `cmt-bench` so lower layers can use it too: the
-//! set-sharded simulation core in `cmt-cache` fans one trace's shards
-//! out over the same pool the corpus runner uses for whole programs.
-//! `cmt-bench` re-exports everything, so existing callers are
-//! unaffected.
+//! The deterministic parallel worker pool ([`par_map`] and friends),
+//! which runs the corpus and table items in parallel. `cmt-bench`
+//! re-exports everything.
 
 use crate::trace::{TraceArg, TraceSession, TraceTrack};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -299,8 +299,7 @@ pub fn profile_nest(
     // Snapshot interval == sampling window, so the first closed snapshot
     // is exactly window 0 of the sampled stream (the sampler always
     // forwards window 0) — the cold-start correction below splits on it.
-    // One shard: profiling parallelizes across nests, not inside one.
-    let mut cache = ShardedCache::with_shards(opts.cache, 1).with_interval(window);
+    let mut cache = ShardedCache::new(opts.cache).with_interval(window);
     for (name, start, bytes) in layout.regions(&single) {
         cache.register_region(name, start, bytes);
     }

@@ -2,7 +2,7 @@
 //! evaluation at the requested fidelity.
 //!
 //! The ladder has two cold rungs. Off-pressure, the transformed program
-//! is executed through the set-sharded cache simulator (measured
+//! is executed through the cache simulator (measured
 //! misses). Under pressure — admission depth past the degrade mark, or
 //! the request's deadline already spent — the server folds the analytic
 //! miss model instead, a microsecond-scale evaluation that keeps
@@ -28,8 +28,7 @@ use std::time::Duration;
 /// Handing the server's cache loop runs would speed up its cold path,
 /// but the benchmark's `serve_hot` peak RSS grows with the number of
 /// passes that fit in its run time, not with anything the server holds
-/// (ROADMAP item 8(k)). The server takes runs once that is fixed; on a
-/// multi-core host its cache is sharded and declines them anyway.
+/// (ROADMAP item 8(k)). The server takes runs once that is fixed.
 struct Batches<'a>(&'a mut ShardedCache);
 
 impl TraceSink for Batches<'_> {

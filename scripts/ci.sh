@@ -37,20 +37,16 @@ cargo run --release -q -p cmt-verify --bin verify_corpus -- --seeds 32 --out "$V
 rm -rf "$VERIFY_DIR"
 
 echo ">>> smoke-perf (cache_sim equivalence + determinism + regression gates)"
-# Quick-mode bench of the set-sharded engine against the legacy oracle:
-# fails on an equivalence mismatch (legacy == sharded x{1,4}) or a
+# Quick-mode bench of the cache engine against the legacy oracle:
+# fails on an equivalence mismatch (legacy == engine) or a
 # CMT_JOBS determinism mismatch, and when the sharded-vs-legacy geomean
 # speedup (sharded_vs_legacy_geomean) drops below 70% of the committed
 # BENCH_cache_sim.json (CMT_BENCH_GATE_FRAC default — loose enough that
 # quick-mode noise on a shared runner passes, tight enough that an
 # engine pessimization fails). The JSON goes to a temp dir so the
-# committed baseline stays untouched. CMT_SHARDS=1 pins the *timed*
-# sharded arm to the direct single-shard path the committed baseline
-# was measured on (quick-mode streams are far too short to amortize
-# per-flush thread dispatch); the equivalence gate inside the bench
-# still covers a multi-shard configuration.
+# committed baseline stays untouched.
 PERF_DIR=$(mktemp -d)
-CMT_JOBS=2 CMT_SHARDS=1 CMT_BENCH_QUICK=1 CMT_BENCH_JSON="$PERF_DIR/cache_sim.json" \
+CMT_JOBS=2 CMT_BENCH_QUICK=1 CMT_BENCH_JSON="$PERF_DIR/cache_sim.json" \
   CMT_BENCH_GATE="$PWD/BENCH_cache_sim.json" \
   cargo bench -q -p cmt-bench --bench cache_sim
 test -s "$PERF_DIR/cache_sim.json" || { echo "missing bench baseline JSON" >&2; exit 1; }

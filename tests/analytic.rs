@@ -1,5 +1,5 @@
 //! Integration tests for the analytic locality engine: corpus
-//! equivalence against the sharded simulator on every geometry,
+//! equivalence against the cache simulator on every geometry,
 //! byte-identical output across `CMT_JOBS`, degenerate nests, and the
 //! `AnalyticCost` rank oracle's legality.
 

@@ -99,7 +99,7 @@ fn suite_models_optimized_and_rest() {
 /// A sampler over an attributed, snapshotting i860 cache, as the
 /// profiler builds it.
 fn sampler(layout: &Layout, program: &Program, seed: u64) -> SampledSink<ShardedCache> {
-    let mut cache = ShardedCache::with_shards(CacheConfig::i860(), 1).with_interval(256);
+    let mut cache = ShardedCache::new(CacheConfig::i860()).with_interval(256);
     for (name, start, bytes) in layout.regions(program) {
         cache.register_region(name, start, bytes);
     }

@@ -144,7 +144,7 @@ pub fn expanded(program: &Program, machine: &Machine) -> Outcome {
     }
 }
 
-/// Both paper caches, one shard each, taking loop runs or not.
+/// Both paper caches, taking loop runs or not.
 struct PaperCaches {
     caches: [ShardedCache; 2],
     take_runs: bool,
@@ -180,13 +180,12 @@ pub fn cached(
     take_runs: bool,
 ) -> (Result<ExecSummary, ExecError>, [CacheStats; 2], usize) {
     let mut sink = PaperCaches {
-        caches: [CacheConfig::rs6000(), CacheConfig::i860()]
-            .map(|cfg| ShardedCache::with_shards(cfg, 1)),
+        caches: [CacheConfig::rs6000(), CacheConfig::i860()].map(ShardedCache::new),
         take_runs,
         runs: 0,
     };
     let result = machine.layout().trace(program, &mut sink);
-    let [mut c1, mut c2] = sink.caches;
+    let [c1, c2] = sink.caches;
     (result, [c1.stats(), c2.stats()], sink.runs)
 }
 
